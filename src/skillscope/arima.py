@@ -179,8 +179,7 @@ class Forecast:
     upper: list[float]
 
 
-def arima_forecast(model: ArimaModel, horizon: int, last_year: int | None = None,
-                   year_step: int = 1) -> Forecast:
+def arima_forecast(model: ArimaModel, horizon: int, last_year: int | None = None) -> Forecast:
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     p, d, q = model.spec.p, model.spec.d, model.spec.q
@@ -215,7 +214,7 @@ def arima_forecast(model: ArimaModel, horizon: int, last_year: int | None = None
     half = 1.96 * np.sqrt(variances)
     years = []
     if last_year is not None:
-        years = [last_year + year_step * h for h in range(1, horizon + 1)]
+        years = [last_year + h for h in range(1, horizon + 1)]
     return Forecast(
         years=years,
         point=[float(v) for v in preds],

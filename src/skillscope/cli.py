@@ -3,10 +3,10 @@
 Usage: skillscope <stage> --config run.json [--jobs N] [--seed S] [--out DIR]
 
 Stages: ingest, cleanse, extract, framing, topics, forecast, correlate,
-sectors, report, all. Each stage reads only files written by earlier stages,
-writes its outputs atomically (temp file + rename) and appends to the run
-manifest, so re-running any stage with the same inputs and seed reproduces
-byte-identical artifacts.
+sectors, report, all. ``PIPELINE`` declares each stage's inputs and outputs:
+a stage reads only its inputs, which earlier stages write, writes its outputs
+atomically (temp file + rename) and appends to the run manifest, so re-running
+any stage with the same inputs and seed reproduces byte-identical artifacts.
 
 Exit codes: 0 ok, 2 config error, 3 missing upstream, 4 data error,
 5 internal error.
@@ -24,7 +24,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .cleanse import CleanseConfig, Posting, cleanse
 from .embed import provider_from_spec
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, FramingResult, aggregate_framing, frame_document
-from .ingest import Deduplicator, SourceCounts, fetch_api, load_manifest, parse_file
+from .ingest import Deduplicator, RawRecord, SourceCounts, fetch_api, load_manifest, parse_file
 from .skills import SkillFlags, aggregate_yearly, detect_skills
 from .taxonomy import (
     SKILL_CATEGORIES,
@@ -61,9 +63,6 @@ from .trends import (
     sector_totals,
 )
 
-STAGES = ("ingest", "cleanse", "extract", "framing", "topics",
-          "forecast", "correlate", "sectors", "report")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_UPSTREAM = 3
@@ -76,10 +75,18 @@ def derive_seed(seed: int, stage: str) -> int:
     return (seed ^ int.from_bytes(h, "little")) & 0x7FFFFFFFFFFFFFFF
 
 
+CONFIG_KEYS = {"sources", "output_dir", "seed", "granularity", "cleanse_config",
+               "taxonomy", "anchors", "sectors", "embedding", "lda", "kmeans",
+               "density", "forecast"}
+
+
 class RunConfig:
     def __init__(self, raw: dict, path: Path):
         self.raw = raw
         self.path = path
+        unknown = set(raw) - CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.sources = raw.get("sources")
         if not self.sources:
             raise ConfigError("config field 'sources' is required")
@@ -94,11 +101,10 @@ class RunConfig:
         self.forecast = dict(raw.get("forecast", {}))
         self.output_dir = Path(raw.get("output_dir") or os.environ.get("SKILLSCOPE_OUT") or "out")
         self.seed = int(raw.get("seed", 0))
-        self.granularity = raw.get("granularity", "year")
-        if self.granularity not in ("year", "month"):
-            raise ConfigError("granularity must be 'year' or 'month'")
+        if raw.get("granularity", "year") != "year":
+            raise ConfigError("granularity must be 'year'")
         for field in ("sources", "cleanse_config", "taxonomy", "anchors", "sectors"):
-            value = getattr(self, field if field != "cleanse_config" else "cleanse_config")
+            value = getattr(self, field)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"config field {field!r}: file not found: {value}")
 
@@ -143,10 +149,14 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingUpstreamError(path.name)
-    return path
+def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line."""
+    atomic_write(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+
+def read_ndjson(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
 
 
 def sha256_file(path: Path) -> str:
@@ -187,29 +197,15 @@ class Manifest:
 # --- shared loaders ---------------------------------------------------------
 
 def load_postings(out: Path) -> list[Posting]:
-    path = require(out / "postings.ndjson")
-    postings = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        postings.append(Posting(id=d["id"], date=dt.date.fromisoformat(d["date"]),
-                                year=d["year"], description=d["description"]))
-    return postings
+    return [Posting(id=d["id"], date=dt.date.fromisoformat(d["date"]),
+                    year=d["year"], description=d["description"])
+            for d in read_ndjson(out / "postings.ndjson")]
 
 
 def load_flags(out: Path) -> dict[str, SkillFlags]:
-    path = require(out / "skill_flags.ndjson")
-    flags = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        flags[d["posting_id"]] = SkillFlags(
-            posting_id=d["posting_id"],
-            flags={c: bool(d[c]) for c in SKILL_CATEGORIES},
-        )
-    return flags
+    return {d["posting_id"]: SkillFlags(posting_id=d["posting_id"],
+                                        flags={c: bool(d[c]) for c in SKILL_CATEGORIES})
+            for d in read_ndjson(out / "skill_flags.ndjson")}
 
 
 def embed_postings(cfg: RunConfig, postings: list[Posting]):
@@ -223,7 +219,7 @@ def embed_postings(cfg: RunConfig, postings: list[Posting]):
 
 
 def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
-    header, rows = read_csv(require(out / "skill_rates.csv"))
+    header, rows = read_csv(out / "skill_rates.csv")
     series: dict[str, list[tuple[int, float]]] = {c: [] for c in SKILL_CATEGORIES}
     for row in rows:
         rec = dict(zip(header, row))
@@ -254,49 +250,36 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
         results = [collect(s) for s in specs]
 
     dedup = Deduplicator()
-    lines = []
+    kept: list[RawRecord] = []
     for spec, (records, counts) in zip(specs, results):
         per_source[spec.name] = counts
-        for rec in dedup.filter(records):
-            lines.append(json.dumps({
-                "source_id": rec.source_id, "raw_date": rec.raw_date,
-                "raw_text": rec.raw_text, "source_format": rec.source_format,
-            }, sort_keys=True))
+        kept.extend(dedup.filter(records))
     for name, counts in per_source.items():
         counts.duplicates_removed = dedup.removed_by_source.get(name, 0)
 
-    atomic_write(out / "raw_records.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+    write_ndjson(out / "raw_records.ndjson", map(asdict, kept))
     report = {name: c.as_dict() for name, c in per_source.items()}
     write_json(out / "ingest_report.json", report)
-    return {"records": len(lines), "duplicates_removed": dedup.removed}
+    return {"records": len(kept), "duplicates_removed": dedup.removed}
 
 
-def stage_cleanse(cfg: RunConfig, out: Path) -> dict:
-    path = require(out / "raw_records.ndjson")
-    from .ingest import RawRecord
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            d = json.loads(line)
-            records.append(RawRecord(d["source_id"], d["raw_date"],
-                                     d["raw_text"], d["source_format"]))
+def stage_cleanse(cfg: RunConfig, out: Path, jobs: int) -> dict:
+    records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson")]
     ccfg = CleanseConfig.from_file(cfg.cleanse_config) if cfg.cleanse_config else CleanseConfig()
     postings, report = cleanse(records, ccfg)
-    lines = [json.dumps({"id": p.id, "date": p.date.isoformat(), "year": p.year,
-                         "description": p.description}, sort_keys=True)
-             for p in postings]
-    atomic_write(out / "postings.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+    write_ndjson(out / "postings.ndjson",
+                 ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
+                   "description": p.description} for p in postings))
     write_json(out / "cleanse_report.json", report.as_dict())
     return report.as_dict()
 
 
-def stage_extract(cfg: RunConfig, out: Path) -> dict:
+def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     matcher = CompiledMatcher.from_taxonomy(load_taxonomy(cfg.taxonomy))
     flags = [detect_skills(p, matcher) for p in postings]
-    lines = [json.dumps({"posting_id": f.posting_id, **{c: f.flags[c] for c in SKILL_CATEGORIES}},
-                        sort_keys=True) for f in flags]
-    atomic_write(out / "skill_flags.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+    write_ndjson(out / "skill_flags.ndjson",
+                 ({"posting_id": f.posting_id, **f.flags} for f in flags))
     yearly = aggregate_yearly(zip(flags, (p.year for p in postings)))
     write_csv(out / "skill_rates.csv",
               ["year", "postings"] + list(SKILL_CATEGORIES),
@@ -305,7 +288,7 @@ def stage_extract(cfg: RunConfig, out: Path) -> dict:
     return {"postings": len(postings), "years": len(yearly)}
 
 
-def stage_framing(cfg: RunConfig, out: Path) -> dict:
+def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings to frame")
@@ -313,11 +296,7 @@ def stage_framing(cfg: RunConfig, out: Path) -> dict:
     anchors = load_anchors(cfg.anchors)
     centroids = AnchorCentroids.from_anchors(anchors, provider)
     results = [frame_document(vectors[p.id], centroids, posting_id=p.id) for p in postings]
-    lines = [json.dumps({"posting_id": r.posting_id, "sim_ai": r.sim_ai,
-                         "sim_augment": r.sim_augment, "sim_automate": r.sim_automate,
-                         "framing_index": r.framing_index}, sort_keys=True)
-             for r in results]
-    atomic_write(out / "framing.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+    write_ndjson(out / "framing.ndjson", map(asdict, results))
 
     years = {p.id: p.year for p in postings}
     by_year = aggregate_framing(results, years)
@@ -337,7 +316,7 @@ def stage_framing(cfg: RunConfig, out: Path) -> dict:
             "sector_rows": len(by_sector)}
 
 
-def stage_topics(cfg: RunConfig, out: Path) -> dict:
+def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings for topic modeling")
@@ -412,7 +391,7 @@ def stage_topics(cfg: RunConfig, out: Path) -> dict:
             "vocab": dtm.n_terms}
 
 
-def stage_forecast(cfg: RunConfig, out: Path) -> dict:
+def stage_forecast(cfg: RunConfig, out: Path, jobs: int) -> dict:
     series = rate_series_from_csv(out)
     horizon = int(cfg.forecast.get("horizon", 2))
     alpha = float(cfg.forecast.get("smoothing_alpha", 0.5))
@@ -436,7 +415,7 @@ def stage_forecast(cfg: RunConfig, out: Path) -> dict:
     return {"series": len(SKILL_CATEGORIES) * len(specs), "horizon": horizon}
 
 
-def stage_correlate(cfg: RunConfig, out: Path) -> dict:
+def stage_correlate(cfg: RunConfig, out: Path, jobs: int) -> dict:
     series = rate_series_from_csv(out)
     matrix = pearson_matrix(series)
     rows = []
@@ -451,17 +430,15 @@ def stage_correlate(cfg: RunConfig, out: Path) -> dict:
     return {"min_off_diagonal": lo, "max_off_diagonal": hi}
 
 
-def stage_sectors(cfg: RunConfig, out: Path) -> dict:
+def stage_sectors(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     flags = load_flags(out)
-    lex = load_sectors(cfg.sectors)
-    series = sector_rates(postings, flags, lex)
+    labels = sector_totals(postings, load_sectors(cfg.sectors))
     by_key: dict[tuple[str, int], dict] = {}
-    for s in series:
+    for s in sector_rates(postings, flags, labels):
         cat, sector = s.label
         for year, rate in s.points:
             by_key.setdefault((sector, year), {})[cat] = rate
-    labels = sector_totals(postings, lex)
     counts: dict[tuple[str, int], int] = {}
     for p in postings:
         sec = labels.get(p.id)
@@ -477,16 +454,14 @@ def stage_sectors(cfg: RunConfig, out: Path) -> dict:
     return {"rows": len(rows)}
 
 
-REPORT_TABLES = [
+REPORT_TABLES = (
     "skill_rates.csv", "framing_by_year.csv", "framing_by_sector.csv",
     "topic_over_time.csv", "forecast.csv", "correlation.csv", "sector_rates.csv",
     "lda_topics.json", "density_topics.json",
-]
+)
 
 
-def stage_report(cfg: RunConfig, out: Path) -> dict:
-    for name in REPORT_TABLES + ["cleanse_report.json", "kmeans_clusters.json"]:
-        require(out / name)
+def stage_report(cfg: RunConfig, out: Path, jobs: int) -> dict:
     cleanse_report = json.loads((out / "cleanse_report.json").read_text(encoding="utf-8"))
     header, rate_rows = read_csv(out / "skill_rates.csv")
     rates_by_year = {r[0]: dict(zip(header, r)) for r in rate_rows}
@@ -547,45 +522,53 @@ def stage_report(cfg: RunConfig, out: Path) -> dict:
     return {"tables": len(tables)}
 
 
-STAGE_FUNCS = {
-    "ingest": lambda cfg, out, jobs: stage_ingest(cfg, out, jobs),
-    "cleanse": lambda cfg, out, jobs: stage_cleanse(cfg, out),
-    "extract": lambda cfg, out, jobs: stage_extract(cfg, out),
-    "framing": lambda cfg, out, jobs: stage_framing(cfg, out),
-    "topics": lambda cfg, out, jobs: stage_topics(cfg, out),
-    "forecast": lambda cfg, out, jobs: stage_forecast(cfg, out),
-    "correlate": lambda cfg, out, jobs: stage_correlate(cfg, out),
-    "sectors": lambda cfg, out, jobs: stage_sectors(cfg, out),
-    "report": lambda cfg, out, jobs: stage_report(cfg, out),
-}
+@dataclass(frozen=True)
+class Stage:
+    run: Callable[[RunConfig, Path, int], dict]  # (cfg, output dir, jobs) -> counts
+    inputs: tuple[str, ...]   # artifacts read from the output dir, checked in order
+    outputs: tuple[str, ...]  # artifacts written, checksummed into the manifest
 
-STAGE_OUTPUTS = {
-    "ingest": ["raw_records.ndjson", "ingest_report.json"],
-    "cleanse": ["postings.ndjson", "cleanse_report.json"],
-    "extract": ["skill_flags.ndjson", "skill_rates.csv"],
-    "framing": ["framing.ndjson", "framing_by_year.csv", "framing_by_sector.csv"],
-    "topics": ["lda_topics.json", "kmeans_clusters.json", "density_topics.json",
-               "topic_over_time.csv"],
-    "forecast": ["forecast.csv"],
-    "correlate": ["correlation.csv"],
-    "sectors": ["sector_rates.csv"],
-    "report": ["summary.json", "summary.md"],
+
+# The pipeline in run order. A stage reads only its inputs, which earlier
+# stages write; ingest reads the configured sources.
+PIPELINE: dict[str, Stage] = {
+    "ingest": Stage(stage_ingest, (), ("raw_records.ndjson", "ingest_report.json")),
+    "cleanse": Stage(stage_cleanse, ("raw_records.ndjson",),
+                     ("postings.ndjson", "cleanse_report.json")),
+    "extract": Stage(stage_extract, ("postings.ndjson",),
+                     ("skill_flags.ndjson", "skill_rates.csv")),
+    "framing": Stage(stage_framing, ("postings.ndjson",),
+                     ("framing.ndjson", "framing_by_year.csv", "framing_by_sector.csv")),
+    "topics": Stage(stage_topics, ("postings.ndjson",),
+                    ("lda_topics.json", "kmeans_clusters.json", "density_topics.json",
+                     "topic_over_time.csv")),
+    "forecast": Stage(stage_forecast, ("skill_rates.csv",), ("forecast.csv",)),
+    "correlate": Stage(stage_correlate, ("skill_rates.csv",), ("correlation.csv",)),
+    "sectors": Stage(stage_sectors, ("postings.ndjson", "skill_flags.ndjson"),
+                     ("sector_rates.csv",)),
+    "report": Stage(stage_report,
+                    REPORT_TABLES + ("cleanse_report.json", "kmeans_clusters.json"),
+                    ("summary.json", "summary.md")),
 }
 
 
 def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> dict:
+    stage = PIPELINE[name]
     out = cfg.output_dir
+    for artifact in stage.inputs:
+        if not (out / artifact).exists():
+            raise MissingUpstreamError(artifact)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg)
     started = time.monotonic()
-    counts = STAGE_FUNCS[name](cfg, out, jobs)
+    counts = stage.run(cfg, out, jobs)
     elapsed = time.monotonic() - started
-    manifest.record(name, [out / f for f in STAGE_OUTPUTS[name]], elapsed, counts)
+    manifest.record(name, [out / f for f in stage.outputs], elapsed, counts)
     return counts
 
 
 def run_all(cfg: RunConfig, jobs: int = 1) -> None:
-    for name in STAGES:
+    for name in PIPELINE:
         run_stage(name, cfg, jobs)
 
 
@@ -614,7 +597,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="skillscope",
                                      description="job-postings corpus analytics pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES + ("all",):
+    for name in [*PIPELINE, "all"]:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all"
                            else "run every stage in pipeline order")
         p.add_argument("--config", required=True)

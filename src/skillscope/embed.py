@@ -38,10 +38,25 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
+# Norms outside this range lose bits to underflow or overflow in the squares
+# summed by np.linalg.norm, so such vectors are rescaled before the cosine.
+_NORM_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings max|x| into [0.5, 1); exact."""
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -exponent)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    lo, hi = _NORM_RANGE
+    if not (lo <= na <= hi and lo <= nb <= hi):
+        a, b = _unit_scaled(a), _unit_scaled(b)
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero vector is undefined")
     return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))

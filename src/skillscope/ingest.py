@@ -111,7 +111,15 @@ def load_manifest(path: str | Path) -> list[SourceSpec]:
         raise ConfigError(f"manifest {path} is not valid JSON: {e}") from e
     if not isinstance(raw, list):
         raise ConfigError("source manifest must be a JSON array")
-    return [SourceSpec.from_dict(d) for d in raw]
+    specs = [SourceSpec.from_dict(d) for d in raw]
+    # the name prefixes posting ids and keys the ingest report, so it must be unique
+    by_name: dict[str, str] = {}
+    for spec in specs:
+        if spec.name in by_name:
+            raise ConfigError(f"sources {by_name[spec.name]} and {spec.path_or_url} "
+                              f"share the name {spec.name!r}; rename one file")
+        by_name[spec.name] = spec.path_or_url
+    return specs
 
 
 def _read_text(path: str | Path) -> str:

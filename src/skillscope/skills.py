@@ -1,8 +1,7 @@
 """Per-posting skill-category detection and yearly rate aggregation.
 
 Rates are posting-level incidence per 1,000 postings: a category counts once
-per posting regardless of how many of its phrases match. A mention-count
-variant exists behind count_mentions for sensitivity analysis (default off).
+per posting regardless of how many of its phrases match.
 """
 
 from __future__ import annotations
@@ -35,28 +34,17 @@ def detect_skills(posting: Posting, matcher: CompiledMatcher) -> SkillFlags:
     )
 
 
-def aggregate_yearly(
-    flagged: Iterable[tuple[SkillFlags, int]],
-    count_mentions: bool = False,
-    matcher: CompiledMatcher | None = None,
-    texts: dict[str, str] | None = None,
-) -> list[YearlyRates]:
-    """One YearlyRates per year present, ascending. Boolean-presence
-    semantics by default; count_mentions switches the numerator to distinct
-    phrase hits per posting (requires matcher and posting texts)."""
+def aggregate_yearly(flagged: Iterable[tuple[SkillFlags, int]]) -> list[YearlyRates]:
+    """One YearlyRates per year present, ascending; the numerator counts
+    postings that carry the category."""
     totals: dict[int, int] = {}
     hits: dict[int, dict[str, float]] = {}
     for flags, year in flagged:
         totals[year] = totals.get(year, 0) + 1
         bucket = hits.setdefault(year, {c: 0.0 for c in SKILL_CATEGORIES})
-        if count_mentions:
-            per_cat = matcher.match_hits(texts[flags.posting_id])
-            for cat in SKILL_CATEGORIES:
-                bucket[cat] += len(per_cat.get(cat, ()))
-        else:
-            for cat in SKILL_CATEGORIES:
-                if flags.flags[cat]:
-                    bucket[cat] += 1
+        for cat in SKILL_CATEGORIES:
+            if flags.flags[cat]:
+                bucket[cat] += 1
     out = []
     for year in sorted(totals):
         n = totals[year]

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import EmptyVocabularyError
 from ..text import tokenize
+from .density import NOISE
 
 
 @lru_cache(maxsize=1)
@@ -55,15 +56,11 @@ class DocTermMatrix:
         return df
 
 
-def build_dtm(
-    texts: Sequence[str],
-    min_df: int = 1,
-    max_df_fraction: float = 1.0,
-    extra_stopwords: frozenset[str] | None = None,
-) -> DocTermMatrix:
+def build_dtm(texts: Sequence[str], min_df: int = 1,
+              max_df_fraction: float = 1.0) -> DocTermMatrix:
     if not texts:
         raise EmptyVocabularyError("empty corpus")
-    stop = stopwords() | (extra_stopwords or frozenset())
+    stop = stopwords()
     doc_term_counts: list[dict[str, int]] = []
     df: dict[str, int] = {}
     for text in texts:
@@ -91,37 +88,27 @@ def build_dtm(
     return DocTermMatrix(vocab=vocab, doc_indices=doc_indices, doc_counts=doc_counts)
 
 
-def tfidf_matrix(dtm: DocTermMatrix, smooth_idf: bool = False) -> np.ndarray:
-    """tf = raw count, idf = ln(D/df); smooth_idf uses ln((1+D)/(1+df)) + 1."""
+def tfidf_matrix(dtm: DocTermMatrix) -> np.ndarray:
+    """tf = raw count, idf = ln(D/df)."""
     counts = dtm.dense().astype(float)
     df = dtm.doc_frequency().astype(float)
-    d = float(dtm.n_docs)
-    if smooth_idf:
-        idf = np.log((1.0 + d) / (1.0 + df)) + 1.0
-    else:
-        idf = np.log(d / df)
-    return counts * idf
+    return counts * np.log(float(dtm.n_docs) / df)
 
 
-def cluster_terms(
-    assignments: Sequence[int],
-    dtm: DocTermMatrix,
-    top_n: int = 15,
-    noise_label: int = -1,
-    smooth_idf: bool = False,
-) -> dict[int, list[tuple[str, float]]]:
+def cluster_terms(assignments: Sequence[int], dtm: DocTermMatrix,
+                  top_n: int = 15) -> dict[int, list[tuple[str, float]]]:
     """Per-cluster mean tf-idf weights, top_n terms, ties lexicographic.
 
-    Documents labeled ``noise_label`` are excluded. Empty clusters are
-    skipped. Weights are clipped at zero (idf of an everywhere-present term
-    is exactly zero).
+    Documents labeled ``NOISE`` are excluded. Empty clusters are skipped.
+    Weights are clipped at zero (idf of an everywhere-present term is
+    exactly zero).
     """
     assignments = np.asarray(assignments)
     if len(assignments) != dtm.n_docs:
         raise ValueError("assignments must cover all dtm rows")
-    weights = tfidf_matrix(dtm, smooth_idf=smooth_idf)
+    weights = tfidf_matrix(dtm)
     out: dict[int, list[tuple[str, float]]] = {}
-    for cluster in sorted(set(int(a) for a in assignments) - {noise_label}):
+    for cluster in sorted(set(int(a) for a in assignments) - {NOISE}):
         members = np.flatnonzero(assignments == cluster)
         if members.size == 0:
             continue

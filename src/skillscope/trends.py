@@ -3,8 +3,7 @@ the inter-category Pearson matrix and sectoral rate decomposition.
 
 The smoothed ARIMA(1,1,1) path smooths the series before fitting; the
 ARIMA(2,0,2) path fits the raw series. Annual series of eight points are
-statistically fragile for (2,0,2); a short-series warning is attached and
-monthly granularity is supported for denser inputs.
+statistically fragile for (2,0,2); a short-series warning is attached.
 """
 
 from __future__ import annotations
@@ -90,8 +89,7 @@ def smooth_series(series: RateSeries, alpha: float) -> RateSeries:
                       points=tuple(zip(series.years, smoothed)))
 
 
-def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2,
-                    year_step: int = 1) -> ForecastSeries:
+def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2) -> ForecastSeries:
     """Fit and forecast one rate series, smoothing first when the spec
     carries a smoothing alpha."""
     fit_on = series if spec.smoothing_alpha is None else smooth_series(series, spec.smoothing_alpha)
@@ -102,7 +100,7 @@ def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2,
             f"ARIMA({spec.p},{spec.d},{spec.q}) estimates will be fragile"
         )
     model = arima_fit(fit_on.values, spec)
-    fc = arima_forecast(model, horizon, last_year=series.years[-1], year_step=year_step)
+    fc = arima_forecast(model, horizon, last_year=series.years[-1])
     return ForecastSeries(
         label=series.label,
         spec=spec,
@@ -164,22 +162,18 @@ def classify_sector(posting: Posting, lex: SectorLexicon,
 def sector_rates(
     postings: list[Posting],
     flags: dict[str, SkillFlags],
-    lex: SectorLexicon,
-    sector_labels: dict[str, str | None] | None = None,
+    sector_labels: dict[str, str | None],
 ) -> list[RateSeries]:
-    """Per-(category, sector) yearly rates per 1,000 sector postings.
+    """Per-(category, sector) yearly rates per 1,000 sector postings, from
+    the sector of each posting id as ``sector_totals`` returns it.
 
     Postings with no sector are excluded. Returns one RateSeries per
     (category, sector) pair that has at least one classified posting-year.
     """
-    matcher = CompiledMatcher.from_sectors(lex)
     totals: dict[tuple[str, int], int] = {}
     hits: dict[tuple[str, int], dict[str, int]] = {}
     for posting in postings:
-        if sector_labels is not None:
-            sector = sector_labels.get(posting.id)
-        else:
-            sector = classify_sector(posting, lex, matcher)
+        sector = sector_labels.get(posting.id)
         if sector is None:
             continue
         key = (sector, posting.year)
@@ -200,5 +194,6 @@ def sector_rates(
 
 
 def sector_totals(postings, lex: SectorLexicon) -> dict[str, str | None]:
+    """Sector of each posting id, ``None`` where no trigger matches."""
     matcher = CompiledMatcher.from_sectors(lex)
     return {p.id: classify_sector(p, lex, matcher) for p in postings}

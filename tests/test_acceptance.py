@@ -53,7 +53,7 @@ def report(capsys, request):
 
 
 def test_01_pipeline_determinism(tmp_path, report):
-    from skillscope.cli import RunConfig, STAGES, STAGE_OUTPUTS, run_all
+    from skillscope.cli import PIPELINE, RunConfig, run_all
 
     started = time.monotonic()
     trees = []
@@ -62,8 +62,8 @@ def test_01_pipeline_determinism(tmp_path, report):
         cfg = RunConfig.load(write_demo_corpus(root))
         run_all(cfg)
         tree = {}
-        for stage in STAGES:
-            for name in STAGE_OUTPUTS[stage]:
+        for stage in PIPELINE.values():
+            for name in stage.outputs:
                 tree[name] = (cfg.output_dir / name).read_bytes()
         trees.append(tree)
     elapsed = time.monotonic() - started

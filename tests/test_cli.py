@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,7 @@ from skillscope.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_UPSTREAM,
     EXIT_OK,
-    STAGE_OUTPUTS,
-    STAGES,
+    PIPELINE,
     RunConfig,
     derive_seed,
     main,
@@ -23,14 +23,20 @@ def results_dir(demo_dir: Path) -> Path:
     return demo_dir / "results"
 
 
+def copy_artifacts(src: Path, dst: Path, names) -> None:
+    dst.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        shutil.copyfile(src / name, dst / name)
+
+
 class TestSmoke:
     def test_all_artifacts_present(self, demo_dir):
         out = results_dir(demo_dir)
-        for stage in STAGES:
-            for name in STAGE_OUTPUTS[stage]:
+        for stage in PIPELINE.values():
+            for name in stage.outputs:
                 assert (out / name).exists(), name
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert set(manifest["stages"]) == set(STAGES)
+        assert set(manifest["stages"]) == set(PIPELINE)
 
     def test_exit_zero_via_main(self, demo_dir):
         assert main(["extract", "--config", str(demo_dir / "run.json")]) == EXIT_OK
@@ -76,10 +82,27 @@ class TestErrors:
 
     def test_invalid_granularity(self, tmp_path):
         run = write_demo_corpus(tmp_path)
-        cfg = json.loads(run.read_text())
-        cfg["granularity"] = "weekly"
-        run.write_text(json.dumps(cfg))
+        valid = json.loads(run.read_text())
+        # no stage reads a month granularity or an unknown key, so both are rejected
+        for field, value in (("granularity", "weekly"), ("granularity", "month"),
+                             ("iterations", 10)):
+            run.write_text(json.dumps({**valid, field: value}))
+            assert main(["ingest", "--config", str(run)]) == EXIT_CONFIG, (field, value)
+
+    def test_sources_with_the_same_stem_rejected(self, tmp_path, capsys):
+        run = write_demo_corpus(tmp_path)
+        (spec,) = json.loads((tmp_path / "sources.json").read_text())
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            shutil.copyfile(spec["path_or_url"], tmp_path / sub / "postings.csv")
+        (tmp_path / "sources.json").write_text(json.dumps(
+            [{**spec, "path_or_url": str(tmp_path / sub / "postings.csv")}
+             for sub in ("a", "b")]))
         assert main(["ingest", "--config", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "postings.csv") in err
+        assert str(tmp_path / "b" / "postings.csv") in err
+        assert not (tmp_path / "results" / "raw_records.ndjson").exists()
 
 
 class TestDeterminism:
@@ -90,7 +113,7 @@ class TestDeterminism:
                      "--out", str(tmp_path / "results")]) == EXIT_OK
         m1 = json.loads(run1.read_text())["stages"]
         m2 = json.loads((tmp_path / "results" / "run_manifest.json").read_text())["stages"]
-        for stage in STAGES:
+        for stage in PIPELINE:
             c1 = {k: v["sha256"] for k, v in m1[stage]["outputs"].items()}
             c2 = {k: v["sha256"] for k, v in m2[stage]["outputs"].items()}
             assert c1 == c2, stage
@@ -117,6 +140,35 @@ class TestDeterminism:
                  ("topics.lda", "topics.kmeans", "topics.density", "embedding")}
         assert len(seeds) == 4
         assert derive_seed(7, "topics.lda") == derive_seed(7, "topics.lda")
+
+
+class TestStageTable:
+    def test_inputs_are_outputs_of_earlier_stages(self):
+        written: set[str] = set()
+        for name, stage in PIPELINE.items():
+            assert set(stage.inputs) <= written, name
+            written |= set(stage.outputs)
+
+    @pytest.mark.parametrize("name", list(PIPELINE))
+    def test_stage_runs_from_its_declared_inputs_alone(self, demo_dir, tmp_path, name):
+        stage, full = PIPELINE[name], results_dir(demo_dir)
+        out = tmp_path / "out"
+        copy_artifacts(full, out, stage.inputs)
+        assert main([name, "--config", str(demo_dir / "run.json"), "--out", str(out)]) == EXIT_OK
+        for artifact in stage.outputs:
+            assert (out / artifact).read_bytes() == (full / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("name,missing", [(name, artifact)
+                                              for name, stage in PIPELINE.items()
+                                              for artifact in stage.inputs])
+    def test_each_missing_input_exits_3(self, demo_dir, tmp_path, capsys, name, missing):
+        stage = PIPELINE[name]
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, [a for a in stage.inputs if a != missing])
+        code = main([name, "--config", str(demo_dir / "run.json"), "--out", str(out)])
+        assert code == EXIT_MISSING_UPSTREAM
+        assert missing in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in stage.outputs)
 
 
 class TestConfigPlumbing:

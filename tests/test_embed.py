@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,8 @@ from skillscope.errors import (
     ServiceError,
     ZeroVectorError,
 )
+
+TINY = np.array([3.1e-161, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestCosine:
@@ -47,6 +49,9 @@ class TestCosine:
     @given(arrays(float, 6, elements=st.floats(-100, 100)),
            arrays(float, 6, elements=st.floats(-100, 100)),
            st.floats(0.001, 1000))
+    # a norm whose square underflows: once a wrong cosine, once a zero vector
+    @example(a=TINY, b=np.array([1.0, 2.0, 0.0, 0.0, 0.0, 1.0]), lam=0.25)
+    @example(a=TINY, b=np.array([1.0, 2.0, 0.0, 0.0, 0.0, 1.0]), lam=1 / 32)
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_scale_invariance(self, a, b, lam):
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:

@@ -18,6 +18,7 @@ from skillscope.trends import (
     pearson_matrix,
     pearson_r,
     sector_rates,
+    sector_totals,
     smooth_series,
 )
 
@@ -227,24 +228,27 @@ class TestSectorRates:
     def flags_for(self, postings):
         return {p.id: detect_skills(p, MATCHER) for p in postings}
 
+    def rates(self, postings):
+        return sector_rates(postings, self.flags_for(postings),
+                            sector_totals(postings, SECTORS))
+
     def test_rate_arithmetic(self):
         postings = [posting(
             "hospital nurse role" + (" with python scripting" if i < 4 else ""),
             year=2024, pid=f"h{i}") for i in range(10)]
-        flags = self.flags_for(postings)
-        out = sector_rates(postings, flags, SECTORS)
+        out = self.rates(postings)
         ai_health = next(s for s in out if s.label == ("AI_Data", "Healthcare"))
         assert ai_health.points == ((2024, 400.0),)
 
     def test_absent_sector_year_omitted(self):
         postings = [posting("hospital nurse role", year=2020, pid="a")]
-        out = sector_rates(postings, self.flags_for(postings), SECTORS)
+        out = self.rates(postings)
         for s in out:
             assert s.years == [2020]
 
     def test_unclassified_postings_excluded(self):
         postings = [posting("generic text with python", year=2022, pid="x")]
-        assert sector_rates(postings, self.flags_for(postings), SECTORS) == []
+        assert self.rates(postings) == []
 
     def test_planted_it_exceeds_healthcare(self):
         import random
@@ -258,6 +262,6 @@ class TestSectorRates:
                     text += " requires python and machine learning"
                 postings.append(posting(text, year=year, pid=f"{year}-{i}"))
         out = {s.label: dict(s.points)
-               for s in sector_rates(postings, self.flags_for(postings), SECTORS)}
+               for s in self.rates(postings)}
         it_s, hc = out[("AI_Data", "IT")], out[("AI_Data", "Healthcare")]
         assert all(it_s[y] > hc[y] for y in YEARS)
