@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .arima import ArimaSpec
 from .cleanse import CleanseConfig, Posting, cleanse
-from .embed import provider_from_spec
+from .embed import SPEC_KEYS, provider_from_spec
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, FramingResult, aggregate_framing, frame_document
 from .ingest import Deduplicator, RawRecord, SourceCounts, fetch_api, load_manifest, parse_file
@@ -78,15 +78,28 @@ def derive_seed(seed: int, stage: str) -> int:
 CONFIG_KEYS = {"sources", "output_dir", "seed", "granularity", "cleanse_config",
                "taxonomy", "anchors", "sectors", "embedding", "lda", "kmeans",
                "density", "forecast"}
+# the keys each stage reads from its model object (embedding: embed.SPEC_KEYS)
+MODEL_KEYS = {"lda": {"K", "alpha", "beta", "iterations", "vocab_min_df",
+                      "vocab_max_df_fraction"},
+              "kmeans": {"K"}, "density": {"min_cluster_size", "k_reduced"},
+              "forecast": {"horizon", "smoothing_alpha"}}
+
+
+def check_keys(obj, known: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(obj) - known
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 class RunConfig:
     def __init__(self, raw: dict, path: Path):
         self.raw = raw
         self.path = path
-        unknown = set(raw) - CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(raw, CONFIG_KEYS, f"config {path}")
+        for name, known in MODEL_KEYS.items():
+            check_keys(raw.get(name, {}), known, f"config {name!r}")
         self.sources = raw.get("sources")
         if not self.sources:
             raise ConfigError("config field 'sources' is required")
@@ -94,7 +107,12 @@ class RunConfig:
         self.taxonomy = raw.get("taxonomy")
         self.anchors = raw.get("anchors")
         self.sectors = raw.get("sectors")
-        self.embedding = dict(raw.get("embedding", {"kind": "hashed", "dimension": 256}))
+        embedding = raw.get("embedding", {"kind": "hashed", "dimension": 256})
+        kind = embedding.get("kind", "hashed") if isinstance(embedding, dict) else "hashed"
+        if not isinstance(kind, str) or kind not in SPEC_KEYS:
+            raise ConfigError(f"config 'embedding': unknown kind {kind!r}")
+        check_keys(embedding, SPEC_KEYS[kind], f"config 'embedding' ({kind})")
+        self.embedding = dict(embedding)
         self.lda = dict(raw.get("lda", {}))
         self.kmeans = dict(raw.get("kmeans", {"K": 6}))
         self.density = dict(raw.get("density", {}))
@@ -338,6 +356,8 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     doc_topics = [int(np.argmax(lda.theta[i])) for i in range(len(texts))]
     write_json(out / "lda_topics.json", {
         "K": lda_cfg.K,
+        "iterations": lda_cfg.iterations,
+        "log_likelihood_trace": lda.log_likelihood_trace,
         "topics": {
             str(k): {
                 "top_terms": [[t, w] for t, w in terms],

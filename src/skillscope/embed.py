@@ -200,6 +200,11 @@ class HttpProvider:
         return [v for chunk in results for v in chunk]
 
 
+# the keys provider_from_spec reads, by kind
+SPEC_KEYS = {"hashed": {"kind", "dimension", "seed"}, "file": {"kind", "path"},
+             "http": {"kind", "url", "dimension", "auth", "concurrency"}}
+
+
 def provider_from_spec(spec: dict):
     """Build a provider from its JSON spec {kind, dimension, seed|path|url...}."""
     kind = spec.get("kind", "hashed")

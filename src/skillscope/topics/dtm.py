@@ -45,10 +45,6 @@ class DocTermMatrix:
             out[d, idx] = cnt
         return out
 
-    def doc_tokens(self, d: int) -> np.ndarray:
-        """Term indices of document d with multiplicity (LDA token stream)."""
-        return np.repeat(self.doc_indices[d], self.doc_counts[d])
-
     def doc_frequency(self) -> np.ndarray:
         df = np.zeros(self.n_terms, dtype=np.int64)
         for idx in self.doc_indices:

@@ -1,19 +1,21 @@
-"""Latent Dirichlet Allocation via collapsed Gibbs sampling.
+"""Latent Dirichlet Allocation by zero-order collapsed variational Bayes.
 
-The sampler integrates out the topic-word and document-topic distributions
-and resamples each token's topic from its full conditional. The hot loop is
-plain Python over lists (seeded random.Random), which keeps runs
-bit-reproducible across platforms; phi and theta are estimated from the
-final counts with Dirichlet smoothing.
+CVB0 (Asuncion, Welling, Smyth & Teh, "On Smoothing and Inference for Topic
+Models", UAI 2009) keeps one topic responsibility row gamma per non-zero
+(document, term) cell. Each sweep gathers the expected counts from all rows,
+then updates every row at once (synchronously) with one token left out:
+gamma ∝ (n_dk - gamma + alpha)(n_wk - gamma + beta) / (n_k - gamma + V beta).
+phi and theta come from the final expected counts with Dirichlet smoothing.
+gamma is seeded from numpy's ``default_rng(seed)``: the same seed gives the
+same bytes under the same numpy and scipy build, not across builds.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln
 
 from ..errors import ConfigError
@@ -47,7 +49,7 @@ class LdaConfig:
 class LdaModel:
     phi: np.ndarray        # K x V, rows sum to 1
     theta: np.ndarray      # D x K, rows sum to 1
-    assignments: list[list[int]]  # per-document per-token topic labels
+    doc_topic_counts: np.ndarray  # D x K expected counts, rows sum to doc lengths
     vocab: list[str]
     log_likelihood_trace: list[float] = field(default_factory=list)
 
@@ -61,13 +63,9 @@ class LdaModel:
 
 
 def _log_joint_words(n_kt: np.ndarray, beta: float) -> float:
-    """log p(w | z) up to a constant, from topic-word counts."""
-    K, V = n_kt.shape
-    ll = 0.0
-    for k in range(K):
-        row = n_kt[k]
-        ll += float(gammaln(row + beta).sum() - gammaln(row.sum() + V * beta))
-    return ll
+    """log p(w | z) up to a constant, from (expected) topic-word counts."""
+    V = n_kt.shape[1]
+    return float(gammaln(n_kt + beta).sum() - gammaln(n_kt.sum(axis=1) + V * beta).sum())
 
 
 def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
@@ -75,53 +73,33 @@ def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
         raise ConfigError("empty document-term matrix")
     K, V, D = cfg.K, dtm.n_terms, dtm.n_docs
     alpha, beta = float(cfg.alpha), float(cfg.beta)
-    rng = random.Random(cfg.seed)
-
-    docs = [list(map(int, dtm.doc_tokens(d))) for d in range(D)]
-    z = [[rng.randrange(K) for _ in doc] for doc in docs]
-
-    n_dk = [[0] * K for _ in range(D)]
-    n_kt = [[0] * V for _ in range(K)]
-    n_k = [0] * K
-    for d, doc in enumerate(docs):
-        for j, w in enumerate(doc):
-            k = z[d][j]
-            n_dk[d][k] += 1
-            n_kt[k][w] += 1
-            n_k[k] += 1
-
     vbeta = V * beta
-    trace: list[float] = []
-    rand = rng.random
-    krange = range(K)
-    for sweep in range(cfg.iterations):
-        for d, doc in enumerate(docs):
-            zd = z[d]
-            ndk = n_dk[d]
-            for j, w in enumerate(doc):
-                k = zd[j]
-                ndk[k] -= 1
-                n_kt[k][w] -= 1
-                n_k[k] -= 1
-                total = 0.0
-                cum = []
-                for kk in krange:
-                    total += (ndk[kk] + alpha) * (n_kt[kk][w] + beta) / (n_k[kk] + vbeta)
-                    cum.append(total)
-                u = rand() * total
-                for kk in krange:
-                    if u < cum[kk]:
-                        break
-                zd[j] = kk
-                ndk[kk] += 1
-                n_kt[kk][w] += 1
-                n_k[kk] += 1
-        if sweep % 10 == 0 or sweep == cfg.iterations - 1:
-            trace.append(_log_joint_words(np.array(n_kt, dtype=float), beta))
 
-    n_kt_arr = np.array(n_kt, dtype=float)
-    n_dk_arr = np.array(n_dk, dtype=float)
-    phi = (n_kt_arr + beta) / (n_kt_arr.sum(axis=1, keepdims=True) + vbeta)
-    theta = (n_dk_arr + alpha) / (n_dk_arr.sum(axis=1, keepdims=True) + K * alpha)
-    return LdaModel(phi=phi, theta=theta, assignments=z, vocab=list(dtm.vocab),
+    # one triple per non-zero cell: doc[i], term[i], count[i]
+    lengths = [len(idx) for idx in dtm.doc_indices]
+    doc = np.repeat(np.arange(D), lengths)
+    term = np.concatenate(dtm.doc_indices)
+    count = np.concatenate(dtm.doc_counts).astype(float)
+    cells = np.arange(len(count))
+    # count-weighted incidence: (D x N) @ gamma = n_dk, (V x N) @ gamma = n_wk
+    by_doc = sparse.csr_matrix((count, (doc, cells)), shape=(D, len(count)))
+    by_term = sparse.csr_matrix((count, (term, cells)), shape=(V, len(count)))
+
+    gamma = np.random.default_rng(cfg.seed).random((len(count), K))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+    trace: list[float] = []
+    for sweep in range(cfg.iterations):
+        n_k = n_wk.sum(axis=0)
+        gamma = (np.repeat(n_dk + alpha, lengths, axis=0) - gamma) \
+            * (np.take(n_wk + beta, term, axis=0) - gamma) / ((n_k + vbeta) - gamma)
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+        if sweep % 10 == 0 or sweep == cfg.iterations - 1:
+            trace.append(_log_joint_words(n_wk.T, beta))
+
+    n_kt = n_wk.T
+    phi = (n_kt + beta) / (n_kt.sum(axis=1, keepdims=True) + vbeta)
+    theta = (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + K * alpha)
+    return LdaModel(phi=phi, theta=theta, doc_topic_counts=n_dk, vocab=list(dtm.vocab),
                     log_likelihood_trace=trace)

@@ -41,6 +41,13 @@ class TestSmoke:
     def test_exit_zero_via_main(self, demo_dir):
         assert main(["extract", "--config", str(demo_dir / "run.json")]) == EXIT_OK
 
+    def test_lda_diagnostics_written(self, demo_dir):
+        lda = json.loads((results_dir(demo_dir) / "lda_topics.json").read_text())
+        assert lda["iterations"] == 150
+        # sweeps 0, 10, ..., 140 and the last one, 149
+        assert len(lda["log_likelihood_trace"]) == 16
+        assert lda["log_likelihood_trace"][-1] > lda["log_likelihood_trace"][0]
+
     def test_summary_lists_nine_tables(self, demo_dir):
         summary = json.loads((results_dir(demo_dir) / "summary.json").read_text())
         assert len(summary["tables"]) == 9
@@ -80,14 +87,31 @@ class TestErrors:
     def test_unreadable_config(self, tmp_path):
         assert main(["all", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
-    def test_invalid_granularity(self, tmp_path):
+    def test_invalid_granularity(self, tmp_path, capsys):
         run = write_demo_corpus(tmp_path)
         valid = json.loads(run.read_text())
-        # no stage reads a month granularity or an unknown key, so both are rejected
+        # no stage reads a month granularity or an unknown key, at the top level or
+        # inside a model object (a misspelt one would leave the default in force)
         for field, value in (("granularity", "weekly"), ("granularity", "month"),
-                             ("iterations", 10)):
+                             ("iterations", 10), ("lda", {"K": 6, "iteration": 5}),
+                             ("kmeans", {"k": 6}), ("density", {"min_cluster": 5}),
+                             ("forecast", {"horizons": 2}), ("lda", [6]),
+                             ("embedding", {"kind": "hashed", "dimensions": 256}),
+                             ("embedding", {"kind": "file", "path": "v.csv", "seed": 1}),
+                             ("embedding", {"kind": "http", "url": "http://localhost",
+                                            "dimension": 8, "token": "x"}),
+                             ("embedding", {"kind": "remote"})):
             run.write_text(json.dumps({**valid, field: value}))
             assert main(["ingest", "--config", str(run)]) == EXIT_CONFIG, (field, value)
+            assert field in capsys.readouterr().err, (field, value)
+            assert not (tmp_path / "results" / "raw_records.ndjson").exists()
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        bad = tmp_path / "run.json"
+        bad.write_text(text)
+        assert main(["ingest", "--config", str(bad)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_sources_with_the_same_stem_rejected(self, tmp_path, capsys):
         run = write_demo_corpus(tmp_path)

@@ -51,8 +51,8 @@ class TestBuildDtm:
 
     def test_doc_tokens_multiplicity(self):
         dtm = build_dtm(["alpha beta beta"])
-        toks = sorted(dtm.vocab[i] for i in dtm.doc_tokens(0))
-        assert toks == ["alpha", "beta", "beta"]
+        counts = {dtm.vocab[i]: int(c) for i, c in zip(dtm.doc_indices[0], dtm.doc_counts[0])}
+        assert counts == {"alpha": 1, "beta": 2}
 
 
 class TestTfidf:
@@ -130,7 +130,43 @@ def lda_purity(model, labels):
     return max(agree, len(labels) - agree) / len(labels)
 
 
+def cvb0_reference(dtm, cfg):
+    """Plain-loop CVB0 over the cells in DTM order, from lda_fit's seeded start."""
+    cells = [(d, int(w), int(c)) for d, (idx, cnt)
+             in enumerate(zip(dtm.doc_indices, dtm.doc_counts)) for w, c in zip(idx, cnt)]
+    K, V = cfg.K, dtm.n_terms
+    gamma = [[g / sum(row) for g in row]
+             for row in np.random.default_rng(cfg.seed).random((len(cells), K)).tolist()]
+
+    def counts(gamma):
+        n_dk = [[0.0] * K for _ in range(dtm.n_docs)]
+        n_wk = [[0.0] * K for _ in range(V)]
+        for (d, w, c), row in zip(cells, gamma):
+            for k in range(K):
+                n_dk[d][k] += c * row[k]
+                n_wk[w][k] += c * row[k]
+        return n_dk, n_wk
+
+    for _ in range(cfg.iterations):
+        n_dk, n_wk = counts(gamma)
+        n_k = [sum(n_wk[w][k] for w in range(V)) for k in range(K)]
+        new = []
+        for (d, w, c), row in zip(cells, gamma):
+            p = [(n_dk[d][k] - row[k] + cfg.alpha) * (n_wk[w][k] - row[k] + cfg.beta)
+                 / (n_k[k] - row[k] + V * cfg.beta) for k in range(K)]
+            new.append([x / sum(p) for x in p])
+        gamma = new
+    return counts(gamma)[0]
+
+
 class TestLda:
+    def test_matches_plain_loop_reference(self):
+        dtm = build_dtm(["alpha beta beta gamma", "beta delta delta delta", "gamma alpha"])
+        cfg = LdaConfig(K=3, alpha=0.5, beta=0.1, iterations=4, seed=11)
+        model = lda_fit(dtm, cfg)
+        assert np.allclose(model.doc_topic_counts, cvb0_reference(dtm, cfg),
+                           rtol=1e-12, atol=1e-12)
+
     def test_row_stochastic(self):
         docs, _ = two_topic_corpus()
         model = lda_fit(build_dtm(docs), LdaConfig(K=3, iterations=30, seed=1))
@@ -141,8 +177,10 @@ class TestLda:
         docs, _ = two_topic_corpus(n_docs=10)
         dtm = build_dtm(docs)
         model = lda_fit(dtm, LdaConfig(K=3, iterations=10, seed=1))
-        total_tokens = sum(int(c.sum()) for c in dtm.doc_counts)
-        assert sum(len(zd) for zd in model.assignments) == total_tokens
+        doc_lengths = np.array([c.sum() for c in dtm.doc_counts], dtype=float)
+        assert model.doc_topic_counts.shape == (dtm.n_docs, 3)
+        assert np.allclose(model.doc_topic_counts.sum(axis=1), doc_lengths, rtol=0, atol=1e-9)
+        assert model.doc_topic_counts.sum() == pytest.approx(doc_lengths.sum(), abs=1e-9)
 
     def test_k1_degenerate(self):
         docs = ["alpha beta beta", "beta gamma"]
@@ -161,7 +199,7 @@ class TestLda:
         m2 = lda_fit(dtm, LdaConfig(K=2, iterations=40, seed=7))
         assert np.array_equal(m1.phi, m2.phi)
         assert np.array_equal(m1.theta, m2.theta)
-        assert m1.assignments == m2.assignments
+        assert np.array_equal(m1.doc_topic_counts, m2.doc_topic_counts)
 
     def test_two_topic_recovery_single_seed(self):
         docs, labels = two_topic_corpus()
@@ -174,6 +212,28 @@ class TestLda:
         trace = model.log_likelihood_trace
         assert len(trace) >= 2
         assert trace[-1] > trace[0]  # monitored trend, not per-step monotone
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4),
+           st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12),
+                    min_size=1, max_size=8).filter(lambda docs: any(docs)),
+           st.integers(0, 2**32 - 1))
+    def test_small_dtm_invariants(self, K, docs, seed):
+        # each letter names one term; a letter drawn twice repeats it in the document
+        dtm = build_dtm([" ".join(f"term{c}" for c in doc) for doc in docs])
+        cfg = LdaConfig(K=K, iterations=7, seed=seed)
+        model = lda_fit(dtm, cfg)
+        assert model.phi.shape == (K, dtm.n_terms) and model.theta.shape == (len(docs), K)
+        assert np.allclose(model.phi.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(model.theta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert (model.phi > 0).all() and (model.theta > 0).all()
+        n_dk = model.doc_topic_counts
+        doc_lengths = np.array([len(doc) for doc in docs], dtype=float)
+        assert (n_dk >= 0).all()
+        assert np.allclose(n_dk.sum(axis=1), doc_lengths, rtol=0, atol=1e-9)
+        expected = (n_dk + cfg.alpha) / (doc_lengths[:, None] + K * cfg.alpha)
+        assert np.allclose(model.theta, expected, rtol=1e-12, atol=1e-12)
+        assert len(model.log_likelihood_trace) == 2  # sweeps 0 and 6
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
