@@ -181,8 +181,18 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# the object whose entries are a JSON artifact's rows; any other JSON file is one row
+JSON_ROWS = {"lda_topics.json": "topics", "kmeans_clusters.json": "clusters",
+             "density_topics.json": "topics"}
+
+
 def count_rows(path: Path) -> int:
+    """Records, not lines: CSV data rows, ndjson objects, and for JSON the
+    topics or clusters of a topic model (else 1), however it is indented."""
     text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        key = JSON_ROWS.get(path.name)
+        return len(json.loads(text)[key]) if key else 1
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if path.suffix == ".csv" and lines:
         return len(lines) - 1
@@ -220,10 +230,24 @@ def load_postings(out: Path) -> list[Posting]:
             for d in read_ndjson(out / "postings.ndjson")]
 
 
-def load_flags(out: Path) -> dict[str, SkillFlags]:
-    return {d["posting_id"]: SkillFlags(posting_id=d["posting_id"],
-                                        flags={c: bool(d[c]) for c in SKILL_CATEGORIES})
-            for d in read_ndjson(out / "skill_flags.ndjson")}
+def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
+    """The rows ``extract`` wrote, one per posting in order, each with its
+    sector; rows of other postings or without a sector are stale."""
+    rows = read_ndjson(out / "skill_flags.ndjson")
+    if ([d["posting_id"] for d in rows] != [p.id for p in postings]
+            or any("sector" not in d for d in rows)):
+        raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
+    return rows
+
+
+def load_flags(out: Path, postings: list[Posting]
+               ) -> tuple[dict[str, SkillFlags], dict[str, str | None]]:
+    """Skill flags and sector of each posting id, as ``extract`` wrote them."""
+    rows = read_flag_rows(out, postings)
+    return ({d["posting_id"]: SkillFlags(posting_id=d["posting_id"],
+                                         flags={c: bool(d[c]) for c in SKILL_CATEGORIES})
+             for d in rows},
+            {d["posting_id"]: d["sector"] for d in rows})
 
 
 def embed_postings(cfg: RunConfig, postings: list[Posting]):
@@ -296,8 +320,10 @@ def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     matcher = CompiledMatcher.from_taxonomy(load_taxonomy(cfg.taxonomy))
     flags = [detect_skills(p, matcher) for p in postings]
+    sectors = sector_totals(postings, load_sectors(cfg.sectors))
     write_ndjson(out / "skill_flags.ndjson",
-                 ({"posting_id": f.posting_id, **f.flags} for f in flags))
+                 ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
+                  for f in flags))
     yearly = aggregate_yearly(zip(flags, (p.year for p in postings)))
     write_csv(out / "skill_rates.csv",
               ["year", "postings"] + list(SKILL_CATEGORIES),
@@ -310,6 +336,8 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings to frame")
+    sectors = {d["posting_id"]: d["sector"] for d in read_flag_rows(out, postings)
+               if d["sector"] is not None}
     provider, vectors = embed_postings(cfg, postings)
     anchors = load_anchors(cfg.anchors)
     centroids = AnchorCentroids.from_anchors(anchors, provider)
@@ -323,8 +351,6 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
               [[s.key[0], s.n, s.mean_sim_ai, s.mean_sim_augment,
                 s.mean_sim_automate, s.mean_fi] for s in by_year])
 
-    labels = sector_totals(postings, load_sectors(cfg.sectors))
-    sectors = {pid: sec for pid, sec in labels.items() if sec is not None}
     by_sector = aggregate_framing(results, years, sectors=sectors)
     write_csv(out / "framing_by_sector.csv",
               ["year", "sector", "n", "sim_ai", "sim_augment", "sim_automate", "fi"],
@@ -452,23 +478,9 @@ def stage_correlate(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
 def stage_sectors(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
-    flags = load_flags(out)
-    labels = sector_totals(postings, load_sectors(cfg.sectors))
-    by_key: dict[tuple[str, int], dict] = {}
-    for s in sector_rates(postings, flags, labels):
-        cat, sector = s.label
-        for year, rate in s.points:
-            by_key.setdefault((sector, year), {})[cat] = rate
-    counts: dict[tuple[str, int], int] = {}
-    for p in postings:
-        sec = labels.get(p.id)
-        if sec is not None:
-            counts[(sec, p.year)] = counts.get((sec, p.year), 0) + 1
-    rows = []
-    for (sector, year) in sorted(by_key):
-        rates = by_key[(sector, year)]
-        rows.append([sector, year, counts[(sector, year)]]
-                    + [float(rates.get(c, 0.0)) for c in SKILL_CATEGORIES])
+    rates = sector_rates(postings, *load_flags(out, postings))
+    rows = [[sector, year, n] + [rate[c] for c in SKILL_CATEGORIES]
+            for (sector, year), n, rate in rates]
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
     return {"rows": len(rows)}
@@ -557,7 +569,7 @@ PIPELINE: dict[str, Stage] = {
                      ("postings.ndjson", "cleanse_report.json")),
     "extract": Stage(stage_extract, ("postings.ndjson",),
                      ("skill_flags.ndjson", "skill_rates.csv")),
-    "framing": Stage(stage_framing, ("postings.ndjson",),
+    "framing": Stage(stage_framing, ("postings.ndjson", "skill_flags.ndjson"),
                      ("framing.ndjson", "framing_by_year.csv", "framing_by_sector.csv")),
     "topics": Stage(stage_topics, ("postings.ndjson",),
                     ("lda_topics.json", "kmeans_clusters.json", "density_topics.json",

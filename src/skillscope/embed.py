@@ -224,15 +224,9 @@ def provider_from_spec(spec: dict):
     raise ConfigError(f"unknown embedding provider kind {kind!r}")
 
 
-def embed_text(text: str, provider) -> np.ndarray:
-    if not text:
-        raise ZeroVectorError("cannot embed empty text")
-    return provider.embed(text)
-
-
 def anchor_centroid(phrases: Iterable[str], provider) -> np.ndarray:
     phrases = list(phrases)
     if not phrases:
         raise ConfigError("anchor_centroid requires at least one phrase")
-    mean = np.mean([embed_text(p, provider) for p in phrases], axis=0)
+    mean = np.mean([provider.embed(p) for p in phrases], axis=0)
     return _normalize(mean)

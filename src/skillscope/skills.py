@@ -1,4 +1,5 @@
-"""Per-posting skill-category detection and yearly rate aggregation.
+"""Per-posting skill-category detection and rate aggregation by year or by
+(sector, year).
 
 Rates are posting-level incidence per 1,000 postings: a category counts once
 per posting regardless of how many of its phrases match.
@@ -7,10 +8,12 @@ per posting regardless of how many of its phrases match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .cleanse import Posting
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher
+
+K = TypeVar("K")  # a rate table's key: a year, or a (sector, year) pair
 
 
 @dataclass(frozen=True)
@@ -34,23 +37,21 @@ def detect_skills(posting: Posting, matcher: CompiledMatcher) -> SkillFlags:
     )
 
 
-def aggregate_yearly(flagged: Iterable[tuple[SkillFlags, int]]) -> list[YearlyRates]:
-    """One YearlyRates per year present, ascending; the numerator counts
-    postings that carry the category."""
-    totals: dict[int, int] = {}
-    hits: dict[int, dict[str, float]] = {}
-    for flags, year in flagged:
-        totals[year] = totals.get(year, 0) + 1
-        bucket = hits.setdefault(year, {c: 0.0 for c in SKILL_CATEGORIES})
+def aggregate_rates(keyed: Iterable[tuple[SkillFlags, K]]) -> list[tuple[K, int, dict[str, float]]]:
+    """(key, postings, rate per 1,000 by category) for each key present,
+    keys ascending; the numerator counts postings that carry the category."""
+    totals: dict[K, int] = {}
+    hits: dict[K, dict[str, float]] = {}
+    for flags, key in keyed:
+        totals[key] = totals.get(key, 0) + 1
+        bucket = hits.setdefault(key, {c: 0.0 for c in SKILL_CATEGORIES})
         for cat in SKILL_CATEGORIES:
             if flags.flags[cat]:
                 bucket[cat] += 1
-    out = []
-    for year in sorted(totals):
-        n = totals[year]
-        out.append(YearlyRates(
-            year=year,
-            postings_count=n,
-            rate={c: 1000.0 * hits[year][c] / n for c in SKILL_CATEGORIES},
-        ))
-    return out
+    return [(key, n, {c: 1000.0 * hits[key][c] / n for c in SKILL_CATEGORIES})
+            for key, n in sorted(totals.items())]
+
+
+def aggregate_yearly(flagged: Iterable[tuple[SkillFlags, int]]) -> list[YearlyRates]:
+    """One YearlyRates per year present, ascending."""
+    return [YearlyRates(year, n, rate) for year, n, rate in aggregate_rates(flagged)]

@@ -19,6 +19,7 @@ from .text import tokenize
 SKILL_CATEGORIES = ("AI_Data", "Routine", "Soft_Meta", "Domain_Specific", "Leadership")
 SECTOR_NAMES = ("IT", "Healthcare", "Legal", "Education", "Design",
                 "Finance", "Logistics", "Sales", "Management")
+ANCHOR_GROUPS = ("ai_anchors", "augment_anchors", "automate_anchors")
 
 
 def default_path(name: str) -> Path:
@@ -62,7 +63,6 @@ class AnchorSet:
     ai_anchors: list[str]
     augment_anchors: list[str]
     automate_anchors: list[str]
-    domain_subsets: dict[str, list[str]] = field(default_factory=dict)
     extended: dict[str, list[str]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -70,12 +70,7 @@ class AnchorSet:
             ext = set(self.extended.get(name, []))
             return [p if p not in ext else {"phrase": p, "extended": True} for p in phrases]
 
-        return {
-            "ai_anchors": group("ai_anchors", self.ai_anchors),
-            "augment_anchors": group("augment_anchors", self.augment_anchors),
-            "automate_anchors": group("automate_anchors", self.automate_anchors),
-            "domain_subsets": {k: list(v) for k, v in self.domain_subsets.items()},
-        }
+        return {name: group(name, getattr(self, name)) for name in ANCHOR_GROUPS}
 
 
 @dataclass
@@ -98,24 +93,35 @@ class SectorLexicon:
         }
 
 
-def _read_json(path: str | Path) -> dict:
+def _read_json(path: str | Path, known: set[str]) -> dict:
+    """A lexicon file's top-level object; unknown keys are rejected."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot load lexicon {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: must be a JSON object")
+    unknown = set(doc) - known
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    return doc
 
 
 def _phrase_entry(entry, where: str) -> tuple[str, bool]:
     if isinstance(entry, str):
-        return entry, False
-    if isinstance(entry, dict) and isinstance(entry.get("phrase"), str):
-        return entry["phrase"], bool(entry.get("extended", False))
-    raise SchemaError(f"{where}: entry must be a string or {{phrase, extended}}, got {entry!r}")
+        phrase, extended = entry, False
+    elif isinstance(entry, dict) and isinstance(entry.get("phrase"), str):
+        phrase, extended = entry["phrase"], bool(entry.get("extended", False))
+    else:
+        raise SchemaError(f"{where}: entry must be a string or {{phrase, extended}}, got {entry!r}")
+    if not phrase:
+        raise SchemaError(f"{where}: empty phrase")
+    return phrase, extended
 
 
 def load_taxonomy(path: str | Path | None = None) -> SkillTaxonomy:
     path = path or default_path("taxonomy")
-    doc = _read_json(path)
+    doc = _read_json(path, {"version", "categories"})
     cats = doc.get("categories")
     if not isinstance(cats, dict):
         raise SchemaError(f"{path}: missing 'categories' object")
@@ -156,10 +162,10 @@ def load_taxonomy(path: str | Path | None = None) -> SkillTaxonomy:
 
 def load_anchors(path: str | Path | None = None) -> AnchorSet:
     path = path or default_path("anchors")
-    doc = _read_json(path)
+    doc = _read_json(path, set(ANCHOR_GROUPS))
     groups: dict[str, list[str]] = {}
     extended: dict[str, list[str]] = {}
-    for key in ("ai_anchors", "augment_anchors", "automate_anchors"):
+    for key in ANCHOR_GROUPS:
         entries = doc.get(key)
         if not isinstance(entries, list) or not entries:
             raise SchemaError(f"{path}: {key} must be a non-empty list")
@@ -177,21 +183,12 @@ def load_anchors(path: str | Path | None = None) -> AnchorSet:
         overlap = set(groups[a]) & set(groups[b])
         if overlap:
             raise DuplicatePatternError(f"{path}: {sorted(overlap)} in both {a} and {b}")
-    subsets = doc.get("domain_subsets", {})
-    if not isinstance(subsets, dict):
-        raise SchemaError(f"{path}: domain_subsets must be an object")
-    return AnchorSet(
-        ai_anchors=groups["ai_anchors"],
-        augment_anchors=groups["augment_anchors"],
-        automate_anchors=groups["automate_anchors"],
-        domain_subsets={k: list(v) for k, v in subsets.items()},
-        extended=extended,
-    )
+    return AnchorSet(**groups, extended=extended)
 
 
 def load_sectors(path: str | Path | None = None) -> SectorLexicon:
     path = path or default_path("sectors")
-    doc = _read_json(path)
+    doc = _read_json(path, {"priority", "sectors"})
     sectors_doc = doc.get("sectors")
     if not isinstance(sectors_doc, dict):
         raise SchemaError(f"{path}: missing 'sectors' object")

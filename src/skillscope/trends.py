@@ -10,24 +10,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast
 from .cleanse import Posting
 from .errors import ConfigError
-from .skills import SkillFlags
+from .skills import SkillFlags, aggregate_rates
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
 
 SHORT_SERIES_THRESHOLD = 12
 
-NONE_SECTOR = None
-
 
 @dataclass(frozen=True)
 class RateSeries:
-    label: tuple  # (category,) or (category, sector)
+    label: tuple  # (category,)
     points: tuple[tuple[int, float], ...]  # (year, rate per 1,000), ascending
 
     def __post_init__(self):
@@ -163,34 +161,13 @@ def sector_rates(
     postings: list[Posting],
     flags: dict[str, SkillFlags],
     sector_labels: dict[str, str | None],
-) -> list[RateSeries]:
-    """Per-(category, sector) yearly rates per 1,000 sector postings, from
-    the sector of each posting id as ``sector_totals`` returns it.
-
-    Postings with no sector are excluded. Returns one RateSeries per
-    (category, sector) pair that has at least one classified posting-year.
+) -> list[tuple[tuple[str, int], int, dict[str, float]]]:
+    """((sector, year), postings, rate per 1,000 sector postings by category)
+    for each sector-year present, ascending, from the sector of each posting
+    id as ``sector_totals`` returns it. Postings with no sector are excluded.
     """
-    totals: dict[tuple[str, int], int] = {}
-    hits: dict[tuple[str, int], dict[str, int]] = {}
-    for posting in postings:
-        sector = sector_labels.get(posting.id)
-        if sector is None:
-            continue
-        key = (sector, posting.year)
-        totals[key] = totals.get(key, 0) + 1
-        bucket = hits.setdefault(key, {c: 0 for c in SKILL_CATEGORIES})
-        for cat in SKILL_CATEGORIES:
-            if flags[posting.id].flags[cat]:
-                bucket[cat] += 1
-
-    by_pair: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for (sector, year) in sorted(totals):
-        n = totals[(sector, year)]
-        for cat in SKILL_CATEGORIES:
-            rate = 1000.0 * hits[(sector, year)][cat] / n
-            by_pair.setdefault((cat, sector), []).append((year, rate))
-    return [RateSeries(label=pair, points=tuple(points))
-            for pair, points in sorted(by_pair.items())]
+    return aggregate_rates((flags[p.id], (sector_labels[p.id], p.year))
+                           for p in postings if sector_labels.get(p.id) is not None)
 
 
 def sector_totals(postings, lex: SectorLexicon) -> dict[str, str | None]:

@@ -1,22 +1,40 @@
 import csv
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from skillscope import cli
 from skillscope.cli import (
     EXIT_CONFIG,
+    EXIT_DATA,
     EXIT_MISSING_UPSTREAM,
     EXIT_OK,
     PIPELINE,
     RunConfig,
+    count_rows,
     derive_seed,
+    load_postings,
     main,
+    read_ndjson,
     run_stage,
 )
 from skillscope.fixtures import write_demo_corpus
+from skillscope.taxonomy import load_sectors
+from skillscope.trends import sector_totals
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a tie between IT and Finance, which the lexicon's priority breaks, and a
+# posting that no sector trigger matches
+EXTRA_POSTINGS = [
+    {"id": "extra:tie", "date": "2021-05-01", "year": 2021,
+     "description": "developer needed for audit work"},
+    {"id": "extra:none", "date": "2022-05-01", "year": 2022,
+     "description": "a generic posting about an unnamed role in town"},
+]
 
 
 def results_dir(demo_dir: Path) -> Path:
@@ -53,6 +71,26 @@ class TestSmoke:
         assert len(summary["tables"]) == 9
         for meta in summary["tables"].values():
             assert meta["rows"] >= 0
+
+    def test_summary_counts_topics_not_lines(self, demo_dir):
+        out = results_dir(demo_dir)
+        tables = json.loads((out / "summary.json").read_text())["tables"]
+        lda = json.loads((out / "lda_topics.json").read_text())
+        density = json.loads((out / "density_topics.json").read_text())
+        assert tables["lda_topics.json"]["rows"] == lda["K"] == 6
+        assert tables["density_topics.json"]["rows"] == len(density["topics"])
+        assert f"`lda_topics.json`: {lda['K']} rows" in (out / "summary.md").read_text()
+        manifest = json.loads((out / "run_manifest.json").read_text())["stages"]
+        assert manifest["topics"]["outputs"]["kmeans_clusters.json"]["rows"] == 6
+
+    def test_json_row_count_ignores_layout(self, demo_dir, tmp_path):
+        for name in ("lda_topics.json", "kmeans_clusters.json", "density_topics.json",
+                     "ingest_report.json", "cleanse_report.json", "summary.json"):
+            original = results_dir(demo_dir) / name
+            moved = tmp_path / name
+            doc = json.loads(original.read_text())
+            moved.write_text(json.dumps({**doc, "note": "one more scalar field"}, indent=5))
+            assert count_rows(moved) == count_rows(original), name
 
     def test_summary_retention_matches_cleanse_report(self, demo_dir):
         out = results_dir(demo_dir)
@@ -166,7 +204,94 @@ class TestDeterminism:
         assert derive_seed(7, "topics.lda") == derive_seed(7, "topics.lda")
 
 
+def extract_with_extras(demo_dir: Path, out: Path) -> None:
+    """Run extract in ``out`` on the demo postings plus EXTRA_POSTINGS."""
+    out.mkdir(parents=True)
+    demo = (results_dir(demo_dir) / "postings.ndjson").read_text()
+    (out / "postings.ndjson").write_text(
+        demo + "".join(json.dumps(p, sort_keys=True) + "\n" for p in EXTRA_POSTINGS))
+    assert main(["extract", "--config", str(demo_dir / "run.json"), "--out", str(out)]) == EXIT_OK
+
+
+class TestSectorLabels:
+    def test_extract_writes_the_sector_of_each_posting(self, demo_dir, tmp_path):
+        out = tmp_path / "out"
+        extract_with_extras(demo_dir, out)
+        postings = load_postings(out)
+        labels = sector_totals(postings, load_sectors())
+        rows = read_ndjson(out / "skill_flags.ndjson")
+        assert [r["posting_id"] for r in rows] == [p.id for p in postings]
+        assert [r["sector"] for r in rows] == [labels[r["posting_id"]] for r in rows]
+        assert rows[-2]["sector"] == "IT"
+        assert rows[-1]["sector"] is None
+        assert '"sector": null' in (out / "skill_flags.ndjson").read_text().splitlines()[-1]
+
+    def test_one_run_classifies_once(self, tmp_path, monkeypatch):
+        calls = {"sector_totals": 0, "load_sectors": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        run_path = write_demo_corpus(tmp_path)
+        assert main(["all", "--config", str(run_path)]) == EXIT_OK
+        assert calls == {"sector_totals": 1, "load_sectors": 1}
+
+    def test_framing_and_sectors_do_not_read_the_lexicon(self, demo_dir, tmp_path):
+        first = tmp_path / "first"
+        extract_with_extras(demo_dir, first)
+        for stage in ("framing", "sectors"):
+            assert main([stage, "--config", str(demo_dir / "run.json"),
+                         "--out", str(first)]) == EXIT_OK
+        lexicon = load_sectors().to_dict()
+        lexicon["priority"].reverse()
+        reversed_path = tmp_path / "sectors.json"
+        reversed_path.write_text(json.dumps(lexicon))
+        postings = load_postings(first)
+        # the reversed priority relabels the tie, so a stage that classified would differ
+        assert (sector_totals(postings, load_sectors(reversed_path))["extra:tie"]
+                != sector_totals(postings, load_sectors())["extra:tie"])
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                        "sectors": str(reversed_path)}))
+        second = tmp_path / "second"
+        copy_artifacts(first, second, {*PIPELINE["framing"].inputs, *PIPELINE["sectors"].inputs})
+        for stage in ("framing", "sectors"):
+            assert main([stage, "--config", str(run_path), "--out", str(second)]) == EXIT_OK
+            for artifact in PIPELINE[stage].outputs:
+                assert (second / artifact).read_bytes() == (first / artifact).read_bytes(), artifact
+
+
+    @pytest.mark.parametrize("stage", ["framing", "sectors"])
+    @pytest.mark.parametrize("stale", ["no sector field", "other postings"])
+    def test_stale_flags_exit_4(self, demo_dir, tmp_path, capsys, stage, stale):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE[stage].inputs)
+        rows = read_ndjson(out / "skill_flags.ndjson")
+        if stale == "no sector field":
+            rows = [{k: v for k, v in r.items() if k != "sector"} for r in rows]
+        else:
+            rows = rows[1:]
+        (out / "skill_flags.ndjson").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "re-run extract" in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
+
+
 class TestStageTable:
+    def test_readme_table_matches_pipeline(self):
+        rows = {m["stage"]: (m["reads"], m["writes"]) for m in re.finditer(
+            r"^\| `(?P<stage>\w+)`\s*\|(?P<reads>[^|]*)\|(?P<writes>[^|]*)\|$",
+            README.read_text(encoding="utf-8"), re.MULTILINE)}
+        assert list(rows) == list(PIPELINE)
+        artifacts = {a for stage in PIPELINE.values() for a in (*stage.inputs, *stage.outputs)}
+        for name, stage in PIPELINE.items():
+            reads, writes = (set(re.findall(r"`([^`]+)`", cell)) & artifacts
+                             for cell in rows[name])
+            assert reads == set(stage.inputs), name
+            assert writes == set(stage.outputs), name
+
     def test_inputs_are_outputs_of_earlier_stages(self):
         written: set[str] = set()
         for name, stage in PIPELINE.items():

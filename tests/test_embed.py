@@ -12,7 +12,6 @@ from skillscope.embed import (
     HttpProvider,
     anchor_centroid,
     cosine,
-    embed_text,
     provider_from_spec,
 )
 from skillscope.errors import (
@@ -81,7 +80,7 @@ class TestHashedProvider:
 
     def test_empty_text_zero_vector(self):
         with pytest.raises(ZeroVectorError):
-            embed_text("", HashedProvider())
+            HashedProvider().embed("")
         with pytest.raises(ZeroVectorError):
             HashedProvider().embed("???")
 

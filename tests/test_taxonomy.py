@@ -91,6 +91,35 @@ class TestLoaders:
         with pytest.raises(DuplicatePatternError, match="automation"):
             load_anchors(f)
 
+    @pytest.mark.parametrize("loader,group", [(load_anchors, "augment_anchors"),
+                                              (load_sectors, "Legal")])
+    def test_empty_phrase_rejected(self, tmp_path, loader, group):
+        doc = loader().to_dict()
+        phrases = doc[group] if loader is load_anchors else doc["sectors"][group]
+        phrases.append({"phrase": "", "extended": True})
+        f = tmp_path / "lexicon.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="empty phrase"):
+            loader(f)
+
+    @pytest.mark.parametrize("loader,key", [(load_anchors, "domain_subsets"),
+                                            (load_anchors, "ai_anchor"),
+                                            (load_taxonomy, "categoris"),
+                                            (load_sectors, "priorty")])
+    def test_unknown_key_rejected(self, tmp_path, loader, key):
+        doc = {**loader().to_dict(), key: {"Legal": ["contract review"]}}
+        f = tmp_path / "lexicon.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=key):
+            loader(f)
+
+    @pytest.mark.parametrize("loader", [load_taxonomy, load_anchors, load_sectors])
+    def test_not_an_object_rejected(self, tmp_path, loader):
+        f = tmp_path / "lexicon.json"
+        f.write_text("[1]")
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            loader(f)
+
     def test_sector_priority_must_be_permutation(self, tmp_path):
         doc = load_sectors().to_dict()
         doc["priority"] = doc["priority"][:-1]

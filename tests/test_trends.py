@@ -229,26 +229,28 @@ class TestSectorRates:
         return {p.id: detect_skills(p, MATCHER) for p in postings}
 
     def rates(self, postings):
-        return sector_rates(postings, self.flags_for(postings),
+        """{(sector, year): (postings, rates)} from the ascending rows."""
+        rows = sector_rates(postings, self.flags_for(postings),
                             sector_totals(postings, SECTORS))
+        assert [key for key, _, _ in rows] == sorted(key for key, _, _ in rows)
+        return {key: (n, rate) for key, n, rate in rows}
 
     def test_rate_arithmetic(self):
         postings = [posting(
             "hospital nurse role" + (" with python scripting" if i < 4 else ""),
             year=2024, pid=f"h{i}") for i in range(10)]
-        out = self.rates(postings)
-        ai_health = next(s for s in out if s.label == ("AI_Data", "Healthcare"))
-        assert ai_health.points == ((2024, 400.0),)
+        n, rate = self.rates(postings)[("Healthcare", 2024)]
+        assert n == 10
+        assert rate["AI_Data"] == 400.0
 
     def test_absent_sector_year_omitted(self):
-        postings = [posting("hospital nurse role", year=2020, pid="a")]
-        out = self.rates(postings)
-        for s in out:
-            assert s.years == [2020]
+        postings = [posting("hospital nurse role", year=2020, pid="a"),
+                    posting("developer devops role", year=2022, pid="b")]
+        assert list(self.rates(postings)) == [("Healthcare", 2020), ("IT", 2022)]
 
     def test_unclassified_postings_excluded(self):
         postings = [posting("generic text with python", year=2022, pid="x")]
-        assert self.rates(postings) == []
+        assert self.rates(postings) == {}
 
     def test_planted_it_exceeds_healthcare(self):
         import random
@@ -261,7 +263,6 @@ class TestSectorRates:
                 if rng.random() < (0.8 if it else 0.2):
                     text += " requires python and machine learning"
                 postings.append(posting(text, year=year, pid=f"{year}-{i}"))
-        out = {s.label: dict(s.points)
-               for s in self.rates(postings)}
-        it_s, hc = out[("AI_Data", "IT")], out[("AI_Data", "Healthcare")]
-        assert all(it_s[y] > hc[y] for y in YEARS)
+        out = self.rates(postings)
+        assert all(out[("IT", y)][1]["AI_Data"] > out[("Healthcare", y)][1]["AI_Data"]
+                   for y in YEARS)
