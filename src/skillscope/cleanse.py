@@ -12,8 +12,8 @@ import datetime as dt
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ConfigError, TextTooShortError
 from .language import detect_language
@@ -104,7 +104,9 @@ class CleanseReport:
         return {"input": self.input, "retained": self.retained, "rejected": dict(self.rejected)}
 
 
-def _boilerplate_res(patterns: Iterable[str]) -> list[re.Pattern]:
+@lru_cache(maxsize=8)
+def _boilerplate_res(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    """Compiled once per pattern list, not once per record."""
     out = []
     for pat in patterns:
         words = pat.split()
@@ -113,7 +115,7 @@ def _boilerplate_res(patterns: Iterable[str]) -> list[re.Pattern]:
         body = r"\s+".join(re.escape(w) for w in words)
         # phrase plus the remainder of its sentence, through the terminator
         out.append(re.compile(body + r"[^.!?\n]*(?:[.!?]+|(?=\n)|$)\s*", re.IGNORECASE))
-    return out
+    return tuple(out)
 
 
 def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
@@ -124,7 +126,7 @@ def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
     text = _SPACE_RUN_RE.sub(" ", text)
     text = _NL_SPACE_RE.sub("\n", text)
     text = _NL_RUN_RE.sub("\n", text)
-    patterns = _boilerplate_res(cfg.boilerplate_patterns)
+    patterns = _boilerplate_res(tuple(cfg.boilerplate_patterns))
     changed = True
     while changed:  # removal can splice text into a fresh match
         changed = False

@@ -36,7 +36,15 @@ from .cleanse import CleanseConfig, Posting, cleanse
 from .embed import SPEC_KEYS, provider_from_spec
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, FramingResult, aggregate_framing, frame_document
-from .ingest import Deduplicator, RawRecord, SourceCounts, fetch_api, load_manifest, parse_file
+from .ingest import (
+    ApiClientStats,
+    Deduplicator,
+    RawRecord,
+    SourceCounts,
+    fetch_api,
+    load_manifest,
+    parse_file,
+)
 from .skills import SkillFlags, aggregate_yearly, detect_skills
 from .taxonomy import (
     SKILL_CATEGORIES,
@@ -54,6 +62,7 @@ from .topics import (
     lda_fit,
     scaled_min_cluster_size,
     temporal_weights,
+    tfidf_matrix,
 )
 from .trends import (
     RateSeries,
@@ -275,15 +284,13 @@ def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
 
 def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
     specs = load_manifest(cfg.sources)
-    per_source: dict[str, SourceCounts] = {}
 
     def collect(spec):
         counts = SourceCounts()
-        if spec.format == "api":
-            records = list(fetch_api(spec, counts=counts))
-        else:
-            records = list(parse_file(spec, counts=counts))
-        return records, counts
+        if spec.format != "api":
+            return list(parse_file(spec, counts=counts)), counts, {}
+        stats = ApiClientStats()
+        return list(fetch_api(spec, counts=counts, stats=stats)), counts, asdict(stats)
 
     if jobs > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -293,14 +300,14 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
     dedup = Deduplicator()
     kept: list[RawRecord] = []
-    for spec, (records, counts) in zip(specs, results):
-        per_source[spec.name] = counts
+    for records, _, _ in results:
         kept.extend(dedup.filter(records))
-    for name, counts in per_source.items():
-        counts.duplicates_removed = dedup.removed_by_source.get(name, 0)
+    report = {}
+    for spec, (_, counts, api_stats) in zip(specs, results):
+        counts.duplicates_removed = dedup.removed_by_source.get(spec.name, 0)
+        report[spec.name] = {**counts.as_dict(), **api_stats}
 
     write_ndjson(out / "raw_records.ndjson", map(asdict, kept))
-    report = {name: c.as_dict() for name, c in per_source.items()}
     write_json(out / "ingest_report.json", report)
     return {"records": len(kept), "duplicates_removed": dedup.removed}
 
@@ -396,7 +403,16 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     emb = np.array([vectors[p.id] for p in postings])
     km = kmeans_fit(emb, int(cfg.kmeans.get("K", 6)),
                     seed=derive_seed(cfg.seed, "topics.kmeans"))
-    km_terms = cluster_terms(km.assignments, dtm)
+    mcs = int(cfg.density.get("min_cluster_size",
+                              scaled_min_cluster_size(len(postings))))
+    dm = density_topics(emb, min_cluster_size=mcs,
+                        k_reduced=int(cfg.density.get("k_reduced", 8)),
+                        seed=derive_seed(cfg.seed, "topics.density"))
+    # one dense D×V tf-idf for both clusterings, built after the density
+    # model's arrays are freed
+    weights = tfidf_matrix(dtm)
+    km_terms = cluster_terms(km.assignments, weights, dtm.vocab)
+    dm.topic_terms = cluster_terms(dm.labels, weights, dtm.vocab)
     write_json(out / "kmeans_clusters.json", {
         "K": int(cfg.kmeans.get("K", 6)),
         "wcss": km.wcss,
@@ -407,13 +423,6 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
             } for c, terms in km_terms.items()
         },
     })
-
-    mcs = int(cfg.density.get("min_cluster_size",
-                              scaled_min_cluster_size(len(postings))))
-    dm = density_topics(emb, min_cluster_size=mcs,
-                        k_reduced=int(cfg.density.get("k_reduced", 8)),
-                        seed=derive_seed(cfg.seed, "topics.density"))
-    dm.topic_terms = cluster_terms(dm.labels, dtm)
     write_json(out / "density_topics.json", {
         "min_cluster_size": mcs,
         "all_noise": dm.all_noise,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,6 +30,8 @@ from .errors import (
 from .text import tokenize
 
 DEFAULT_DIMENSION = 256
+# features HashedProvider.embed_batch keeps hashed; the memo is cleared when full
+MEMO_CAP = 16_384
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
@@ -74,26 +77,40 @@ class HashedProvider:
         self.seed = seed
         self._person = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
-    def _slot(self, feature: str) -> tuple[int, float]:
+    def _signed_slot(self, feature: str) -> int:
+        """The feature's slot, bit-inverted (``~slot``) when its sign is -1."""
         h = hashlib.blake2b(feature.encode("utf-8"), digest_size=9,
                             person=self._person).digest()
         idx = int.from_bytes(h[:8], "little") % self.dimension
-        sign = 1.0 if h[8] & 1 else -1.0
-        return idx, sign
+        return idx if h[8] & 1 else ~idx
+
+    def _vectors(self, texts: Iterable[str]) -> list[np.ndarray]:
+        # each distinct feature is hashed once per call while the memo has room
+        memo: dict[str, int] = {}
+        out = []
+        for text in texts:
+            tokens = tokenize(text)
+            # integer counts, converted once: per-posting numpy temporaries
+            # fragmented the heap and raised a later stage's peak RSS
+            counts = [0] * self.dimension
+            for feature in chain(tokens, map(" ".join, zip(tokens, tokens[1:]))):
+                slot = memo.get(feature)
+                if slot is None:
+                    if len(memo) >= MEMO_CAP:
+                        memo.clear()
+                    slot = memo[feature] = self._signed_slot(feature)
+                if slot >= 0:
+                    counts[slot] += 1
+                else:
+                    counts[~slot] -= 1
+            out.append(_normalize(np.array(counts, dtype=float)))
+        return out
 
     def embed(self, text: str, key: str | None = None) -> np.ndarray:
-        tokens = tokenize(text)
-        vec = np.zeros(self.dimension)
-        for feature in tokens:
-            idx, sign = self._slot(feature)
-            vec[idx] += sign
-        for a, b in zip(tokens, tokens[1:]):
-            idx, sign = self._slot(f"{a} {b}")
-            vec[idx] += sign
-        return _normalize(vec)
+        return self._vectors([text])[0]
 
     def embed_batch(self, texts: Sequence[str], keys: Sequence[str] | None = None):
-        return [self.embed(t) for t in texts]
+        return self._vectors(texts)
 
 
 class FileProvider:

@@ -1,9 +1,10 @@
 """Character-trigram language identification over bundled reference profiles.
 
 Profiles for English, French, Spanish and German are built once from seed
-texts shipped with the package. Scoring is additive smoothed log-likelihood
-per trigram; the reported confidence is the margin between the best and
-second-best language posterior, so ambiguous or garbage text scores low.
+texts shipped with the package (Cavnar & Trenkle n-gram profiles). Scoring is
+additive smoothed log-likelihood per trigram, read from one lookup table; the
+reported confidence is the margin between the best and second-best language
+posterior, so ambiguous or garbage text scores low.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import unicodedata
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 from .errors import TextTooShortError
 
 MIN_DETECT_CHARS = 20
@@ -22,6 +25,15 @@ LANGUAGES = ("en", "fr", "es", "de")
 _NON_LETTER_RE = re.compile(r"[^a-zà-öø-ÿœß ]+")
 _SPACE_RE = re.compile(r" +")
 
+# The characters _canonical keeps, in code-point order (space first): those
+# up to the class's largest code point that _NON_LETTER_RE does not match. A
+# trigram's id is its three alphabet codes read as a base-len(_ALPHABET) number.
+_ALPHABET = [c for c in map(chr, range(max(map(ord, _NON_LETTER_RE.pattern)) + 1))
+             if not _NON_LETTER_RE.match(c)]
+_A = len(_ALPHABET)
+_CODE = np.zeros(max(map(ord, _ALPHABET)) + 1, dtype=np.int32)
+_CODE[[ord(c) for c in _ALPHABET]] = np.arange(_A)
+
 
 def _canonical(text: str) -> str:
     text = unicodedata.normalize("NFC", text.casefold())
@@ -29,38 +41,31 @@ def _canonical(text: str) -> str:
     return _SPACE_RE.sub(" ", text).strip()
 
 
-def _trigrams(text: str) -> list[str]:
-    padded = f" {text} "
-    return [padded[i:i + 3] for i in range(len(padded) - 2)]
-
-
-class _Profile:
-    def __init__(self, lang: str, seed_text: str):
-        self.lang = lang
-        counts: dict[str, int] = {}
-        for tri in _trigrams(_canonical(seed_text)):
-            counts[tri] = counts.get(tri, 0) + 1
-        total = sum(counts.values())
-        vocab = len(counts)
-        # Laplace-smoothed log probabilities; unseen trigrams share one floor
-        self.logp = {
-            tri: math.log((c + 1) / (total + vocab + 1)) for tri, c in counts.items()
-        }
-        self.floor = math.log(1.0 / (total + vocab + 1))
-
-    def score(self, trigrams: list[str]) -> float:
-        logp = self.logp
-        floor = self.floor
-        return sum(logp.get(tri, floor) for tri in trigrams)
+def _trigram_ids(canonical: str) -> np.ndarray:
+    """Ids of the trigrams of ``canonical`` padded with one space each side."""
+    c = _CODE[np.frombuffer(f" {canonical} ".encode("utf-32-le"), dtype=np.uint32)]
+    return (c[:-2] * _A + c[1:-1]) * _A + c[2:]
 
 
 @lru_cache(maxsize=1)
-def _profiles() -> list[_Profile]:
-    out = []
+def _table() -> tuple[np.ndarray, np.ndarray]:
+    """The row of every trigram id (0 for one no profile has seen) and the
+    rows × languages table of log-probabilities; row 0 holds each floor."""
+    profiles = []
     for lang in LANGUAGES:
         seed = resources.files("skillscope.data").joinpath(f"lang_seed/{lang}.txt")
-        out.append(_Profile(lang, seed.read_text(encoding="utf-8")))
-    return out
+        text = _canonical(seed.read_text(encoding="utf-8"))
+        profiles.append(np.unique(_trigram_ids(text), return_counts=True))
+    known = np.unique(np.concatenate([ids for ids, _ in profiles]))
+    rows = np.zeros(_A ** 3, dtype=np.int32)
+    rows[known] = np.arange(1, len(known) + 1)
+    logp = np.empty((len(known) + 1, len(LANGUAGES)))
+    for j, (ids, counts) in enumerate(profiles):
+        # Laplace-smoothed log probabilities; unseen trigrams share one floor
+        denom = int(counts.sum()) + len(ids) + 1
+        logp[:, j] = math.log(1.0 / denom)
+        logp[rows[ids], j] = [math.log((c + 1) / denom) for c in counts.tolist()]
+    return rows, logp
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -71,10 +76,12 @@ def detect_language(text: str) -> tuple[str, float]:
     """
     if len(text) < MIN_DETECT_CHARS:
         raise TextTooShortError(f"need >= {MIN_DETECT_CHARS} chars, got {len(text)}")
-    trigrams = _trigrams(_canonical(text))
-    if not trigrams:
+    canonical = _canonical(text)
+    if not canonical:
         raise TextTooShortError("no scorable characters")
-    scores = [(p.lang, p.score(trigrams)) for p in _profiles()]
+    rows, logp = _table()
+    # the axis-0 sum adds row by row in trigram order, as a plain loop would
+    scores = list(zip(LANGUAGES, logp[rows[_trigram_ids(canonical)]].sum(axis=0).tolist()))
     # posterior via log-sum-exp over total log-likelihoods
     best = max(s for _, s in scores)
     weights = [(lang, math.exp(s - best)) for lang, s in scores]

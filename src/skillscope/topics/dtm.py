@@ -91,24 +91,24 @@ def tfidf_matrix(dtm: DocTermMatrix) -> np.ndarray:
     return counts * np.log(float(dtm.n_docs) / df)
 
 
-def cluster_terms(assignments: Sequence[int], dtm: DocTermMatrix,
+def cluster_terms(assignments: Sequence[int], weights: np.ndarray, vocab: Sequence[str],
                   top_n: int = 15) -> dict[int, list[tuple[str, float]]]:
-    """Per-cluster mean tf-idf weights, top_n terms, ties lexicographic.
+    """Per-cluster mean of the D×V ``weights`` (``tfidf_matrix``), top_n terms
+    of ``vocab``, ties lexicographic.
 
     Documents labeled ``NOISE`` are excluded. Empty clusters are skipped.
     Weights are clipped at zero (idf of an everywhere-present term is
     exactly zero).
     """
     assignments = np.asarray(assignments)
-    if len(assignments) != dtm.n_docs:
-        raise ValueError("assignments must cover all dtm rows")
-    weights = tfidf_matrix(dtm)
+    if len(assignments) != len(weights):
+        raise ValueError("assignments must cover all rows of weights")
     out: dict[int, list[tuple[str, float]]] = {}
     for cluster in sorted(set(int(a) for a in assignments) - {NOISE}):
         members = np.flatnonzero(assignments == cluster)
         if members.size == 0:
             continue
         mean_w = weights[members].mean(axis=0)
-        order = sorted(range(dtm.n_terms), key=lambda i: (-mean_w[i], dtm.vocab[i]))
-        out[cluster] = [(dtm.vocab[i], max(float(mean_w[i]), 0.0)) for i in order[:top_n]]
+        order = sorted(range(len(vocab)), key=lambda i: (-mean_w[i], vocab[i]))
+        out[cluster] = [(vocab[i], max(float(mean_w[i]), 0.0)) for i in order[:top_n]]
     return out

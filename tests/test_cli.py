@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skillscope import cli
+from skillscope import cli, ingest
 from skillscope.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -354,6 +354,36 @@ class TestReports:
         counts = report["postings"]
         raw_lines = (results_dir(demo_dir) / "raw_records.ndjson").read_text().splitlines()
         assert counts["emitted"] - counts["duplicates_removed"] == len(raw_lines)
+
+    def test_ingest_report_carries_api_stats(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
+
+        def page(n):
+            return {"data": [{"date": "2022-01-01", "description": f"api posting {n}.{i}"}
+                             for i in range(3)]}
+
+        (tmp_path / "jobs_api.json").write_text(json.dumps({"calls": [
+            {"status": 200, "body": page(1)},
+            {"status": 503},                      # page 2 fails once, then comes
+            {"status": 200, "body": page(2)},
+            {"status": 404},                      # page 3 has no body: skipped
+            {"status": 200, "body": page(4)},
+            {"status": 200, "body": {"data": []}},
+        ]}))
+        (tmp_path / "jobs.csv").write_text("date,description\n2022-01-01,a csv posting\n")
+        fields = {"date_field": "date", "text_field": "description"}
+        (tmp_path / "sources.json").write_text(json.dumps([
+            {"path_or_url": str(tmp_path / "jobs.csv"), "format": "csv", **fields},
+            {"path_or_url": str(tmp_path / "jobs_api.json"), "format": "api", **fields}]))
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"sources": str(tmp_path / "sources.json"), "output_dir": str(tmp_path / "out")}))
+        run_stage("ingest", RunConfig.load(tmp_path / "run.json"))
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["jobs_api"] == {"emitted": 9, "skipped": 0, "dropped_empty": 0,
+                                      "duplicates_removed": 0, "retries": 1,
+                                      "pages_fetched": 3, "pages_skipped": 1}
+        assert report["jobs"] == {"emitted": 1, "skipped": 0, "dropped_empty": 0,
+                                  "duplicates_removed": 0}
 
     def test_forecast_csv_shape(self, demo_dir):
         with open(results_dir(demo_dir) / "forecast.csv", newline="") as fh:

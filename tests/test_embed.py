@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skillscope.embed import (
+    MEMO_CAP,
     FileProvider,
     HashedProvider,
     HttpProvider,
@@ -21,6 +24,7 @@ from skillscope.errors import (
     ServiceError,
     ZeroVectorError,
 )
+from skillscope.text import tokenize
 
 TINY = np.array([3.1e-161, 0.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -100,6 +104,34 @@ class TestHashedProvider:
             sims.append(cosine(p.embed(base), p.embed(noisy)))
         assert sims[0] == pytest.approx(1.0, abs=1e-12)
         assert sims[0] > sims[1] > sims[2] > sims[3]
+
+    @staticmethod
+    def reference(text, dimension, seed):
+        """One blake2b call and one scalar add per feature occurrence."""
+        tokens = tokenize(text)
+        vec = np.zeros(dimension)
+        for feature in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
+            h = hashlib.blake2b(feature.encode("utf-8"), digest_size=9,
+                                person=seed.to_bytes(8, "little")).digest()
+            vec[int.from_bytes(h[:8], "little") % dimension] += 1.0 if h[8] & 1 else -1.0
+        return vec / np.linalg.norm(vec)
+
+    def test_batch_matches_per_feature_reference(self):
+        rng = random.Random(3)
+        pool = [f"term{i}" for i in range(12_000)] + ["c++", "scikit-learn", "data"]
+        texts = [" ".join(rng.choices(pool, k=rng.randint(1, 300))) for _ in range(80)]
+        features = set()
+        for t in texts:
+            tokens = tokenize(t)
+            features.update(tokens, (f"{a} {b}" for a, b in zip(tokens, tokens[1:])))
+        assert len(features) > MEMO_CAP  # the memo fills and is cleared mid-batch
+        p = HashedProvider(dimension=100, seed=11)
+        got = p.embed_batch(texts)
+        assert len(got) == len(texts)
+        for text, vec in zip(texts, got):
+            assert vec.tobytes() == self.reference(text, 100, 11).tobytes()
+        for text in texts[:5]:
+            assert p.embed(text).tobytes() == p.embed_batch([text])[0].tobytes()
 
 
 class TestFileProvider:

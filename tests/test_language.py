@@ -1,7 +1,19 @@
+import math
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillscope.errors import TextTooShortError
-from skillscope.language import detect_language
+from skillscope.language import (
+    _ALPHABET,
+    _NON_LETTER_RE,
+    LANGUAGES,
+    MIN_DETECT_CHARS,
+    _canonical,
+    detect_language,
+)
 
 
 def test_english_fixture_sentence():
@@ -52,3 +64,67 @@ def test_confidence_in_unit_interval():
     ]:
         _, conf = detect_language(text)
         assert 0.0 <= conf <= 1.0
+
+
+# --- plain-loop reference: string trigrams, one dict lookup each -------------
+
+def _reference_trigrams(canonical):
+    padded = f" {canonical} "
+    return [padded[i:i + 3] for i in range(len(padded) - 2)]
+
+
+def _reference_profiles():
+    out = []
+    for lang in LANGUAGES:
+        seed = resources.files("skillscope.data").joinpath(f"lang_seed/{lang}.txt")
+        counts = {}
+        for tri in _reference_trigrams(_canonical(seed.read_text(encoding="utf-8"))):
+            counts[tri] = counts.get(tri, 0) + 1
+        denom = sum(counts.values()) + len(counts) + 1
+        logp = {tri: math.log((c + 1) / denom) for tri, c in counts.items()}
+        out.append((lang, logp, math.log(1.0 / denom)))
+    return out
+
+
+PROFILES = _reference_profiles()
+
+
+def reference_detect(text):
+    if len(text) < MIN_DETECT_CHARS:
+        raise TextTooShortError("short")
+    trigrams = _reference_trigrams(_canonical(text))
+    if not trigrams:
+        raise TextTooShortError("no scorable characters")
+    scores = [(lang, sum(logp.get(t, floor) for t in trigrams))
+              for lang, logp, floor in PROFILES]
+    best = max(s for _, s in scores)
+    weights = [(lang, math.exp(s - best)) for lang, s in scores]
+    z = sum(w for _, w in weights)
+    posterior = sorted(((w / z, lang) for lang, w in weights), reverse=True)
+    return posterior[0][1], posterior[0][0] - posterior[1][0]
+
+
+_CHARS = ("abcdefghijklmnopqrstuvwxyz" + "".join(map(chr, range(0xE0, 0x100))) + "œß"
+          + "0123456789" + " .,;:!?-'()&/" + "жДяαβΩ中文ĀŁ" + "ABÉÖ\u0301\n\t")
+_WORDS = ["the", "engineer", "with", "data", "nous", "recherchons", "équipe", "para",
+          "unirse", "equipo", "wir", "suchen", "verstärkung", "straße", "cœur", "año"]
+
+
+@given(st.lists(st.sampled_from(_WORDS) | st.text(st.sampled_from(_CHARS), max_size=15),
+                max_size=60).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_matches_plain_loop_reference(text):
+    try:
+        want = reference_detect(text)
+    except TextTooShortError:
+        with pytest.raises(TextTooShortError):
+            detect_language(text)
+        return
+    lang, conf = detect_language(text)
+    assert lang == want[0]
+    assert math.isclose(conf, want[1], rel_tol=1e-9)
+
+
+def test_alphabet_is_what_canonical_keeps():
+    kept = [c for c in map(chr, range(0x3000)) if not _NON_LETTER_RE.match(c)]
+    assert kept == _ALPHABET and len(_ALPHABET) == 60

@@ -66,7 +66,7 @@ class TestTfidf:
 
     def test_everywhere_term_weight_zero_in_every_cluster(self):
         dtm = build_dtm(["shared alpha", "shared beta", "shared gamma"])
-        terms = cluster_terms([0, 0, 1], dtm, top_n=10)
+        terms = cluster_terms([0, 0, 1], tfidf_matrix(dtm), dtm.vocab, top_n=10)
         for cluster in terms.values():
             weights = dict(cluster)
             assert weights["shared"] == 0.0
@@ -74,7 +74,7 @@ class TestTfidf:
     def test_single_doc_cluster_equals_row(self):
         dtm = build_dtm(["alpha beta beta", "beta gamma", "alpha gamma delta"])
         w = tfidf_matrix(dtm)
-        terms = cluster_terms([0, 1, 2], dtm, top_n=dtm.n_terms)
+        terms = cluster_terms([0, 1, 2], w, dtm.vocab, top_n=dtm.n_terms)
         for t, weight in terms[1]:
             assert weight == pytest.approx(max(w[1][dtm.vocab.index(t)], 0.0), abs=1e-12)
 
@@ -83,15 +83,16 @@ class TestTfidf:
                 + ["markerthree filler common"] * 3)
         dtm = build_dtm(docs)
         assignments = [0] * 3 + [1] * 3 + [2] * 3
-        terms = cluster_terms(assignments, dtm)
+        terms = cluster_terms(assignments, tfidf_matrix(dtm), dtm.vocab)
         assert terms[0][0][0] == "markerone"
         assert terms[1][0][0] == "markertwo"
         assert terms[2][0][0] == "markerthree"
 
     def test_cluster_permutation_equivariance(self):
         dtm = build_dtm(["alpha beta", "gamma delta", "alpha delta", "beta gamma"])
-        a = cluster_terms([0, 1, 0, 1], dtm)
-        b = cluster_terms([1, 0, 1, 0], dtm)
+        w = tfidf_matrix(dtm)
+        a = cluster_terms([0, 1, 0, 1], w, dtm.vocab)
+        b = cluster_terms([1, 0, 1, 0], w, dtm.vocab)
         assert a[0] == b[1] and a[1] == b[0]
 
     def test_recomputation_matches_to_1e9(self):
@@ -100,7 +101,7 @@ class TestTfidf:
         docs = [" ".join(rng.choices(vocab_pool, k=20)) for _ in range(12)]
         dtm = build_dtm(docs)
         assignments = [rng.randrange(3) for _ in docs]
-        got = cluster_terms(assignments, dtm, top_n=dtm.n_terms)
+        got = cluster_terms(assignments, tfidf_matrix(dtm), dtm.vocab, top_n=dtm.n_terms)
         counts = dtm.dense().astype(float)
         df = (counts > 0).sum(axis=0)
         w = counts * np.log(len(docs) / df)
