@@ -125,6 +125,10 @@ class RunConfig:
         self.lda = dict(raw.get("lda", {}))
         self.kmeans = dict(raw.get("kmeans", {"K": 6}))
         self.density = dict(raw.get("density", {}))
+        for key, value in self.density.items():
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"config 'density': {key} must be an integer >= 1, "
+                                  f"got {value!r}")
         self.forecast = dict(raw.get("forecast", {}))
         self.output_dir = Path(raw.get("output_dir") or os.environ.get("SKILLSCOPE_OUT") or "out")
         self.seed = int(raw.get("seed", 0))
@@ -182,12 +186,17 @@ def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
 
 
 def read_ndjson(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    # line by line: the JSON is ASCII-escaped, so "\n" is its only line break
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # the object whose entries are a JSON artifact's rows; any other JSON file is one row
@@ -198,14 +207,15 @@ JSON_ROWS = {"lda_topics.json": "topics", "kmeans_clusters.json": "clusters",
 def count_rows(path: Path) -> int:
     """Records, not lines: CSV data rows, ndjson objects, and for JSON the
     topics or clusters of a topic model (else 1), however it is indented."""
-    text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
         key = JSON_ROWS.get(path.name)
-        return len(json.loads(text)[key]) if key else 1
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if path.suffix == ".csv" and lines:
-        return len(lines) - 1
-    return len(lines)
+        if not key:
+            return 1
+        with open(path, encoding="utf-8") as fh:
+            return len(json.load(fh)[key])
+    with open(path, encoding="utf-8") as fh:
+        lines = sum(1 for line in fh if line.strip())
+    return lines - 1 if path.suffix == ".csv" and lines else lines
 
 
 class Manifest:
@@ -371,6 +381,10 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings for topic modeling")
+    mcs = cfg.density.get("min_cluster_size", scaled_min_cluster_size(len(postings)))
+    if mcs > len(postings):
+        raise DataError(f"density min_cluster_size {mcs} exceeds the "
+                        f"{len(postings)} postings")
     texts = [p.description for p in postings]
     years = [p.year for p in postings]
 
@@ -401,15 +415,15 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
     _, vectors = embed_postings(cfg, postings)
     emb = np.array([vectors[p.id] for p in postings])
+    k_reduced = cfg.density.get("k_reduced", 8)
+    if k_reduced >= emb.shape[1]:
+        raise DataError(f"density k_reduced {k_reduced} must be below the "
+                        f"embedding dimension {emb.shape[1]}")
     km = kmeans_fit(emb, int(cfg.kmeans.get("K", 6)),
                     seed=derive_seed(cfg.seed, "topics.kmeans"))
-    mcs = int(cfg.density.get("min_cluster_size",
-                              scaled_min_cluster_size(len(postings))))
-    dm = density_topics(emb, min_cluster_size=mcs,
-                        k_reduced=int(cfg.density.get("k_reduced", 8)),
+    dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
                         seed=derive_seed(cfg.seed, "topics.density"))
-    # one dense D×V tf-idf for both clusterings, built after the density
-    # model's arrays are freed
+    # one dense D×V tf-idf for both clusterings
     weights = tfidf_matrix(dtm)
     km_terms = cluster_terms(km.assignments, weights, dtm.vocab)
     dm.topic_terms = cluster_terms(dm.labels, weights, dtm.vocab)

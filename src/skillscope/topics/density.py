@@ -1,19 +1,31 @@
 """Density-based topic discovery over reduced embeddings.
 
 Deliberate substitution for the UMAP+HDBSCAN pair: a seeded Gaussian random
-projection to k dimensions followed by DBSCAN, with eps picked at the knee
-of the sorted k-distance curve and minPts equal to the minimum cluster
-size. Clusters smaller than the minimum are relabeled NOISE. The minimum
-cluster size semantics of the original pipeline are preserved.
+projection to k dimensions followed by DBSCAN (Ester et al., KDD 1996), with
+eps picked at the knee of the sorted k-distance curve and minPts equal to
+the minimum cluster size. Clusters smaller than the minimum are relabeled
+NOISE. The minimum cluster size semantics of the original pipeline are
+preserved.
+
+Neighbourhoods come from a KD-tree, never from an n×n array: the tree
+proposes candidate pairs at a slightly widened radius, and each pair is
+kept or dropped by the same numpy expression a dense distance matrix would
+use, so eps and the labels are bit-identical to the O(n²) formulation.
+Memory grows with n plus the number of pairs within eps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 NOISE = -1
+_CHUNK = 1 << 16   # pairs per distance batch
 
 
 @dataclass
@@ -41,12 +53,38 @@ def random_projection(embeddings: np.ndarray, k: int, seed: int) -> np.ndarray:
     return embeddings @ mat
 
 
+def _widen(r):
+    # the tree sums squared differences in another order than numpy, so its
+    # distances differ by a few ULPs; the margin keeps every pair the exact
+    # test below could accept (the absolute term covers subnormal squares)
+    return r * (1 + 1e-9) + 1e-150
+
+
+def _pair_sq_dists(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distance of each pair (i[p], j[p]), summed exactly as the
+    dense ((points[:, None] - points[None]) ** 2).sum(axis=2) sums it."""
+    out = np.empty(i.size)
+    for s in range(0, i.size, _CHUNK):
+        a, b = points[i[s:s + _CHUNK]], points[j[s:s + _CHUNK]]
+        out[s:s + _CHUNK] = ((a - b) ** 2).sum(axis=-1)
+    return out
+
+
 def k_distance_knee(points: np.ndarray, min_pts: int) -> float:
     """eps = k-distance at the knee (max distance to the chord) of the
-    ascending sorted k-NN distance curve."""
+    ascending sorted k-NN distance curve (self counts as the 0th neighbour)."""
     n = points.shape[0]
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    kth = np.sort(np.sqrt(d2), axis=1)[:, min(min_pts, n - 1)]
+    m = min(min_pts, n - 1) + 1
+    tree = cKDTree(points)
+    radius = tree.query(points, k=[m])[0][:, 0]
+    cands = tree.query_ball_point(points, _widen(radius), return_sorted=False)
+    counts = np.fromiter(map(len, cands), dtype=np.intp, count=n)
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.intp,
+                       count=int(counts.sum()))
+    dist = np.sqrt(_pair_sq_dists(points, rows, cols))
+    dist = dist[np.lexsort((dist, rows))]
+    kth = dist[np.cumsum(counts) - counts + m - 1]
     curve = np.sort(kth)
     x = np.arange(n, dtype=float)
     x0, y0, x1, y1 = x[0], curve[0], x[-1], curve[-1]
@@ -58,24 +96,31 @@ def k_distance_knee(points: np.ndarray, min_pts: int) -> float:
 
 
 def _dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """DBSCAN labels: clusters are the components of the core–core graph,
+    numbered by their lowest core index; a border point joins the lowest
+    cluster among its core neighbours (what a BFS in index order assigns)."""
     n = points.shape[0]
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    neighbors = [np.flatnonzero(d2[i] <= eps * eps) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    pairs = cKDTree(points).query_pairs(_widen(eps), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    keep = _pair_sq_dists(points, i, j) <= eps * eps
+    i, j = i[keep], j[keep]
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_pts
+
+    both = core[i] & core[j]
+    graph = coo_matrix((np.ones(int(both.sum()), dtype=np.int8), (i[both], j[both])),
+                       shape=(n, n))
+    comp = connected_components(graph, directed=False)[1][core]
+    _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
     labels = np.full(n, NOISE, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
-            continue
-        labels[i] = cluster
-        frontier = list(neighbors[i])
-        while frontier:
-            j = frontier.pop()
-            if labels[j] == NOISE:
-                labels[j] = cluster
-                if core[j]:
-                    frontier.extend(int(x) for x in neighbors[j] if labels[x] == NOISE)
-        cluster += 1
+    labels[core] = np.argsort(np.argsort(first))[comp]
+
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    edge = ~core[src] & core[dst]
+    unset = np.iinfo(np.int64).max
+    border = np.full(n, unset)
+    np.minimum.at(border, src[edge], labels[dst[edge]])
+    reached = border != unset
+    labels[reached] = border[reached]
     return labels
 
 
@@ -96,17 +141,15 @@ def density_topics(
     raw = _dbscan(projected, eps, min_cluster_size)
 
     # drop undersized clusters, then relabel surviving topics by size desc
-    sizes = {int(c): int((raw == c).sum()) for c in set(raw.tolist()) - {NOISE}}
-    keep = [c for c, s in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))
-            if s >= min_cluster_size]
-    labels = np.full(n, NOISE, dtype=np.int64)
-    topic_sizes = {}
-    for new_id, old_id in enumerate(keep):
-        labels[raw == old_id] = new_id
-        topic_sizes[new_id] = sizes[old_id]
+    sizes = np.bincount(raw[raw != NOISE])
+    order = np.argsort(-sizes, kind="stable")
+    keep = order[sizes[order] >= min_cluster_size]
+    new_id = np.full(sizes.size + 1, NOISE, dtype=np.int64)   # [-1] maps NOISE
+    new_id[keep] = np.arange(keep.size)
+    topic_sizes = {t: int(sizes[c]) for t, c in enumerate(keep)}
     return DensityTopicModel(
         projected=projected,
-        labels=labels,
+        labels=new_id[raw],
         min_cluster_size=min_cluster_size,
         eps=float(eps),
         all_noise=not topic_sizes,

@@ -23,8 +23,12 @@ class KMeansModel:
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # D x K squared Euclidean distances
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # D x K squared Euclidean distances, one centroid column at a time: the
+    # same sums as the D x K x d broadcast without its temporary
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    for c, centroid in enumerate(centroids):
+        out[:, c] = ((points - centroid) ** 2).sum(axis=1)
+    return out
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

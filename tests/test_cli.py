@@ -167,6 +167,34 @@ class TestErrors:
         assert not (tmp_path / "results" / "raw_records.ndjson").exists()
 
 
+class TestDensityBounds:
+    @pytest.mark.parametrize("density", [
+        {"min_cluster_size": 0}, {"min_cluster_size": -2}, {"min_cluster_size": 2.5},
+        {"min_cluster_size": "5"}, {"min_cluster_size": True}, {"min_cluster_size": None},
+        {"k_reduced": 0}, {"k_reduced": 8.0}])
+    def test_value_not_a_positive_int_rejected_at_load(self, tmp_path, capsys, density):
+        run = write_demo_corpus(tmp_path)
+        run.write_text(json.dumps({**json.loads(run.read_text()), "density": density}))
+        assert main(["ingest", "--config", str(run)]) == EXIT_CONFIG
+        assert next(iter(density)) in capsys.readouterr().err
+        assert not (tmp_path / "results" / "raw_records.ndjson").exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"density": {"min_cluster_size": 500}}, "min_cluster_size"),
+        ({"density": {"k_reduced": 256}}, "k_reduced"),
+        ({"embedding": {"kind": "hashed", "dimension": 4}}, "k_reduced")])
+    def test_bound_past_the_data_is_a_data_error(self, demo_dir, tmp_path, capsys,
+                                                 change, key):
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                   **change}))
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, ["postings.ndjson"])
+        assert main(["topics", "--config", str(run), "--out", str(out)]) == EXIT_DATA
+        assert key in capsys.readouterr().err
+        assert not (out / "density_topics.json").exists()
+
+
 class TestDeterminism:
     def test_rerun_produces_identical_checksums(self, demo_dir, tmp_path):
         run1 = results_dir(demo_dir) / "run_manifest.json"

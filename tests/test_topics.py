@@ -22,6 +22,8 @@ from skillscope.topics import (
     tfidf_matrix,
     wcss_of,
 )
+from skillscope.topics.density import _dbscan
+from skillscope.topics.kmeans import _sq_dists
 
 
 class TestBuildDtm:
@@ -316,6 +318,15 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.ones((3, 2)), 4)
 
+    @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (17, 3, 4), (50, 8, 6), (40, 9, 3),
+                                         (300, 256, 6), (64, 17, 9)])
+    def test_sq_dists_bit_equal_to_broadcast(self, n, d, k):
+        rng = np.random.default_rng(n * d + k)
+        points = rng.normal(scale=10.0, size=(n, d))
+        centroids = rng.normal(size=(k, d))
+        dense = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(_sq_dists(points, centroids), dense)
+
 
 def blobs(n_per=300, seed=0, d=12, sep=8.0):
     rng = np.random.default_rng(seed)
@@ -333,6 +344,119 @@ def co_cluster_accuracy(labels, truth):
             top = np.bincount(members).max()
             acc += top
     return acc / len(truth)
+
+
+def dense_knee(points, min_pts):
+    """The O(n²) k-distance knee the KD-tree version must reproduce bit for bit."""
+    n = points.shape[0]
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    kth = np.sort(np.sqrt(d2), axis=1)[:, min(min_pts, n - 1)]
+    curve = np.sort(kth)
+    x = np.arange(n, dtype=float)
+    x0, y0, x1, y1 = x[0], curve[0], x[-1], curve[-1]
+    denom = np.hypot(x1 - x0, y1 - y0)
+    if denom == 0:
+        return float(curve[-1])
+    dist = np.abs((y1 - y0) * x - (x1 - x0) * curve + x1 * y0 - y1 * x0) / denom
+    return float(curve[int(dist.argmax())])
+
+
+def dense_dbscan(points, eps, min_pts):
+    """DBSCAN by BFS in index order over an n×n distance array."""
+    n = points.shape[0]
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    neighbors = [np.flatnonzero(d2[i] <= eps * eps) for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(n, NOISE, dtype=np.int64)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != NOISE or not core[i]:
+            continue
+        labels[i] = cluster
+        frontier = list(neighbors[i])
+        while frontier:
+            j = frontier.pop()
+            if labels[j] == NOISE:
+                labels[j] = cluster
+                if core[j]:
+                    frontier.extend(int(x) for x in neighbors[j] if labels[x] == NOISE)
+        cluster += 1
+    return labels
+
+
+def dense_density_topics(emb, min_cluster_size, k_reduced, seed):
+    projected = random_projection(emb, k_reduced, seed)
+    eps = dense_knee(projected, min_cluster_size)
+    raw = dense_dbscan(projected, eps, min_cluster_size)
+    sizes = {int(c): int((raw == c).sum()) for c in set(raw.tolist()) - {NOISE}}
+    keep = [c for c, s in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))
+            if s >= min_cluster_size]
+    labels = np.full(len(raw), NOISE, dtype=np.int64)
+    for new_id, old_id in enumerate(keep):
+        labels[raw == old_id] = new_id
+    return labels, eps, {t: sizes[c] for t, c in enumerate(keep)}
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 40 points drawn with repetition from a pool of distinct rows, so
+    exact duplicates are common; k_reduced below the row width."""
+    k = draw(st.sampled_from([2, 3, 8]))
+    d = k + draw(st.integers(1, 4))
+    row = st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    emb = np.array([pool[i] for i in picks])
+    mcs = draw(st.one_of(st.integers(1, len(picks)), st.just(len(picks)), st.just(1)))
+    return emb, mcs, k
+
+
+@st.composite
+def grid_points(draw):
+    """Integer points: squared distances are exact integers, so many pairs
+    sit exactly at an integer-distance eps."""
+    k = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    pts = np.array(draw(st.lists(coords, min_size=1, max_size=40)), dtype=float)
+    return pts, draw(st.integers(1, len(pts)))
+
+
+class TestDensityMatchesDense:
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets(), st.integers(0, 3))
+    def test_density_topics_equal_labels_and_eps(self, case, seed):
+        emb, mcs, k = case
+        labels, eps, sizes = dense_density_topics(emb, mcs, k, seed)
+        model = density_topics(emb, min_cluster_size=mcs, k_reduced=k, seed=seed)
+        assert model.eps == eps
+        assert np.array_equal(model.labels, labels)
+        assert model.topic_sizes == sizes
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_points(), st.integers(0, 12))
+    def test_grid_ties_at_eps(self, case, eps_sq):
+        pts, min_pts = case
+        knee = k_distance_knee(pts, min_pts)
+        assert knee == dense_knee(pts, min_pts)
+        for eps in (knee, math.sqrt(eps_sq)):
+            assert np.array_equal(_dbscan(pts, eps, min_pts),
+                                  dense_dbscan(pts, eps, min_pts)), eps
+
+    @pytest.mark.parametrize("mcs", [1, 5, 30])
+    def test_all_identical_points(self, mcs):
+        emb = np.full((30, 12), 0.25)
+        model = density_topics(emb, min_cluster_size=mcs, k_reduced=4, seed=0)
+        assert model.eps == 0.0
+        assert model.topic_sizes == {0: 30}
+        assert np.array_equal(model.labels, np.zeros(30, dtype=np.int64))
+
+    def test_border_point_joins_lowest_cluster(self):
+        # cores at 2 and -2 start clusters 0 and 1; the border point at 0
+        # reaches both and takes 0; 9 reaches nothing
+        pts = np.array([[2.0], [3.0], [4.0], [0.0], [-2.0], [-3.0], [-4.0], [9.0]])
+        labels = _dbscan(pts, 2.0, 4)
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, NOISE]
+        assert np.array_equal(labels, dense_dbscan(pts, 2.0, 4))
 
 
 class TestDensityTopics:
