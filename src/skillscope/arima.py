@@ -49,13 +49,6 @@ class ArimaModel:
     objective: float = 0.0
 
 
-def difference(values: np.ndarray, d: int) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    for _ in range(d):
-        out = np.diff(out)
-    return out
-
-
 def css_residuals(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
                   intercept: float) -> np.ndarray:
     """One-step-ahead residuals with presample values treated as zero."""

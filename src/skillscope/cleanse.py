@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from .config import from_json
 from .errors import ConfigError, TextTooShortError
 from .language import detect_language
 from .text import tokenize
@@ -75,15 +76,11 @@ class CleanseConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CleanseConfig":
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {"boilerplate_patterns", "min_tokens", "english_confidence_threshold",
-                 "year_range", "date_order"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown cleanse config keys: {sorted(extra)}")
-        if "year_range" in d:
-            d["year_range"] = tuple(d["year_range"])
-        return cls(**d)
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read cleanse config {path}: {e}") from e
+        return from_json(cls, d, f"cleanse config {path}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from .arima import ArimaSpec
 from .cleanse import CleanseConfig, Posting, cleanse
-from .embed import SPEC_KEYS, provider_from_spec
+from .config import check_fields
+from .embed import provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, FramingResult, aggregate_framing, frame_document
 from .ingest import (
@@ -84,60 +85,55 @@ def derive_seed(seed: int, stage: str) -> int:
     return (seed ^ int.from_bytes(h, "little")) & 0x7FFFFFFFFFFFFFFF
 
 
-CONFIG_KEYS = {"sources", "output_dir", "seed", "granularity", "cleanse_config",
-               "taxonomy", "anchors", "sectors", "embedding", "lda", "kmeans",
-               "density", "forecast"}
-# the keys each stage reads from its model object (embedding: embed.SPEC_KEYS)
-MODEL_KEYS = {"lda": {"K", "alpha", "beta", "iterations", "vocab_min_df",
-                      "vocab_max_df_fraction"},
-              "kmeans": {"K"}, "density": {"min_cluster_size", "k_reduced"},
-              "forecast": {"horizon", "smoothing_alpha"}}
-
-
-def check_keys(obj, known: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+# Each key of the four model objects: (type, default, lowest value). LdaConfig
+# holds the LDA defaults and checks the LDA bounds, ArimaSpec smoothing_alpha's
+# and HashedProvider the embedding dimension; RunConfig calls them at load.
+MODEL_FIELDS = {
+    "lda": {"K": (int, LdaConfig.K, None), "alpha": (float, LdaConfig.alpha, None),
+            "beta": (float, LdaConfig.beta, None),
+            "iterations": (int, LdaConfig.iterations, None),
+            "vocab_min_df": (int, LdaConfig.vocab_min_df, 1),
+            "vocab_max_df_fraction": (float, LdaConfig.vocab_max_df_fraction, None)},
+    "kmeans": {"K": (int, 6, 1)},
+    "density": {"min_cluster_size": (int, None, 1), "k_reduced": (int, 8, 1)},
+    "forecast": {"horizon": (int, 2, 1), "smoothing_alpha": (float, 0.5, None)},
+}
+FILE_FIELDS = ("sources", "cleanse_config", "taxonomy", "anchors", "sectors")
+# the top level of run.json; the embedding object takes the keys of its kind
+CONFIG_FIELDS = {
+    **{name: (str | None, None, None) for name in (*FILE_FIELDS, "output_dir")},
+    "seed": (int, 0, None), "granularity": (str, "year", None),
+    **{name: (dict, {}, None) for name in ("embedding", *MODEL_FIELDS)},
+}
 
 
 class RunConfig:
     def __init__(self, raw: dict, path: Path):
         self.raw = raw
         self.path = path
-        check_keys(raw, CONFIG_KEYS, f"config {path}")
-        for name, known in MODEL_KEYS.items():
-            check_keys(raw.get(name, {}), known, f"config {name!r}")
-        self.sources = raw.get("sources")
-        if not self.sources:
+        top = check_fields(raw, CONFIG_FIELDS, f"config {path}")
+        self.lda, self.kmeans, self.density, self.forecast = (
+            check_fields(top[name], fields, f"config {name!r}")
+            for name, fields in MODEL_FIELDS.items())
+        if not top["sources"]:
             raise ConfigError("config field 'sources' is required")
-        self.cleanse_config = raw.get("cleanse_config")
-        self.taxonomy = raw.get("taxonomy")
-        self.anchors = raw.get("anchors")
-        self.sectors = raw.get("sectors")
-        embedding = raw.get("embedding", {"kind": "hashed", "dimension": 256})
-        kind = embedding.get("kind", "hashed") if isinstance(embedding, dict) else "hashed"
-        if not isinstance(kind, str) or kind not in SPEC_KEYS:
-            raise ConfigError(f"config 'embedding': unknown kind {kind!r}")
-        check_keys(embedding, SPEC_KEYS[kind], f"config 'embedding' ({kind})")
-        self.embedding = dict(embedding)
-        self.lda = dict(raw.get("lda", {}))
-        self.kmeans = dict(raw.get("kmeans", {"K": 6}))
-        self.density = dict(raw.get("density", {}))
-        for key, value in self.density.items():
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"config 'density': {key} must be an integer >= 1, "
-                                  f"got {value!r}")
-        self.forecast = dict(raw.get("forecast", {}))
-        self.output_dir = Path(raw.get("output_dir") or os.environ.get("SKILLSCOPE_OUT") or "out")
-        self.seed = int(raw.get("seed", 0))
-        if raw.get("granularity", "year") != "year":
+        if top["granularity"] != "year":
             raise ConfigError("granularity must be 'year'")
-        for field in ("sources", "cleanse_config", "taxonomy", "anchors", "sectors"):
-            value = getattr(self, field)
-            if value is not None and not Path(value).exists():
-                raise ConfigError(f"config field {field!r}: file not found: {value}")
+        for field in FILE_FIELDS:
+            if top[field] is not None and not Path(top[field]).exists():
+                raise ConfigError(f"config field {field!r}: file not found: {top[field]}")
+        self.sources, self.taxonomy, self.anchors, self.sectors = (
+            top["sources"], top["taxonomy"], top["anchors"], top["sectors"])
+        self.cleanse = (CleanseConfig.from_file(top["cleanse_config"])
+                        if top["cleanse_config"] else CleanseConfig())
+        self.embedding = dict(top["embedding"])
+        # a provider checks its own bounds; a file provider would read its whole file
+        if spec_arguments(self.embedding)[0] != "file":
+            provider_from_spec(self.embedding)
+        LdaConfig(**self.lda)
+        ArimaSpec(1, 1, 1, self.forecast["smoothing_alpha"])
+        self.output_dir = Path(top["output_dir"] or os.environ.get("SKILLSCOPE_OUT") or "out")
+        self.seed = top["seed"]
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -221,12 +217,9 @@ def count_rows(path: Path) -> int:
 class Manifest:
     def __init__(self, out: Path, cfg: RunConfig):
         self.path = out / "run_manifest.json"
-        if self.path.exists():
-            self.doc = json.loads(self.path.read_text(encoding="utf-8"))
-        else:
-            self.doc = {"tool_version": __version__, "config": cfg.raw, "stages": {}}
-        self.doc["config"] = cfg.raw
-        self.doc["tool_version"] = __version__
+        self.doc = (json.loads(self.path.read_text(encoding="utf-8"))
+                    if self.path.exists() else {"stages": {}})
+        self.doc.update(tool_version=__version__, config=cfg.raw)
 
     def record(self, stage: str, outputs: list[Path], wall_clock: float,
                counts: dict | None = None) -> None:
@@ -324,8 +317,7 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
 def stage_cleanse(cfg: RunConfig, out: Path, jobs: int) -> dict:
     records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson")]
-    ccfg = CleanseConfig.from_file(cfg.cleanse_config) if cfg.cleanse_config else CleanseConfig()
-    postings, report = cleanse(records, ccfg)
+    postings, report = cleanse(records, cfg.cleanse)
     write_ndjson(out / "postings.ndjson",
                  ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
                    "description": p.description} for p in postings))
@@ -377,95 +369,71 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
             "sector_rows": len(by_sector)}
 
 
+def topic_entries(sizes: dict[int, int], terms: dict[int, list]) -> dict:
+    """Each topic's top (term, weight) pairs and posting count, by topic id."""
+    return {str(t): {"top_terms": [list(tw) for tw in terms.get(t, [])], "size": size}
+            for t, size in sizes.items()}
+
+
 def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings for topic modeling")
-    mcs = cfg.density.get("min_cluster_size", scaled_min_cluster_size(len(postings)))
-    if mcs > len(postings):
-        raise DataError(f"density min_cluster_size {mcs} exceeds the "
-                        f"{len(postings)} postings")
+    mcs = cfg.density["min_cluster_size"] or scaled_min_cluster_size(len(postings))
+    for name, value in (("kmeans K", cfg.kmeans["K"]), ("density min_cluster_size", mcs)):
+        if value > len(postings):
+            raise DataError(f"{name} {value} exceeds the {len(postings)} postings")
     texts = [p.description for p in postings]
     years = [p.year for p in postings]
 
-    lda_cfg = LdaConfig(
-        K=int(cfg.lda.get("K", 6)),
-        alpha=cfg.lda.get("alpha"),
-        beta=float(cfg.lda.get("beta", 0.01)),
-        iterations=int(cfg.lda.get("iterations", 1000)),
-        seed=derive_seed(cfg.seed, "topics.lda"),
-        vocab_min_df=int(cfg.lda.get("vocab_min_df", 2)),
-        vocab_max_df_fraction=float(cfg.lda.get("vocab_max_df_fraction", 0.9)),
-    )
+    lda_cfg = LdaConfig(**cfg.lda, seed=derive_seed(cfg.seed, "topics.lda"))
     dtm = build_dtm(texts, min_df=lda_cfg.vocab_min_df,
                     max_df_fraction=lda_cfg.vocab_max_df_fraction)
     lda = lda_fit(dtm, lda_cfg)
-    doc_topics = [int(np.argmax(lda.theta[i])) for i in range(len(texts))]
-    write_json(out / "lda_topics.json", {
-        "K": lda_cfg.K,
-        "iterations": lda_cfg.iterations,
-        "log_likelihood_trace": lda.log_likelihood_trace,
-        "topics": {
-            str(k): {
-                "top_terms": [[t, w] for t, w in terms],
-                "size": doc_topics.count(k),
-            } for k, terms in lda.top_terms().items()
-        },
-    })
-
     _, vectors = embed_postings(cfg, postings)
     emb = np.array([vectors[p.id] for p in postings])
-    k_reduced = cfg.density.get("k_reduced", 8)
+    k_reduced = cfg.density["k_reduced"]
     if k_reduced >= emb.shape[1]:
         raise DataError(f"density k_reduced {k_reduced} must be below the "
                         f"embedding dimension {emb.shape[1]}")
-    km = kmeans_fit(emb, int(cfg.kmeans.get("K", 6)),
-                    seed=derive_seed(cfg.seed, "topics.kmeans"))
+    km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
     dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
                         seed=derive_seed(cfg.seed, "topics.density"))
     # one dense D×V tf-idf for both clusterings
     weights = tfidf_matrix(dtm)
     km_terms = cluster_terms(km.assignments, weights, dtm.vocab)
     dm.topic_terms = cluster_terms(dm.labels, weights, dtm.vocab)
-    write_json(out / "kmeans_clusters.json", {
-        "K": int(cfg.kmeans.get("K", 6)),
-        "wcss": km.wcss,
-        "clusters": {
-            str(c): {
-                "top_terms": [[t, w] for t, w in terms],
-                "size": int((km.assignments == c).sum()),
-            } for c, terms in km_terms.items()
-        },
-    })
-    write_json(out / "density_topics.json", {
-        "min_cluster_size": mcs,
-        "all_noise": dm.all_noise,
-        "noise_count": int((dm.labels == -1).sum()),
-        "topics": {
-            str(t): {
-                "top_terms": [[term, w] for term, w in dm.topic_terms.get(t, [])],
-                "size": size,
-            } for t, size in dm.topic_sizes.items()
-        },
-    })
 
+    # written only once all three models are fitted, so a failed run leaves
+    # no topic file newer than the others
+    lda_terms = lda.top_terms()
+    doc_topics = [int(np.argmax(lda.theta[i])) for i in range(len(texts))]
+    write_json(out / "lda_topics.json", {
+        "K": lda_cfg.K, "iterations": lda_cfg.iterations,
+        "log_likelihood_trace": lda.log_likelihood_trace,
+        "topics": topic_entries({k: doc_topics.count(k) for k in lda_terms}, lda_terms)})
+    write_json(out / "kmeans_clusters.json", {
+        "K": cfg.kmeans["K"], "wcss": km.wcss,
+        "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
+                                  km_terms)})
+    write_json(out / "density_topics.json", {
+        "min_cluster_size": mcs, "all_noise": dm.all_noise,
+        "noise_count": int((dm.labels == -1).sum()),
+        "topics": topic_entries(dm.topic_sizes, dm.topic_terms)})
     matrix = temporal_weights(dm.labels.tolist(), years)
-    rows = []
-    for year in matrix.years:
-        for topic in matrix.topics:
-            rows.append([year, topic, matrix.counts[year][topic],
-                         float(matrix.weights[year][topic])])
-    write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"], rows)
+    write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"],
+              [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]
+               for year in matrix.years for topic in matrix.topics])
     return {"lda_topics": lda_cfg.K, "density_topics": len(dm.topic_sizes),
             "vocab": dtm.n_terms}
 
 
 def stage_forecast(cfg: RunConfig, out: Path, jobs: int) -> dict:
     series = rate_series_from_csv(out)
-    horizon = int(cfg.forecast.get("horizon", 2))
-    alpha = float(cfg.forecast.get("smoothing_alpha", 0.5))
+    horizon = cfg.forecast["horizon"]
     specs = [
-        ("smoothed_arima(1,1,1)", ArimaSpec(1, 1, 1, smoothing_alpha=alpha)),
+        ("smoothed_arima(1,1,1)",
+         ArimaSpec(1, 1, 1, smoothing_alpha=cfg.forecast["smoothing_alpha"])),
         ("arima(2,0,2)", ArimaSpec(2, 0, 2)),
     ]
     rows = []
@@ -695,8 +663,8 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except SkillscopeError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:  # a bug, not bad input: one line naming the type
+        print(f"internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -1,0 +1,60 @@
+"""One type rule for every JSON config file: an int field takes neither a
+bool nor a float, so no float is truncated; a float field takes an int but no
+NaN or infinity; a tuple field takes an array of its length."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import types
+import typing
+
+from .errors import ConfigError
+
+
+def conforms(value, kind) -> bool:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return any(conforms(value, a) for a in args)
+    if origin in (list, tuple):
+        return isinstance(value, list) and (
+            all(conforms(v, args[0]) for v in value) if origin is list
+            else len(value) == len(args) and all(map(conforms, value, args)))
+    if kind is float:
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+REQUIRED = object()  # the default of a field that has none
+
+
+def check_fields(obj, fields: dict[str, tuple], where: str) -> dict:
+    """The values of JSON object ``obj``, each checked against its field's
+    ``(type, default, lowest value)``, with the defaults filled in."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(obj) - fields.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, (kind, default, low) in fields.items():
+        if key not in obj and default is REQUIRED:
+            raise ConfigError(f"{where}: {key} is required")
+        value = obj.get(key, default)
+        if key in obj and not (conforms(value, kind) and (low is None or value >= low)):
+            name = kind.__name__ if type(kind) is type else kind
+            raise ConfigError(f"{where}: {key} must be {name}"
+                              f"{'' if low is None else f' >= {low}'}, got {value!r}")
+        values[key] = float(value) if kind is float and value is not None else value
+    return values
+
+
+def from_json(cls, obj, where: str):
+    """Dataclass ``cls`` built from a JSON object: only its fields' keys, each
+    of its annotated type (arrays as tuples), those without a default required."""
+    hints, MISSING = typing.get_type_hints(cls), dataclasses.MISSING
+    given = check_fields(obj, {
+        f.name: (hints[f.name], REQUIRED if f.default is f.default_factory is MISSING else None,
+                 None) for f in dataclasses.fields(cls)}, where)
+    return cls(**{k: tuple(v) if isinstance(v, list) and typing.get_origin(hints[k]) is not list
+                  else v for k, v in given.items() if k in obj})

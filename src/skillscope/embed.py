@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import requests
 
+from .config import REQUIRED, check_fields
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -68,11 +69,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class HashedProvider:
     """Seeded signed-hash bag of token unigrams+bigrams, L2-normalized."""
 
-    kind = "hashed"
-
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 0):
         if dimension < 1:
-            raise ConfigError("dimension must be positive")
+            raise ConfigError("embedding dimension must be positive")
         self.dimension = dimension
         self.seed = seed
         self._person = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
@@ -117,8 +116,6 @@ class FileProvider:
     """Looks vectors up by key in a CSV-ish file: header ``id,<dim>``, then
     one row per key with <dim> comma-separated reals."""
 
-    kind = "file"
-
     def __init__(self, path: str | Path):
         self.path = Path(path)
         lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -155,10 +152,9 @@ class HttpProvider:
     """POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} in the
     same order; batches of at most 64, three attempts per batch."""
 
-    kind = "http"
     BATCH = 64
 
-    def __init__(self, url: str, dimension: int, auth_token: str | None = None,
+    def __init__(self, url: str, dimension: int, auth: str | None = None,
                  concurrency: int = 8, max_attempts: int = 3,
                  backoff_base: float = 0.5, post=None):
         self.url = url
@@ -167,8 +163,8 @@ class HttpProvider:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._headers = {"Content-Type": "application/json"}
-        if auth_token:
-            self._headers["Authorization"] = f"Bearer {auth_token}"
+        if auth:
+            self._headers["Authorization"] = f"Bearer {auth}"
         self._post = post if post is not None else self._requests_post
 
     def _requests_post(self, body: dict) -> tuple[int, object]:
@@ -217,28 +213,30 @@ class HttpProvider:
         return [v for chunk in results for v in chunk]
 
 
-# the keys provider_from_spec reads, by kind
-SPEC_KEYS = {"hashed": {"kind", "dimension", "seed"}, "file": {"kind", "path"},
-             "http": {"kind", "url", "dimension", "auth", "concurrency"}}
+# each kind's provider and spec keys: (JSON type, REQUIRED or None for the
+# provider's own default, lowest value); HashedProvider checks its dimension
+PROVIDER_SPECS = {
+    "hashed": (HashedProvider, {"dimension": (int, None, None), "seed": (int, None, None)}),
+    "file": (FileProvider, {"path": (str, REQUIRED, None)}),
+    "http": (HttpProvider, {"url": (str, REQUIRED, None), "dimension": (int, REQUIRED, 1),
+                            "auth": (str, None, None), "concurrency": (int, None, 1)}),
+}
+
+
+def spec_arguments(spec: dict) -> tuple[str, dict]:
+    """The kind of a JSON embedding spec and its provider's checked arguments."""
+    kind = spec.get("kind", "hashed")
+    if not isinstance(kind, str) or kind not in PROVIDER_SPECS:
+        raise ConfigError(f"unknown embedding provider kind {kind!r}")
+    args = check_fields(spec, {"kind": (str, None, None), **PROVIDER_SPECS[kind][1]},
+                        f"embedding ({kind})")
+    return kind, {k: v for k, v in args.items() if k != "kind" and v is not None}
 
 
 def provider_from_spec(spec: dict):
     """Build a provider from its JSON spec {kind, dimension, seed|path|url...}."""
-    kind = spec.get("kind", "hashed")
-    if kind == "hashed":
-        return HashedProvider(dimension=int(spec.get("dimension", DEFAULT_DIMENSION)),
-                              seed=int(spec.get("seed", 0)))
-    if kind == "file":
-        if "path" not in spec:
-            raise ConfigError("file provider requires 'path'")
-        return FileProvider(spec["path"])
-    if kind == "http":
-        if "url" not in spec or "dimension" not in spec:
-            raise ConfigError("http provider requires 'url' and 'dimension'")
-        return HttpProvider(spec["url"], int(spec["dimension"]),
-                            auth_token=spec.get("auth"),
-                            concurrency=int(spec.get("concurrency", 8)))
-    raise ConfigError(f"unknown embedding provider kind {kind!r}")
+    kind, args = spec_arguments(spec)
+    return PROVIDER_SPECS[kind][0](**args)
 
 
 def anchor_centroid(phrases: Iterable[str], provider) -> np.ndarray:

@@ -13,12 +13,13 @@ import io
 import json
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import requests
 
+from .config import from_json
 from .errors import (
     ConfigError,
     EndpointUnreachableError,
@@ -71,18 +72,7 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceSpec":
-        known = {
-            "path_or_url", "format", "date_field", "text_field",
-            "api_page_size", "api_date_range", "api_page_param",
-            "api_items_field", "api_token",
-        }
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown source manifest keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "api_date_range" in kwargs and kwargs["api_date_range"] is not None:
-            kwargs["api_date_range"] = tuple(kwargs["api_date_range"])
-        return cls(**kwargs)
+        return from_json(cls, d, "source manifest entry")
 
 
 @dataclass
@@ -93,12 +83,7 @@ class SourceCounts:
     duplicates_removed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "emitted": self.emitted,
-            "skipped": self.skipped,
-            "dropped_empty": self.dropped_empty,
-            "duplicates_removed": self.duplicates_removed,
-        }
+        return asdict(self)
 
 
 def load_manifest(path: str | Path) -> list[SourceSpec]:
@@ -425,7 +410,3 @@ class Deduplicator:
                 continue
             self._seen.add(key)
             yield rec
-
-
-def deduplicate(records: Iterable[RawRecord]) -> Iterator[RawRecord]:
-    return Deduplicator().filter(records)

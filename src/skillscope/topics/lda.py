@@ -29,12 +29,12 @@ class LdaConfig:
     beta: float = 0.01
     iterations: int = 1000
     seed: int = 0
-    vocab_min_df: int = 1
-    vocab_max_df_fraction: float = 1.0
+    vocab_min_df: int = 2
+    vocab_max_df_fraction: float = 0.9
 
     def __post_init__(self):
         if self.K < 1:
-            raise ConfigError("K must be >= 1")
+            raise ConfigError("LDA K must be >= 1")
         if self.alpha is None:
             self.alpha = 50.0 / self.K
         if self.alpha <= 0 or self.beta <= 0:

@@ -17,7 +17,7 @@ from skillscope.cleanse import cleanse
 from skillscope.embed import HashedProvider
 from skillscope.fixtures import YEARS, _prevalence, generate_rows, write_demo_corpus
 from skillscope.framing import AnchorCentroids, frame_document
-from skillscope.ingest import RawRecord, deduplicate
+from skillscope.ingest import Deduplicator, RawRecord
 from skillscope.skills import aggregate_yearly, detect_skills
 from skillscope.taxonomy import (
     SECTOR_NAMES,
@@ -110,7 +110,7 @@ def test_03_skill_extraction_oracle_equivalence(report):
 def test_04_trend_recovery(report):
     rows = generate_rows(n=2000, seed=42)
     records = [RawRecord(f"g:{i}", d, t, "csv") for i, (d, t) in enumerate(rows)]
-    postings, _ = cleanse(list(deduplicate(records)))
+    postings, _ = cleanse(list(Deduplicator().filter(records)))
     matcher = CompiledMatcher.from_taxonomy(load_taxonomy())
     yearly = aggregate_yearly((detect_skills(p, matcher), p.year) for p in postings)
     ai = [y.rate["AI_Data"] for y in yearly]

@@ -7,7 +7,6 @@ from skillscope.arima import (
     arima_fit,
     arima_forecast,
     css_residuals,
-    difference,
     psi_weights,
 )
 from skillscope.errors import ConfigError, SeriesTooShortError
@@ -27,14 +26,6 @@ class TestSpec:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             ArimaSpec(1, 0, 0, smoothing_alpha=1.5)
-
-
-class TestDifference:
-    def test_first_difference(self):
-        assert difference(np.array([1.0, 4.0, 9.0, 16.0]), 1).tolist() == [3.0, 5.0, 7.0]
-
-    def test_second_difference(self):
-        assert difference(np.array([1.0, 4.0, 9.0, 16.0]), 2).tolist() == [2.0, 2.0]
 
 
 class TestCssResiduals:

@@ -153,6 +153,15 @@ class TestCleanseConfig:
         cfg = CleanseConfig.from_file(f)
         assert cfg.min_tokens == 10 and cfg.year_range == (2019, 2024)
 
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"min_tokens": "x"}',
+                                      '{"min_tokens": 2.5}', '{"year_range": [2018]}',
+                                      '{"boilerplate_patterns": "Apply now"}'])
+    def test_from_file_rejects_bad_json_shape_and_type(self, tmp_path, text):
+        f = tmp_path / "c.json"
+        f.write_text(text)
+        with pytest.raises(ConfigError):
+            CleanseConfig.from_file(f)
+
     @pytest.mark.parametrize("kw", [{"min_tokens": 0},
                                     {"english_confidence_threshold": 1.5},
                                     {"year_range": (2025, 2018)},

@@ -9,10 +9,13 @@ import pytest
 
 from skillscope import cli, ingest
 from skillscope.cli import (
+    CONFIG_FIELDS,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_MISSING_UPSTREAM,
     EXIT_OK,
+    MODEL_FIELDS,
     PIPELINE,
     RunConfig,
     count_rows,
@@ -166,6 +169,66 @@ class TestErrors:
         assert str(tmp_path / "b" / "postings.csv") in err
         assert not (tmp_path / "results" / "raw_records.ndjson").exists()
 
+    @pytest.mark.parametrize("field, value, code, named", [
+        ("lda", {"iterations": 1.5}, EXIT_CONFIG, "iterations"),
+        ("kmeans", {"K": 2.7}, EXIT_CONFIG, "K"),
+        ("lda", {"K": True}, EXIT_CONFIG, "K"),
+        ("seed", 1.9, EXIT_CONFIG, "seed"),
+        ("lda", {"K": "six"}, EXIT_CONFIG, "K"),
+        ("lda", {"alpha": "x"}, EXIT_CONFIG, "alpha"),
+        ("lda", {"beta": float("nan")}, EXIT_CONFIG, "beta"),
+        ("forecast", {"horizon": "x"}, EXIT_CONFIG, "horizon"),
+        ("lda", {"K": 0}, EXIT_CONFIG, "K"),
+        ("forecast", {"horizon": 0}, EXIT_CONFIG, "horizon"),
+        ("forecast", {"smoothing_alpha": 1.5}, EXIT_CONFIG, "smoothing_alpha"),
+        ("embedding", {"dimension": 0}, EXIT_CONFIG, "dimension"),
+        ("embedding", {"dimension": 2.5}, EXIT_CONFIG, "dimension"),
+        ("cleanse_config", "{not json", EXIT_CONFIG, "cleanse config"),
+        ("cleanse_config", "[]", EXIT_CONFIG, "cleanse config"),
+        ("cleanse_config", '{"min_tokens": "x"}', EXIT_CONFIG, "min_tokens"),
+        ("cleanse_config", '{"year_range": [2018]}', EXIT_CONFIG, "year_range"),
+        ("sources", {"api_page_size": "x"}, EXIT_CONFIG, "api_page_size"),
+        ("kmeans", {"K": 500}, EXIT_DATA, "kmeans K 500")])
+    def test_bad_value_stops_before_writing(self, tmp_path, capsys, field, value, code,
+                                            named):
+        run = write_demo_corpus(tmp_path, n=60)
+        valid = json.loads(run.read_text())
+        if field == "cleanse_config":
+            (tmp_path / "cleanse.json").write_text(value)
+            value = str(tmp_path / "cleanse.json")
+        elif field == "sources":
+            (spec,) = json.loads((tmp_path / "sources.json").read_text())
+            (tmp_path / "sources.json").write_text(json.dumps([{**spec, **value}]))
+            value = valid["sources"]
+        elif isinstance(value, dict):
+            value = {**valid[field], **value}
+        run.write_text(json.dumps({**valid, field: value}))
+        assert main(["all", "--config", str(run)]) == code
+        assert named in capsys.readouterr().err
+        out = tmp_path / "results"
+        if code == EXIT_DATA:  # past the data: the stages before topics ran
+            assert not any((out / name).exists() for name in PIPELINE["topics"].outputs)
+        else:
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_unexpected_exception_is_exit_5_on_one_line(self, tmp_path, capsys,
+                                                        monkeypatch):
+        run = write_demo_corpus(tmp_path, n=60)
+        monkeypatch.setattr(cli, "load_manifest", lambda path: 1 / 0)
+        assert main(["ingest", "--config", str(run)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ZeroDivisionError" in err
+
+    def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
+        run = write_demo_corpus(tmp_path, n=60)
+
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_manifest", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["ingest", "--config", str(run)])
+
 
 class TestDensityBounds:
     @pytest.mark.parametrize("density", [
@@ -192,7 +255,7 @@ class TestDensityBounds:
         copy_artifacts(results_dir(demo_dir), out, ["postings.ndjson"])
         assert main(["topics", "--config", str(run), "--out", str(out)]) == EXIT_DATA
         assert key in capsys.readouterr().err
-        assert not (out / "density_topics.json").exists()
+        assert not any((out / name).exists() for name in PIPELINE["topics"].outputs)
 
 
 class TestDeterminism:
@@ -363,6 +426,23 @@ class TestConfigPlumbing:
         assert main(["ingest", "--config", str(tmp_path / "run.json"),
                      "--out", str(tmp_path / "flagout")]) == EXIT_OK
         assert (tmp_path / "flagout" / "raw_records.ndjson").exists()
+
+    def test_readme_lists_each_config_key(self):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Configuration"):]
+        rows = {m[1]: (m[2], m[3]) for m in re.finditer(
+            r"^\| `([\w.]+)` \| ([^|]*) \| ([^|]*) \|", section[:section.index("\n## ")],
+            re.MULTILINE)}
+        declared = {**{k: f for k, f in CONFIG_FIELDS.items() if k not in MODEL_FIELDS},
+                    **{f"{m}.{k}": f for m, fields in MODEL_FIELDS.items()
+                       for k, f in fields.items()}}
+        assert sorted(rows) == sorted(declared)
+        words = {int: "integer", float: "number", str: "string", str | None: "path",
+                 dict: "object"}
+        for key, (kind, default, _) in declared.items():
+            assert rows[key][0] == words[kind], key
+            if default is not None and kind is not dict:
+                assert rows[key][1] == f"`{json.dumps(default)}`", key
 
     def test_validate_defaults_ok(self, capsys):
         assert main(["validate"]) == EXIT_OK

@@ -244,3 +244,20 @@ class TestProviderFromSpec:
     def test_file_requires_path(self):
         with pytest.raises(ConfigError):
             provider_from_spec({"kind": "file"})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "hashed", "dimension": 2.5}, {"kind": "hashed", "seed": True},
+        {"kind": "hashed", "dimension": 0}, {"kind": "http", "dimension": 8},
+        {"kind": "http", "url": "http://svc", "dimension": 0},
+        {"kind": "http", "url": "http://svc", "dimension": 8, "concurrency": 0},
+        {"kind": "http", "url": "http://svc", "dimension": 8, "auth": 5},
+        {"kind": ["hashed"]}])
+    def test_bad_spec_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            provider_from_spec(spec)
+
+    def test_http_spec_reaches_the_provider(self):
+        p = provider_from_spec({"kind": "http", "url": "http://svc", "dimension": 8,
+                                "auth": "t", "concurrency": 2})
+        assert (p.url, p.dimension, p.concurrency) == ("http://svc", 8, 2)
+        assert p._headers["Authorization"] == "Bearer t"

@@ -18,7 +18,6 @@ from skillscope.ingest import (
     SourceCounts,
     SourceSpec,
     dedup_key,
-    deduplicate,
     fetch_api,
     load_manifest,
     parse_file,
@@ -109,6 +108,18 @@ class TestSourceSpec:
             SourceSpec.from_dict({"path_or_url": "x", "format": "csv",
                                   "date_field": "d", "text_field": "t", "bogus": 1})
 
+    @pytest.mark.parametrize("change", [{"api_page_size": "x"}, {"api_page_size": 2.5},
+                                        {"api_date_range": ["2020-01-01"]},
+                                        {"text_field": None}])
+    def test_wrong_type_rejected(self, change):
+        with pytest.raises(ConfigError):
+            SourceSpec.from_dict({"path_or_url": "x", "format": "csv", "date_field": "d",
+                                  "text_field": "t", **change})
+
+    def test_missing_required_key_rejected(self):
+        with pytest.raises(ConfigError, match="text_field"):
+            SourceSpec.from_dict({"path_or_url": "x", "format": "csv", "date_field": "d"})
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             SourceSpec("x", "parquet", "d", "t")
@@ -191,12 +202,12 @@ def rec(text, n):
 class TestDeduplicate:
     def test_casing_and_spacing_variant_removed_first_kept(self):
         records = [rec("Data  Entry Role", 0), rec("data entry role", 1)]
-        out = list(deduplicate(records))
+        out = list(Deduplicator().filter(records))
         assert len(out) == 1 and out[0].source_id == "s:0"
 
     def test_distinct_texts_all_survive(self):
         records = [rec(f"unique text {i}", i) for i in range(100)]
-        assert len(list(deduplicate(records))) == 100
+        assert len(list(Deduplicator().filter(records))) == 100
 
     def test_five_planted_pairs_leave_fifteen(self):
         texts = [f"base text variant {i}" for i in range(15)]
@@ -204,7 +215,7 @@ class TestDeduplicate:
         for i in range(5):  # plant a duplicate of the first five
             stream.append(texts[i].upper())
         records = [rec(t, i) for i, t in enumerate(stream)]
-        survivors = list(deduplicate(records))
+        survivors = list(Deduplicator().filter(records))
         # oracle: brute-force pairwise comparison of normalized texts
         expected = []
         for r in records:
@@ -226,7 +237,7 @@ class TestDeduplicate:
     @settings(max_examples=60, deadline=None)
     def test_dedup_is_idempotent_and_matches_key_count(self, texts):
         records = [rec(t, i) for i, t in enumerate(texts)]
-        once = list(deduplicate(records))
-        twice = list(deduplicate(once))
+        once = list(Deduplicator().filter(records))
+        twice = list(Deduplicator().filter(once))
         assert once == twice
         assert len(once) == len({dedup_key(t) for t in texts})
