@@ -122,8 +122,10 @@ class RunConfig:
         for field in FILE_FIELDS:
             if top[field] is not None and not Path(top[field]).exists():
                 raise ConfigError(f"config field {field!r}: file not found: {top[field]}")
-        self.sources, self.taxonomy, self.anchors, self.sectors = (
-            top["sources"], top["taxonomy"], top["anchors"], top["sectors"])
+        self.sources = top["sources"]
+        self.taxonomy, self.anchors, self.sectors = (
+            load_taxonomy(top["taxonomy"]), load_anchors(top["anchors"]),
+            load_sectors(top["sectors"]))
         self.cleanse = (CleanseConfig.from_file(top["cleanse_config"])
                         if top["cleanse_config"] else CleanseConfig())
         self.embedding = dict(top["embedding"])
@@ -262,14 +264,17 @@ def load_flags(out: Path, postings: list[Posting]
             {d["posting_id"]: d["sector"] for d in rows})
 
 
-def embed_postings(cfg: RunConfig, postings: list[Posting]):
+def embedding_provider(cfg: RunConfig):
     spec = dict(cfg.embedding)
     if spec.get("kind", "hashed") == "hashed" and "seed" not in spec:
         spec["seed"] = derive_seed(cfg.seed, "embedding")
-    provider = provider_from_spec(spec)
+    return provider_from_spec(spec)
+
+
+def embed_postings(provider, postings: list[Posting]) -> dict[str, np.ndarray]:
     vectors = provider.embed_batch([p.description for p in postings],
                                    keys=[p.id for p in postings])
-    return provider, dict(zip((p.id for p in postings), vectors))
+    return dict(zip((p.id for p in postings), vectors))
 
 
 def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
@@ -293,7 +298,8 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
         if spec.format != "api":
             return list(parse_file(spec, counts=counts)), counts, {}
         stats = ApiClientStats()
-        return list(fetch_api(spec, counts=counts, stats=stats)), counts, asdict(stats)
+        return (list(fetch_api(spec, counts=counts, stats=stats,
+                               date_order=cfg.cleanse.date_order)), counts, asdict(stats))
 
     if jobs > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -327,9 +333,9 @@ def stage_cleanse(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
 def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
-    matcher = CompiledMatcher.from_taxonomy(load_taxonomy(cfg.taxonomy))
+    matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
     flags = [detect_skills(p, matcher) for p in postings]
-    sectors = sector_totals(postings, load_sectors(cfg.sectors))
+    sectors = sector_totals(postings, cfg.sectors)
     write_ndjson(out / "skill_flags.ndjson",
                  ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
                   for f in flags))
@@ -347,9 +353,9 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
         raise DataError("no postings to frame")
     sectors = {d["posting_id"]: d["sector"] for d in read_flag_rows(out, postings)
                if d["sector"] is not None}
-    provider, vectors = embed_postings(cfg, postings)
-    anchors = load_anchors(cfg.anchors)
-    centroids = AnchorCentroids.from_anchors(anchors, provider)
+    provider = embedding_provider(cfg)
+    vectors = embed_postings(provider, postings)
+    centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
     results = [frame_document(vectors[p.id], centroids, posting_id=p.id) for p in postings]
     write_ndjson(out / "framing.ndjson", map(asdict, results))
 
@@ -383,6 +389,11 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     for name, value in (("kmeans K", cfg.kmeans["K"]), ("density min_cluster_size", mcs)):
         if value > len(postings):
             raise DataError(f"{name} {value} exceeds the {len(postings)} postings")
+    provider = embedding_provider(cfg)
+    k_reduced = cfg.density["k_reduced"]
+    if k_reduced >= provider.dimension:
+        raise DataError(f"density k_reduced {k_reduced} must be below the "
+                        f"embedding dimension {provider.dimension}")
     texts = [p.description for p in postings]
     years = [p.year for p in postings]
 
@@ -390,12 +401,8 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     dtm = build_dtm(texts, min_df=lda_cfg.vocab_min_df,
                     max_df_fraction=lda_cfg.vocab_max_df_fraction)
     lda = lda_fit(dtm, lda_cfg)
-    _, vectors = embed_postings(cfg, postings)
+    vectors = embed_postings(provider, postings)
     emb = np.array([vectors[p.id] for p in postings])
-    k_reduced = cfg.density["k_reduced"]
-    if k_reduced >= emb.shape[1]:
-        raise DataError(f"density k_reduced {k_reduced} must be below the "
-                        f"embedding dimension {emb.shape[1]}")
     km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
     dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
                         seed=derive_seed(cfg.seed, "topics.density"))

@@ -1,6 +1,7 @@
 """One type rule for every JSON config file: an int field takes neither a
 bool nor a float, so no float is truncated; a float field takes an int but no
-NaN or infinity; a tuple field takes an array of its length."""
+NaN or infinity; only a bool field takes true or false; a tuple field takes an
+array of its length."""
 
 from __future__ import annotations
 
@@ -22,29 +23,30 @@ def conforms(value, kind) -> bool:
             else len(value) == len(args) and all(map(conforms, value, args)))
     if kind is float:
         return type(value) is int or type(value) is float and math.isfinite(value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 REQUIRED = object()  # the default of a field that has none
 
 
-def check_fields(obj, fields: dict[str, tuple], where: str) -> dict:
+def check_fields(obj, fields: dict[str, tuple], where: str, error=ConfigError) -> dict:
     """The values of JSON object ``obj``, each checked against its field's
-    ``(type, default, lowest value)``, with the defaults filled in."""
+    ``(type, default, lowest value)``, with the defaults filled in; a
+    violation raises ``error``."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise error(f"{where} must be a JSON object")
     unknown = set(obj) - fields.keys()
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
     values = {}
     for key, (kind, default, low) in fields.items():
         if key not in obj and default is REQUIRED:
-            raise ConfigError(f"{where}: {key} is required")
+            raise error(f"{where}: {key} is required")
         value = obj.get(key, default)
         if key in obj and not (conforms(value, kind) and (low is None or value >= low)):
             name = kind.__name__ if type(kind) is type else kind
-            raise ConfigError(f"{where}: {key} must be {name}"
-                              f"{'' if low is None else f' >= {low}'}, got {value!r}")
+            raise error(f"{where}: {key} must be {name}"
+                        f"{'' if low is None else f' >= {low}'}, got {value!r}")
         values[key] = float(value) if kind is float and value is not None else value
     return values
 

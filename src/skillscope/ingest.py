@@ -8,6 +8,7 @@ emitted + skipped + dropped_empty equals the number of logical input items.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 import requests
 
+from .cleanse import parse_date
 from .config import from_json
 from .errors import (
     ConfigError,
@@ -29,8 +31,7 @@ from .errors import (
 
 SOURCE_FORMATS = ("csv", "xml", "json", "ldjson", "api")
 
-_DATE_FLOOR = "2000-01-01"
-_DATE_CEIL = "2100-01-01"
+_DATE_BOUNDS = (dt.date(2000, 1, 1), dt.date(2100, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,14 @@ class SourceSpec:
         if self.api_page_size is not None and self.api_page_size <= 0:
             raise ConfigError("api_page_size must be positive")
         if self.api_date_range is not None:
-            start, end = self.api_date_range
-            if not (_DATE_FLOOR <= start <= end <= _DATE_CEIL):
+            try:
+                start, end = map(dt.date.fromisoformat, self.api_date_range)
+                if [start.isoformat(), end.isoformat()] != list(self.api_date_range):
+                    raise ValueError  # another ISO form, which only newer Pythons read
+            except ValueError:
+                raise ConfigError(f"api_date_range {self.api_date_range} must be two "
+                                  "ISO dates (YYYY-MM-DD)") from None
+            if not (_DATE_BOUNDS[0] <= start <= end <= _DATE_BOUNDS[1]):
                 raise ConfigError(f"api_date_range {self.api_date_range} out of order/bounds")
 
     @property
@@ -290,12 +297,16 @@ def fetch_api(
     stats: ApiClientStats | None = None,
     backoff_base: float = 0.5,
     max_attempts: int = 3,
+    date_order: str = "DMY",
 ) -> Iterator[RawRecord]:
     """Paginate a REST endpoint until it reports no more items.
 
     Each page is requested up to ``max_attempts`` times with exponential
     backoff on 5xx/429/transport errors; a page that still fails is fatal.
-    A page whose body lacks the items array is skipped and counted.
+    A page whose body lacks the items array is skipped and counted. With
+    ``api_date_range``, a record whose date parses as ``cleanse`` parses it
+    (``date_order`` breaks NN/NN/YYYY ties) outside the range is skipped; one
+    whose date does not parse is kept, for ``cleanse`` to count.
     """
     if spec.format != "api":
         raise ConfigError("fetch_api requires format 'api'")
@@ -307,6 +318,7 @@ def fetch_api(
             transport = ReplayTransport.from_file(spec.path_or_url)
         else:
             transport = http_transport
+    date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
     headers = {}
     if spec.api_token:
         headers["Authorization"] = f"Bearer {spec.api_token}"
@@ -336,11 +348,10 @@ def fetch_api(
                     counts.skipped += 1
                     continue
                 raw_date, raw_text = item
-                if spec.api_date_range and raw_date:
-                    start, end = spec.api_date_range
-                    if not (start <= raw_date[:10] <= end):
-                        counts.skipped += 1
-                        continue
+                day = date_range and parse_date(raw_date, date_order)
+                if day and not (date_range[0] <= day <= date_range[1]):
+                    counts.skipped += 1
+                    continue
                 if not raw_text.strip():
                     counts.dropped_empty += 1
                     continue
@@ -405,7 +416,7 @@ class Deduplicator:
             key = dedup_key(rec.raw_text)
             if key in self._seen:
                 self.removed += 1
-                src = rec.source_id.split(":", 1)[0]
+                src = rec.source_id.rsplit(":", 1)[0]  # a name may hold ":"
                 self.removed_by_source[src] = self.removed_by_source.get(src, 0) + 1
                 continue
             self._seen.add(key)

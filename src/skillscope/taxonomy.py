@@ -2,17 +2,24 @@
 the nine-sector trigger vocabulary, plus the token-based phrase matcher.
 
 Lexicons are data, not code: defaults ship as JSON files under
-skillscope/data and can be replaced wholesale. Entries beyond the documented
-core terms carry "extended": true so they are distinguishable padding.
+skillscope/data and can be replaced wholesale. A loader checks its whole file
+with the type rule of ``skillscope.config`` (the field tables below), and
+``RunConfig`` loads all three before any stage runs. In each file every named
+group (skill category, anchor group or sector) is present and non-empty and
+no other group is; every phrase is a non-empty string that yields at least
+one token; and no phrase is in two groups. Entries beyond the documented core
+terms carry "extended": true so they are distinguishable padding; the key is
+type-checked and not otherwise read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .config import REQUIRED, check_fields, conforms
 from .errors import DuplicatePatternError, EmptyCategoryError, PatternCompileError, SchemaError
 from .text import tokenize
 
@@ -20,6 +27,15 @@ SKILL_CATEGORIES = ("AI_Data", "Routine", "Soft_Meta", "Domain_Specific", "Leade
 SECTOR_NAMES = ("IT", "Healthcare", "Legal", "Education", "Design",
                 "Finance", "Logistics", "Sales", "Management")
 ANCHOR_GROUPS = ("ai_anchors", "augment_anchors", "automate_anchors")
+
+# Each key of a lexicon object: (type, default, lowest value), as in run.json.
+# The anchors file's top level is its three groups.
+TAXONOMY_FIELDS = {"version": (str, None, None), "categories": (dict, REQUIRED, None)}
+SKILL_FIELDS = {"surface": (str, REQUIRED, None), "variants": (list[str], [], None),
+                "extended": (bool, False, None)}
+# a phrase entry is a string or an object of these keys
+PHRASE_FIELDS = {"phrase": (str, REQUIRED, None), "extended": (bool, False, None)}
+SECTOR_FIELDS = {"priority": (list[str], REQUIRED, None), "sectors": (dict, REQUIRED, None)}
 
 
 def default_path(name: str) -> Path:
@@ -30,7 +46,6 @@ def default_path(name: str) -> Path:
 class SkillPattern:
     surface: str
     variants: tuple[str, ...] = ()
-    extended: bool = False
 
     def phrases(self) -> tuple[str, ...]:
         return (self.surface,) + self.variants
@@ -39,23 +54,6 @@ class SkillPattern:
 @dataclass
 class SkillTaxonomy:
     categories: dict[str, list[SkillPattern]]
-    version: str = "1.0"
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "categories": {
-                cat: [
-                    {
-                        "surface": p.surface,
-                        **({"variants": list(p.variants)} if p.variants else {}),
-                        **({"extended": True} if p.extended else {}),
-                    }
-                    for p in pats
-                ]
-                for cat, pats in self.categories.items()
-            },
-        }
 
 
 @dataclass
@@ -63,159 +61,87 @@ class AnchorSet:
     ai_anchors: list[str]
     augment_anchors: list[str]
     automate_anchors: list[str]
-    extended: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def group(name, phrases):
-            ext = set(self.extended.get(name, []))
-            return [p if p not in ext else {"phrase": p, "extended": True} for p in phrases]
-
-        return {name: group(name, getattr(self, name)) for name in ANCHOR_GROUPS}
 
 
 @dataclass
 class SectorLexicon:
     sectors: dict[str, list[str]]
     priority: list[str]
-    extended: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "priority": list(self.priority),
-            "sectors": {
-                name: [
-                    p if p not in set(self.extended.get(name, []))
-                    else {"phrase": p, "extended": True}
-                    for p in phrases
-                ]
-                for name, phrases in self.sectors.items()
-            },
-        }
 
 
-def _read_json(path: str | Path, known: set[str]) -> dict:
-    """A lexicon file's top-level object; unknown keys are rejected."""
+def phrase_tokens(phrase: str, where: str = "pattern") -> tuple[str, ...]:
+    toks = tuple(tokenize(phrase))
+    if not toks:
+        raise PatternCompileError(phrase, f"{where} has no tokens after tokenization")
+    return toks
+
+
+def _read_json(path: str | Path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot load lexicon {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: must be a JSON object")
-    unknown = set(doc) - known
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-    return doc
 
 
-def _phrase_entry(entry, where: str) -> tuple[str, bool]:
-    if isinstance(entry, str):
-        phrase, extended = entry, False
-    elif isinstance(entry, dict) and isinstance(entry.get("phrase"), str):
-        phrase, extended = entry["phrase"], bool(entry.get("extended", False))
-    else:
-        raise SchemaError(f"{where}: entry must be a string or {{phrase, extended}}, got {entry!r}")
-    if not phrase:
-        raise SchemaError(f"{where}: empty phrase")
-    return phrase, extended
+def _skill(entry, where: str) -> tuple[SkillPattern, tuple[str, ...]]:
+    e = check_fields(entry, SKILL_FIELDS, where, SchemaError)
+    if e["surface"] in e["variants"]:
+        raise SchemaError(f"{where}: variant equals surface")
+    pattern = SkillPattern(e["surface"], tuple(e["variants"]))
+    return pattern, pattern.phrases()
+
+
+def _phrase(entry, where: str) -> tuple[str, tuple[str, ...]]:
+    phrase = (entry if conforms(entry, str)
+              else check_fields(entry, PHRASE_FIELDS, where, SchemaError)["phrase"])
+    return phrase, (phrase,)
+
+
+def _groups(obj, names: tuple[str, ...], entry, where: str) -> dict[str, list]:
+    """Each group named in ``names`` of JSON object ``obj``, as the list of
+    the values ``entry(item, where)`` returns for its items; ``entry`` also
+    returns each item's phrases, which are checked here."""
+    groups = check_fields(obj, {name: (list, REQUIRED, None) for name in names},
+                          where, SchemaError)
+    seen: dict[str, str] = {}
+    parsed = {}
+    for name in names:
+        if not groups[name]:
+            raise EmptyCategoryError(f"{where}: {name!r} is empty")
+        parsed[name] = []
+        for i, item in enumerate(groups[name]):
+            at = f"{where}: {name}[{i}]"
+            value, phrases = entry(item, at)
+            for phrase in phrases:
+                if not phrase:
+                    raise SchemaError(f"{at}: empty phrase")
+                phrase_tokens(phrase, at)
+                if seen.setdefault(phrase, name) != name:
+                    raise DuplicatePatternError(
+                        f"{where}: {phrase!r} appears in both {seen[phrase]} and {name}")
+            parsed[name].append(value)
+    return parsed
 
 
 def load_taxonomy(path: str | Path | None = None) -> SkillTaxonomy:
     path = path or default_path("taxonomy")
-    doc = _read_json(path, {"version", "categories"})
-    cats = doc.get("categories")
-    if not isinstance(cats, dict):
-        raise SchemaError(f"{path}: missing 'categories' object")
-    missing = [c for c in SKILL_CATEGORIES if c not in cats]
-    if missing:
-        raise SchemaError(f"{path}: missing categories {missing}")
-    extra = [c for c in cats if c not in SKILL_CATEGORIES]
-    if extra:
-        raise SchemaError(f"{path}: unknown categories {extra}")
-
-    categories: dict[str, list[SkillPattern]] = {}
-    seen: dict[str, str] = {}
-    for cat in SKILL_CATEGORIES:
-        pats = []
-        entries = cats[cat]
-        if not isinstance(entries, list) or not entries:
-            raise EmptyCategoryError(f"{path}: category {cat!r} is empty")
-        for i, entry in enumerate(entries):
-            where = f"{cat}[{i}]"
-            if not isinstance(entry, dict) or not isinstance(entry.get("surface"), str):
-                raise SchemaError(f"{path}: {where}: expected object with 'surface'")
-            surface = entry["surface"]
-            if not surface:
-                raise SchemaError(f"{path}: {where}: empty surface")
-            variants = tuple(entry.get("variants", []))
-            if surface in variants:
-                raise SchemaError(f"{path}: {where}: variant equals surface")
-            for phrase in (surface,) + variants:
-                if phrase in seen and seen[phrase] != cat:
-                    raise DuplicatePatternError(
-                        f"{path}: {phrase!r} appears in both {seen[phrase]} and {cat} ({where})"
-                    )
-                seen[phrase] = cat
-            pats.append(SkillPattern(surface, variants, bool(entry.get("extended", False))))
-        categories[cat] = pats
-    return SkillTaxonomy(categories=categories, version=str(doc.get("version", "1.0")))
+    doc = check_fields(_read_json(path), TAXONOMY_FIELDS, str(path), SchemaError)
+    return SkillTaxonomy(_groups(doc["categories"], SKILL_CATEGORIES, _skill,
+                                 f"{path}: categories"))
 
 
 def load_anchors(path: str | Path | None = None) -> AnchorSet:
     path = path or default_path("anchors")
-    doc = _read_json(path, set(ANCHOR_GROUPS))
-    groups: dict[str, list[str]] = {}
-    extended: dict[str, list[str]] = {}
-    for key in ANCHOR_GROUPS:
-        entries = doc.get(key)
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError(f"{path}: {key} must be a non-empty list")
-        phrases, ext = [], []
-        for i, entry in enumerate(entries):
-            phrase, is_ext = _phrase_entry(entry, f"{key}[{i}]")
-            phrases.append(phrase)
-            if is_ext:
-                ext.append(phrase)
-        groups[key] = phrases
-        extended[key] = ext
-    for a, b in (("ai_anchors", "augment_anchors"),
-                 ("ai_anchors", "automate_anchors"),
-                 ("augment_anchors", "automate_anchors")):
-        overlap = set(groups[a]) & set(groups[b])
-        if overlap:
-            raise DuplicatePatternError(f"{path}: {sorted(overlap)} in both {a} and {b}")
-    return AnchorSet(**groups, extended=extended)
+    return AnchorSet(**_groups(_read_json(path), ANCHOR_GROUPS, _phrase, str(path)))
 
 
 def load_sectors(path: str | Path | None = None) -> SectorLexicon:
     path = path or default_path("sectors")
-    doc = _read_json(path, {"priority", "sectors"})
-    sectors_doc = doc.get("sectors")
-    if not isinstance(sectors_doc, dict):
-        raise SchemaError(f"{path}: missing 'sectors' object")
-    missing = [s for s in SECTOR_NAMES if s not in sectors_doc]
-    if missing:
-        raise SchemaError(f"{path}: missing sectors {missing}")
-    extra = [s for s in sectors_doc if s not in SECTOR_NAMES]
-    if extra:
-        raise SchemaError(f"{path}: unknown sectors {extra}")
-    priority = doc.get("priority")
-    if not isinstance(priority, list) or sorted(priority) != sorted(SECTOR_NAMES):
+    doc = check_fields(_read_json(path), SECTOR_FIELDS, str(path), SchemaError)
+    if sorted(doc["priority"]) != sorted(SECTOR_NAMES):
         raise SchemaError(f"{path}: priority must be a total order over the nine sectors")
-    sectors: dict[str, list[str]] = {}
-    extended: dict[str, list[str]] = {}
-    for name in SECTOR_NAMES:
-        entries = sectors_doc[name]
-        if not isinstance(entries, list) or not entries:
-            raise EmptyCategoryError(f"{path}: sector {name!r} has no triggers")
-        phrases, ext = [], []
-        for i, entry in enumerate(entries):
-            phrase, is_ext = _phrase_entry(entry, f"{name}[{i}]")
-            phrases.append(phrase)
-            if is_ext:
-                ext.append(phrase)
-        sectors[name] = phrases
-        extended[name] = ext
-    return SectorLexicon(sectors=sectors, priority=list(priority), extended=extended)
+    return SectorLexicon(_groups(doc["sectors"], SECTOR_NAMES, _phrase, f"{path}: sectors"),
+                         doc["priority"])
 
 
 class CompiledMatcher:
@@ -232,9 +158,7 @@ class CompiledMatcher:
         self.labels = tuple(patterns)
         for label, phrases in patterns.items():
             for phrase in phrases:
-                toks = tuple(tokenize(phrase))
-                if not toks:
-                    raise PatternCompileError(phrase, "no tokens after tokenization")
+                toks = phrase_tokens(phrase)
                 self._index.setdefault(toks[0], []).append((toks, label, phrase))
 
     @classmethod

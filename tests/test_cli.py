@@ -26,7 +26,7 @@ from skillscope.cli import (
     run_stage,
 )
 from skillscope.fixtures import write_demo_corpus
-from skillscope.taxonomy import load_sectors
+from skillscope.taxonomy import default_path, load_sectors
 from skillscope.trends import sector_totals
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -211,6 +211,35 @@ class TestErrors:
         else:
             assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("name, group, entry", [
+        ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variants": "ml"}),
+        ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variant": ["foo bar"]}),
+        ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variants": [5]}),
+        ("taxonomy", ("categories", "AI_Data"), {"surface": "!!!"}),
+        ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "extended": "yes"}),
+        ("anchors", ("ai_anchors",), {"phrase": "x y", "extnded": True, "foo": 1}),
+        ("anchors", ("ai_anchors",), "&&"),
+        ("anchors", ("ai_anchors",), {"phrase": "x y", "extended": 1}),
+        ("sectors", ("sectors", "IT"), "lawyer")])  # also a Legal trigger
+    def test_bad_lexicon_is_invalid_and_stops_before_writing(self, tmp_path, capsys,
+                                                             name, group, entry):
+        doc = json.loads(default_path(name).read_text(encoding="utf-8"))
+        entries = doc
+        for key in group:
+            entries = entries[key]
+        entries.append(entry)
+        lexicon = tmp_path / "lexicon" / f"{name}.json"
+        lexicon.parent.mkdir()
+        lexicon.write_text(json.dumps(doc))
+        assert main(["validate", f"--{name}", str(lexicon)]) == EXIT_CONFIG
+        assert f"{name}: INVALID" in capsys.readouterr().out
+        run = write_demo_corpus(tmp_path, n=60)
+        run.write_text(json.dumps({**json.loads(run.read_text()), name: str(lexicon)}))
+        assert main(["all", "--config", str(run)]) == EXIT_CONFIG
+        assert str(lexicon) in capsys.readouterr().err
+        out = tmp_path / "results"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unexpected_exception_is_exit_5_on_one_line(self, tmp_path, capsys,
                                                         monkeypatch):
         run = write_demo_corpus(tmp_path, n=60)
@@ -256,6 +285,20 @@ class TestDensityBounds:
         assert main(["topics", "--config", str(run), "--out", str(out)]) == EXIT_DATA
         assert key in capsys.readouterr().err
         assert not any((out / name).exists() for name in PIPELINE["topics"].outputs)
+
+    def test_k_reduced_checked_before_the_lda_fit(self, demo_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("lda_fit called")
+
+        monkeypatch.setattr(cli, "lda_fit", no_fit)
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                   "embedding": {"kind": "hashed", "dimension": 4}}))
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, ["postings.ndjson"])
+        assert main(["topics", "--config", str(run), "--out", str(out)]) == EXIT_DATA
+        assert "k_reduced" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -334,7 +377,7 @@ class TestSectorLabels:
         for stage in ("framing", "sectors"):
             assert main([stage, "--config", str(demo_dir / "run.json"),
                          "--out", str(first)]) == EXIT_OK
-        lexicon = load_sectors().to_dict()
+        lexicon = json.loads(default_path("sectors").read_text(encoding="utf-8"))
         lexicon["priority"].reverse()
         reversed_path = tmp_path / "sectors.json"
         reversed_path.write_text(json.dumps(lexicon))
@@ -492,6 +535,22 @@ class TestReports:
                                       "pages_fetched": 3, "pages_skipped": 1}
         assert report["jobs"] == {"emitted": 1, "skipped": 0, "dropped_empty": 0,
                                   "duplicates_removed": 0}
+
+    def test_duplicates_charged_to_sources_whose_names_hold_a_colon(self, tmp_path):
+        run = write_demo_corpus(tmp_path, n=60)
+        (spec,) = json.loads((tmp_path / "sources.json").read_text())
+        for name in ("other.csv", "jobs:2024.csv"):  # the second repeats the first
+            shutil.copyfile(spec["path_or_url"], tmp_path / name)
+        (tmp_path / "sources.json").write_text(json.dumps(
+            [{**spec, "path_or_url": str(tmp_path / name)}
+             for name in ("other.csv", "jobs:2024.csv")]))
+        assert main(["ingest", "--config", str(run)]) == EXIT_OK
+        out = tmp_path / "results"
+        report = json.loads((out / "ingest_report.json").read_text())
+        removed = json.loads((out / "run_manifest.json").read_text()
+                             )["stages"]["ingest"]["counts"]["duplicates_removed"]
+        assert report["jobs:2024"]["duplicates_removed"] == report["jobs:2024"]["emitted"]
+        assert sum(r["duplicates_removed"] for r in report.values()) == removed
 
     def test_forecast_csv_shape(self, demo_dir):
         with open(results_dir(demo_dir) / "forecast.csv", newline="") as fh:

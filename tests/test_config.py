@@ -9,7 +9,8 @@ from skillscope.errors import ConfigError
 class TestConforms:
     @pytest.mark.parametrize("value, kind", [
         (3, int), (3, float), (2.5, float), ("x", str), (None, str | None),
-        ([2018, 2025], tuple[int, int]), (["a", "b"], list[str]), ([], list[str])])
+        ([2018, 2025], tuple[int, int]), (["a", "b"], list[str]), ([], list[str]),
+        (True, bool), (False, bool)])
     def test_accepts(self, value, kind):
         assert conforms(value, kind)
 
@@ -17,7 +18,8 @@ class TestConforms:
         (True, int), (False, float), (2.0, int), (2.7, int), ("3", int),
         (float("nan"), float), (float("inf"), float), (None, int),
         ([2018], tuple[int, int]), ([2018, "2025"], tuple[int, int]),
-        ((2018, 2025), tuple[int, int]), ("ab", list[str]), ([1], list[str])])
+        ((2018, 2025), tuple[int, int]), ("ab", list[str]), ([1], list[str]),
+        (1, bool), (0, bool), ("true", bool), (None, bool)])
     def test_rejects(self, value, kind):
         assert not conforms(value, kind)
 

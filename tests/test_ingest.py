@@ -110,7 +110,10 @@ class TestSourceSpec:
 
     @pytest.mark.parametrize("change", [{"api_page_size": "x"}, {"api_page_size": 2.5},
                                         {"api_date_range": ["2020-01-01"]},
-                                        {"text_field": None}])
+                                        {"text_field": None},
+                                        {"api_date_range": ["2022-1-1", "2022-12-31"]},
+                                        {"api_date_range": ["2022-01-01", "31/12/2022"]},
+                                        {"api_date_range": ["20220101", "2022-12-31"]}])
     def test_wrong_type_rejected(self, change):
         with pytest.raises(ConfigError):
             SourceSpec.from_dict({"path_or_url": "x", "format": "csv", "date_field": "d",
@@ -175,6 +178,19 @@ class TestFetchApi:
         records = list(fetch_api(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
                                  transport=transport))
         assert records == []
+
+    @pytest.mark.parametrize("date_order, slash", [("DMY", "05/03"), ("MDY", "03/05")])
+    def test_date_range_compares_dates_as_cleanse_parses_them(self, date_order, slash):
+        dated = {year: [f"{year}-03-05", f"{slash}/{year}", f"March 5, {year}"]
+                 for year in (2021, 2022)}
+        items = [(d, f"posting {d}") for year in (2021, 2022) for d in dated[year]]
+        items.append(("not a date", "posting with a date cleanse rejects"))
+        transport = ReplayTransport({"pages": [_page(items), {"data": []}]})
+        counts = SourceCounts()
+        records = list(fetch_api(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
+                                 transport=transport, counts=counts, date_order=date_order))
+        assert [r.raw_date for r in records] == dated[2022] + ["not a date"]
+        assert counts.skipped == 3
 
     def test_malformed_page_skipped(self):
         calls = [{"status": 200, "body": _page(_items(5))},

@@ -14,11 +14,17 @@ from skillscope.taxonomy import (
     SECTOR_NAMES,
     SKILL_CATEGORIES,
     CompiledMatcher,
+    default_path,
     load_anchors,
     load_sectors,
     load_taxonomy,
 )
 from skillscope.text import tokenize
+
+
+def bundled(name: str) -> dict:
+    """The bundled lexicon file ``name`` as a JSON document."""
+    return json.loads(default_path(name).read_text(encoding="utf-8"))
 
 
 def naive_match(text: str, patterns: dict[str, list[str]]) -> dict[str, set[str]]:
@@ -60,7 +66,7 @@ class TestLoaders:
             assert len(lex.sectors[name]) >= 8
 
     def test_missing_category_names_it(self, tmp_path):
-        doc = load_taxonomy().to_dict()
+        doc = bundled("taxonomy")
         del doc["categories"]["Leadership"]
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
@@ -68,7 +74,7 @@ class TestLoaders:
             load_taxonomy(f)
 
     def test_cross_category_duplicate_rejected(self, tmp_path):
-        doc = load_taxonomy().to_dict()
+        doc = bundled("taxonomy")
         doc["categories"]["Routine"].append({"surface": "python"})  # also in AI_Data
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
@@ -76,7 +82,7 @@ class TestLoaders:
             load_taxonomy(f)
 
     def test_empty_category_rejected(self, tmp_path):
-        doc = load_taxonomy().to_dict()
+        doc = bundled("taxonomy")
         doc["categories"]["Routine"] = []
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
@@ -84,7 +90,7 @@ class TestLoaders:
             load_taxonomy(f)
 
     def test_anchor_group_overlap_rejected(self, tmp_path):
-        doc = load_anchors().to_dict()
+        doc = bundled("anchors")
         doc["augment_anchors"].append("automation")  # already in automate
         f = tmp_path / "a.json"
         f.write_text(json.dumps(doc))
@@ -94,7 +100,7 @@ class TestLoaders:
     @pytest.mark.parametrize("loader,group", [(load_anchors, "augment_anchors"),
                                               (load_sectors, "Legal")])
     def test_empty_phrase_rejected(self, tmp_path, loader, group):
-        doc = loader().to_dict()
+        doc = bundled(loader.__name__.removeprefix("load_"))
         phrases = doc[group] if loader is load_anchors else doc["sectors"][group]
         phrases.append({"phrase": "", "extended": True})
         f = tmp_path / "lexicon.json"
@@ -107,7 +113,8 @@ class TestLoaders:
                                             (load_taxonomy, "categoris"),
                                             (load_sectors, "priorty")])
     def test_unknown_key_rejected(self, tmp_path, loader, key):
-        doc = {**loader().to_dict(), key: {"Legal": ["contract review"]}}
+        doc = {**bundled(loader.__name__.removeprefix("load_")),
+               key: {"Legal": ["contract review"]}}
         f = tmp_path / "lexicon.json"
         f.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=key):
@@ -121,19 +128,12 @@ class TestLoaders:
             loader(f)
 
     def test_sector_priority_must_be_permutation(self, tmp_path):
-        doc = load_sectors().to_dict()
+        doc = bundled("sectors")
         doc["priority"] = doc["priority"][:-1]
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             load_sectors(f)
-
-    def test_roundtrip_to_dict(self, tmp_path):
-        for loader, name in ((load_taxonomy, "t"), (load_anchors, "a"), (load_sectors, "s")):
-            obj = loader()
-            f = tmp_path / f"{name}.json"
-            f.write_text(json.dumps(obj.to_dict()))
-            assert loader(f).to_dict() == obj.to_dict()
 
 
 class TestCompiledMatcher:
