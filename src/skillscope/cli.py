@@ -36,7 +36,7 @@ from .cleanse import CleanseConfig, Posting, cleanse
 from .config import check_fields
 from .embed import provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
-from .framing import AnchorCentroids, FramingResult, aggregate_framing, frame_document
+from .framing import AnchorCentroids, frame_document
 from .ingest import (
     ApiClientStats,
     Deduplicator,
@@ -46,7 +46,7 @@ from .ingest import (
     load_manifest,
     parse_file,
 )
-from .skills import SkillFlags, aggregate_yearly, detect_skills
+from .skills import detect_skills, per_mille, rate_table
 from .taxonomy import (
     SKILL_CATEGORIES,
     CompiledMatcher,
@@ -254,16 +254,6 @@ def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
     return rows
 
 
-def load_flags(out: Path, postings: list[Posting]
-               ) -> tuple[dict[str, SkillFlags], dict[str, str | None]]:
-    """Skill flags and sector of each posting id, as ``extract`` wrote them."""
-    rows = read_flag_rows(out, postings)
-    return ({d["posting_id"]: SkillFlags(posting_id=d["posting_id"],
-                                         flags={c: bool(d[c]) for c in SKILL_CATEGORIES})
-             for d in rows},
-            {d["posting_id"]: d["sector"] for d in rows})
-
-
 def embedding_provider(cfg: RunConfig):
     spec = dict(cfg.embedding)
     if spec.get("kind", "hashed") == "hashed" and "seed" not in spec:
@@ -271,10 +261,10 @@ def embedding_provider(cfg: RunConfig):
     return provider_from_spec(spec)
 
 
-def embed_postings(provider, postings: list[Posting]) -> dict[str, np.ndarray]:
-    vectors = provider.embed_batch([p.description for p in postings],
-                                   keys=[p.id for p in postings])
-    return dict(zip((p.id for p in postings), vectors))
+def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
+    """One vector per posting, in postings order."""
+    return provider.embed_batch([p.description for p in postings],
+                                keys=[p.id for p in postings])
 
 
 def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
@@ -339,11 +329,8 @@ def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     write_ndjson(out / "skill_flags.ndjson",
                  ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
                   for f in flags))
-    yearly = aggregate_yearly(zip(flags, (p.year for p in postings)))
-    write_csv(out / "skill_rates.csv",
-              ["year", "postings"] + list(SKILL_CATEGORIES),
-              [[y.year, y.postings_count] + [y.rate[c] for c in SKILL_CATEGORIES]
-               for y in yearly])
+    yearly = rate_table(((p.year,), per_mille(f.flags)) for p, f in zip(postings, flags))
+    write_csv(out / "skill_rates.csv", ["year", "postings"] + list(SKILL_CATEGORIES), yearly)
     return {"postings": len(postings), "years": len(yearly)}
 
 
@@ -351,26 +338,21 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings to frame")
-    sectors = {d["posting_id"]: d["sector"] for d in read_flag_rows(out, postings)
-               if d["sector"] is not None}
+    rows = read_flag_rows(out, postings)
     provider = embedding_provider(cfg)
     vectors = embed_postings(provider, postings)
     centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
-    results = [frame_document(vectors[p.id], centroids, posting_id=p.id) for p in postings]
+    results = [frame_document(v, centroids, posting_id=p.id)
+               for p, v in zip(postings, vectors)]
     write_ndjson(out / "framing.ndjson", map(asdict, results))
 
-    years = {p.id: p.year for p in postings}
-    by_year = aggregate_framing(results, years)
-    write_csv(out / "framing_by_year.csv",
-              ["year", "n", "sim_ai", "sim_augment", "sim_automate", "fi"],
-              [[s.key[0], s.n, s.mean_sim_ai, s.mean_sim_augment,
-                s.mean_sim_automate, s.mean_fi] for s in by_year])
-
-    by_sector = aggregate_framing(results, years, sectors=sectors)
-    write_csv(out / "framing_by_sector.csv",
-              ["year", "sector", "n", "sim_ai", "sim_augment", "sim_automate", "fi"],
-              [[s.key[0], s.key[1], s.n, s.mean_sim_ai, s.mean_sim_augment,
-                s.mean_sim_automate, s.mean_fi] for s in by_sector])
+    sims = [(r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index) for r in results]
+    columns = ["n", "sim_ai", "sim_augment", "sim_automate", "fi"]
+    by_year = rate_table(((p.year,), v) for p, v in zip(postings, sims))
+    write_csv(out / "framing_by_year.csv", ["year", *columns], by_year)
+    by_sector = rate_table(((p.year, row["sector"]), v) for p, row, v
+                           in zip(postings, rows, sims) if row["sector"] is not None)
+    write_csv(out / "framing_by_sector.csv", ["year", "sector", *columns], by_sector)
     return {"documents": len(results), "year_rows": len(by_year),
             "sector_rows": len(by_sector)}
 
@@ -401,8 +383,7 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     dtm = build_dtm(texts, min_df=lda_cfg.vocab_min_df,
                     max_df_fraction=lda_cfg.vocab_max_df_fraction)
     lda = lda_fit(dtm, lda_cfg)
-    vectors = embed_postings(provider, postings)
-    emb = np.array([vectors[p.id] for p in postings])
+    emb = np.array(embed_postings(provider, postings))
     km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
     dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
                         seed=derive_seed(cfg.seed, "topics.density"))
@@ -476,9 +457,7 @@ def stage_correlate(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
 def stage_sectors(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
-    rates = sector_rates(postings, *load_flags(out, postings))
-    rows = [[sector, year, n] + [rate[c] for c in SKILL_CATEGORIES]
-            for (sector, year), n, rate in rates]
+    rows = sector_rates(postings, read_flag_rows(out, postings))
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
     return {"rows": len(rows)}

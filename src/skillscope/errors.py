@@ -86,12 +86,6 @@ class ZeroVectorError(DataError):
     pass
 
 
-# --- framing / aggregation ------------------------------------------------
-
-class JoinFailureError(DataError):
-    """A result references a posting id that does not exist."""
-
-
 # --- topics ---------------------------------------------------------------
 
 class EmptyVocabularyError(DataError):

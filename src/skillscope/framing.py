@@ -1,16 +1,15 @@
 """Framing analysis: per-document proximity to the AI / Augment / Automate
 anchor centroids and the Framing Index (augment similarity minus automate
-similarity), aggregated by year and optionally by sector."""
+similarity). The ``framing`` stage averages the four columns by year and by
+(year, sector) with ``skills.rate_table``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .embed import anchor_centroid, cosine
-from .errors import JoinFailureError
 from .taxonomy import AnchorSet
 
 
@@ -38,16 +37,6 @@ class FramingResult:
     framing_index: float
 
 
-@dataclass(frozen=True)
-class FramingSeries:
-    key: tuple  # (year,) or (year, sector)
-    n: int
-    mean_sim_ai: float
-    mean_sim_augment: float
-    mean_sim_automate: float
-    mean_fi: float
-
-
 def frame_document(embedding: np.ndarray, centroids: AnchorCentroids,
                    posting_id: str = "") -> FramingResult:
     sim_ai = cosine(embedding, centroids.ai)
@@ -61,43 +50,3 @@ def frame_document(embedding: np.ndarray, centroids: AnchorCentroids,
         framing_index=sim_augment - sim_automate,
     )
 
-
-def aggregate_framing(
-    results: Iterable[FramingResult],
-    years: Mapping[str, int],
-    sectors: Mapping[str, str] | None = None,
-) -> list[FramingSeries]:
-    """Unweighted means keyed by (year,) or (year, sector), sorted by key.
-
-    ``years`` maps posting id -> year; ``sectors`` (optional) maps posting id
-    -> sector label. Postings without a sector label are skipped in sectoral
-    aggregation.
-    """
-    buckets: dict[tuple, list[FramingResult]] = {}
-    for res in results:
-        if res.posting_id not in years:
-            raise JoinFailureError(f"framing result for unknown posting {res.posting_id!r}")
-        year = years[res.posting_id]
-        if sectors is None:
-            key = (year,)
-        else:
-            sector = sectors.get(res.posting_id)
-            if sector is None:
-                continue
-            key = (year, sector)
-        buckets.setdefault(key, []).append(res)
-    out = []
-    for key in sorted(buckets):
-        rs = buckets[key]
-        n = len(rs)
-        mean_aug = sum(r.sim_augment for r in rs) / n
-        mean_auto = sum(r.sim_automate for r in rs) / n
-        out.append(FramingSeries(
-            key=key,
-            n=n,
-            mean_sim_ai=sum(r.sim_ai for r in rs) / n,
-            mean_sim_augment=mean_aug,
-            mean_sim_automate=mean_auto,
-            mean_fi=sum(r.framing_index for r in rs) / n,
-        ))
-    return out

@@ -79,7 +79,12 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceSpec":
-        return from_json(cls, d, "source manifest entry")
+        spec = from_json(cls, d, "source manifest entry")
+        stray = sorted(key for key in d if key.startswith("api_"))
+        if stray and spec.format != "api":
+            raise ConfigError(f"source {spec.path_or_url}: {stray} apply only to "
+                              f"format 'api', not {spec.format!r}")
+        return spec
 
 
 @dataclass

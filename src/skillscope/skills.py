@@ -1,32 +1,25 @@
-"""Per-posting skill-category detection and rate aggregation by year or by
-(sector, year).
+"""Per-posting skill-category detection, and ``rate_table``, which builds
+every per-group table of the pipeline: skill rates by year and by (sector,
+year), and framing means by year and by (year, sector).
 
-Rates are posting-level incidence per 1,000 postings: a category counts once
-per posting regardless of how many of its phrases match.
+A rate is posting-level incidence per 1,000 postings: a category counts once
+per posting regardless of how many of its phrases match, so a posting
+contributes 1000.0 or 0.0 to each category and the group mean is the rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .cleanse import Posting
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher
-
-K = TypeVar("K")  # a rate table's key: a year, or a (sector, year) pair
 
 
 @dataclass(frozen=True)
 class SkillFlags:
     posting_id: str
     flags: dict[str, bool]
-
-
-@dataclass(frozen=True)
-class YearlyRates:
-    year: int
-    postings_count: int
-    rate: dict[str, float]
 
 
 def detect_skills(posting: Posting, matcher: CompiledMatcher) -> SkillFlags:
@@ -37,21 +30,18 @@ def detect_skills(posting: Posting, matcher: CompiledMatcher) -> SkillFlags:
     )
 
 
-def aggregate_rates(keyed: Iterable[tuple[SkillFlags, K]]) -> list[tuple[K, int, dict[str, float]]]:
-    """(key, postings, rate per 1,000 by category) for each key present,
-    keys ascending; the numerator counts postings that carry the category."""
-    totals: dict[K, int] = {}
-    hits: dict[K, dict[str, float]] = {}
-    for flags, key in keyed:
-        totals[key] = totals.get(key, 0) + 1
-        bucket = hits.setdefault(key, {c: 0.0 for c in SKILL_CATEGORIES})
-        for cat in SKILL_CATEGORIES:
-            if flags.flags[cat]:
-                bucket[cat] += 1
-    return [(key, n, {c: 1000.0 * hits[key][c] / n for c in SKILL_CATEGORIES})
-            for key, n in sorted(totals.items())]
+def per_mille(flags: Mapping[str, bool]) -> list[float]:
+    """A posting's contribution to the rate of each category, in order."""
+    return [1000.0 if flags[cat] else 0.0 for cat in SKILL_CATEGORIES]
 
 
-def aggregate_yearly(flagged: Iterable[tuple[SkillFlags, int]]) -> list[YearlyRates]:
-    """One YearlyRates per year present, ascending."""
-    return [YearlyRates(year, n, rate) for year, n, rate in aggregate_rates(flagged)]
+def rate_table(keyed: Iterable[tuple[tuple, Sequence[float]]]) -> list[list]:
+    """One row ``[*key, n, *means]`` for each key present, keys ascending,
+    from ``(key, values)`` pairs: each mean adds its group's values in input
+    order, starting from 0.0, and divides by the group's n."""
+    counts: dict[tuple, int] = {}
+    sums: dict[tuple, list[float]] = {}
+    for key, values in keyed:
+        counts[key] = counts.get(key, 0) + 1
+        sums[key] = [s + v for s, v in zip(sums.get(key) or [0.0] * len(values), values)]
+    return [[*key, n, *(s / n for s in sums[key])] for key, n in sorted(counts.items())]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .config import REQUIRED, check_fields, conforms
+from .config import REQUIRED, check_fields
 from .errors import DuplicatePatternError, EmptyCategoryError, PatternCompileError, SchemaError
 from .text import tokenize
 
@@ -92,9 +92,11 @@ def _skill(entry, where: str) -> tuple[SkillPattern, tuple[str, ...]]:
 
 
 def _phrase(entry, where: str) -> tuple[str, tuple[str, ...]]:
-    phrase = (entry if conforms(entry, str)
-              else check_fields(entry, PHRASE_FIELDS, where, SchemaError)["phrase"])
-    return phrase, (phrase,)
+    if isinstance(entry, dict):
+        entry = check_fields(entry, PHRASE_FIELDS, where, SchemaError)["phrase"]
+    elif not isinstance(entry, str):
+        raise SchemaError(f"{where} must be a phrase string or a JSON object, got {entry!r}")
+    return entry, (entry,)
 
 
 def _groups(obj, names: tuple[str, ...], entry, where: str) -> dict[str, list]:

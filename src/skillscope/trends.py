@@ -1,5 +1,6 @@
 """Temporal trend machinery: exponential smoothing, forecast orchestration,
-the inter-category Pearson matrix and sectoral rate decomposition.
+the inter-category Pearson matrix, sector classification and the (sector,
+year) rate table, which ``skills.rate_table`` builds.
 
 The smoothed ARIMA(1,1,1) path smooths the series before fitting; the
 ARIMA(2,0,2) path fits the raw series. Annual series of eight points are
@@ -17,7 +18,7 @@ import numpy as np
 from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast
 from .cleanse import Posting
 from .errors import ConfigError
-from .skills import SkillFlags, aggregate_rates
+from .skills import per_mille, rate_table
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
 
 SHORT_SERIES_THRESHOLD = 12
@@ -157,17 +158,13 @@ def classify_sector(posting: Posting, lex: SectorLexicon,
     return best
 
 
-def sector_rates(
-    postings: list[Posting],
-    flags: dict[str, SkillFlags],
-    sector_labels: dict[str, str | None],
-) -> list[tuple[tuple[str, int], int, dict[str, float]]]:
-    """((sector, year), postings, rate per 1,000 sector postings by category)
-    for each sector-year present, ascending, from the sector of each posting
-    id as ``sector_totals`` returns it. Postings with no sector are excluded.
+def sector_rates(postings: list[Posting], flag_rows: list[dict]) -> list[list]:
+    """``[sector, year, postings, rate per 1,000 by category]`` for each
+    sector-year present, ascending, from the ``skill_flags.ndjson`` rows, one
+    per posting in order. Postings with no sector are excluded.
     """
-    return aggregate_rates((flags[p.id], (sector_labels[p.id], p.year))
-                           for p in postings if sector_labels.get(p.id) is not None)
+    return rate_table(((row["sector"], p.year), per_mille(row))
+                      for p, row in zip(postings, flag_rows) if row["sector"] is not None)
 
 
 def sector_totals(postings, lex: SectorLexicon) -> dict[str, str | None]:

@@ -18,9 +18,10 @@ from skillscope.embed import HashedProvider
 from skillscope.fixtures import YEARS, _prevalence, generate_rows, write_demo_corpus
 from skillscope.framing import AnchorCentroids, frame_document
 from skillscope.ingest import Deduplicator, RawRecord
-from skillscope.skills import aggregate_yearly, detect_skills
+from skillscope.skills import detect_skills, per_mille, rate_table
 from skillscope.taxonomy import (
     SECTOR_NAMES,
+    SKILL_CATEGORIES,
     CompiledMatcher,
     load_anchors,
     load_sectors,
@@ -112,16 +113,18 @@ def test_04_trend_recovery(report):
     records = [RawRecord(f"g:{i}", d, t, "csv") for i, (d, t) in enumerate(rows)]
     postings, _ = cleanse(list(Deduplicator().filter(records)))
     matcher = CompiledMatcher.from_taxonomy(load_taxonomy())
-    yearly = aggregate_yearly((detect_skills(p, matcher), p.year) for p in postings)
-    ai = [y.rate["AI_Data"] for y in yearly]
-    routine = [y.rate["Routine"] for y in yearly]
+    yearly = [(n, dict(zip(SKILL_CATEGORIES, rates))) for _, n, *rates in
+              rate_table(((p.year,), per_mille(detect_skills(p, matcher).flags))
+                         for p in postings)]
+    ai = [rate["AI_Data"] for _, rate in yearly]
+    routine = [rate["Routine"] for _, rate in yearly]
     assert all(b > a for a, b in zip(ai, ai[1:]))           # strictly increasing
     assert all(b < a for a, b in zip(routine, routine[1:]))  # strictly decreasing
-    for y, year in zip(yearly, YEARS):
-        for rate, (lo, hi) in ((y.rate["AI_Data"], (0.10, 0.80)),
-                               (y.rate["Routine"], (0.40, 0.10))):
+    for (n, y_rate), year in zip(yearly, YEARS):
+        for rate, (lo, hi) in ((y_rate["AI_Data"], (0.10, 0.80)),
+                               (y_rate["Routine"], (0.40, 0.10))):
             p = _prevalence(year, lo, hi)
-            sigma = math.sqrt(p * (1 - p) / y.postings_count) * 1000.0
+            sigma = math.sqrt(p * (1 - p) / n) * 1000.0
             assert abs(rate - 1000.0 * p) <= 3.0 * sigma
     report["ok"] = True
 

@@ -188,7 +188,9 @@ class TestErrors:
         ("cleanse_config", '{"min_tokens": "x"}', EXIT_CONFIG, "min_tokens"),
         ("cleanse_config", '{"year_range": [2018]}', EXIT_CONFIG, "year_range"),
         ("sources", {"api_page_size": "x"}, EXIT_CONFIG, "api_page_size"),
-        ("kmeans", {"K": 500}, EXIT_DATA, "kmeans K 500")])
+        ("kmeans", {"K": 500}, EXIT_DATA, "kmeans K 500"),
+        ("sources", {"api_date_range": ["2020-01-01", "2020-12-31"]}, EXIT_CONFIG,
+         "apply only to format 'api'")])
     def test_bad_value_stops_before_writing(self, tmp_path, capsys, field, value, code,
                                             named):
         run = write_demo_corpus(tmp_path, n=60)
@@ -220,7 +222,9 @@ class TestErrors:
         ("anchors", ("ai_anchors",), {"phrase": "x y", "extnded": True, "foo": 1}),
         ("anchors", ("ai_anchors",), "&&"),
         ("anchors", ("ai_anchors",), {"phrase": "x y", "extended": 1}),
-        ("sectors", ("sectors", "IT"), "lawyer")])  # also a Legal trigger
+        ("sectors", ("sectors", "IT"), "lawyer"),  # also a Legal trigger
+        ("anchors", ("ai_anchors",), 5),
+        ("sectors", ("sectors", "IT"), 5)])
     def test_bad_lexicon_is_invalid_and_stops_before_writing(self, tmp_path, capsys,
                                                              name, group, entry):
         doc = json.loads(default_path(name).read_text(encoding="utf-8"))
@@ -232,7 +236,10 @@ class TestErrors:
         lexicon.parent.mkdir()
         lexicon.write_text(json.dumps(doc))
         assert main(["validate", f"--{name}", str(lexicon)]) == EXIT_CONFIG
-        assert f"{name}: INVALID" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{name}: INVALID" in out
+        if entry == 5:
+            assert "must be a phrase string or a JSON object, got 5" in out
         run = write_demo_corpus(tmp_path, n=60)
         run.write_text(json.dumps({**json.loads(run.read_text()), name: str(lexicon)}))
         assert main(["all", "--config", str(run)]) == EXIT_CONFIG

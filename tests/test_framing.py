@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from skillscope.embed import HashedProvider
-from skillscope.errors import JoinFailureError
-from skillscope.framing import (
-    AnchorCentroids,
-    FramingResult,
-    aggregate_framing,
-    frame_document,
-)
+from skillscope.framing import AnchorCentroids, FramingResult, frame_document
+from skillscope.skills import rate_table
 from skillscope.taxonomy import load_anchors
 
 PROVIDER = HashedProvider()
@@ -77,38 +72,40 @@ def result(pid, fi, ai=0.1):
                          sim_automate=-fi / 2, framing_index=fi)
 
 
+def framing_means(results, years, sectors=None):
+    """The rows the ``framing`` stage writes: ``[year, n, *means]``, or with
+    ``sectors`` ``[year, sector, n, *means]`` over the labelled postings."""
+    keys = ((years[r.posting_id],) if sectors is None
+            else (years[r.posting_id], sectors.get(r.posting_id)) for r in results)
+    return rate_table((key, (r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index))
+                      for key, r in zip(keys, results) if key[-1] is not None)
+
+
 class TestAggregateFraming:
     def test_single_document_per_year(self):
         results = [result("a", 0.3), result("b", -0.1)]
-        series = aggregate_framing(results, {"a": 2020, "b": 2021})
-        assert [(s.key, s.n, s.mean_fi) for s in series] == [
-            ((2020,), 1, 0.3), ((2021,), 1, -0.1)]
+        rows = framing_means(results, {"a": 2020, "b": 2021})
+        assert [(year, n, fi) for year, n, *_, fi in rows] == [(2020, 1, 0.3), (2021, 1, -0.1)]
 
     def test_symmetric_pair_averages_to_zero(self):
-        series = aggregate_framing([result("a", 0.2), result("b", -0.2)],
-                                   {"a": 2022, "b": 2022})
-        assert series[0].mean_fi == pytest.approx(0.0, abs=1e-15)
-
-    def test_unknown_posting_is_join_failure(self):
-        with pytest.raises(JoinFailureError):
-            aggregate_framing([result("ghost", 0.1)], {"a": 2022})
+        rows = framing_means([result("a", 0.2), result("b", -0.2)], {"a": 2022, "b": 2022})
+        assert rows[0][-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_sector_mode_skips_unlabeled(self):
         results = [result("a", 0.2), result("b", 0.4), result("c", -0.2)]
         years = {"a": 2022, "b": 2022, "c": 2022}
-        series = aggregate_framing(results, years, sectors={"a": "IT", "b": "IT"})
-        assert len(series) == 1
-        assert series[0].key == (2022, "IT")
-        assert series[0].n == 2
-        assert series[0].mean_fi == pytest.approx(0.3)
+        rows = framing_means(results, years, sectors={"a": "IT", "b": "IT"})
+        assert len(rows) == 1
+        assert rows[0][:3] == [2022, "IT", 2]
+        assert rows[0][-1] == pytest.approx(0.3)
 
     def test_sorted_by_key(self):
         results = [result(p, 0.1) for p in ("a", "b", "c", "d")]
         years = {"a": 2024, "b": 2018, "c": 2024, "d": 2020}
         sectors = {"a": "Sales", "b": "IT", "c": "Design", "d": "IT"}
-        series = aggregate_framing(results, years, sectors=sectors)
-        assert [s.key for s in series] == [(2018, "IT"), (2020, "IT"),
-                                           (2024, "Design"), (2024, "Sales")]
+        rows = framing_means(results, years, sectors=sectors)
+        assert [tuple(row[:2]) for row in rows] == [(2018, "IT"), (2020, "IT"),
+                                                     (2024, "Design"), (2024, "Sales")]
 
     def test_planted_augment_shift_raises_mean_fi(self):
         # augment-phrase density rises after 2021; later-years mean FI larger
@@ -125,7 +122,7 @@ class TestAggregateFraming:
                 results.append(frame_document(PROVIDER.embed(text), CENTROIDS, key))
                 years[key] = year
                 pid += 1
-        series = {s.key[0]: s.mean_fi for s in aggregate_framing(results, years)}
+        series = {row[0]: row[-1] for row in framing_means(results, years)}
         early = np.mean([series[y] for y in range(2018, 2021)])
         late = np.mean([series[y] for y in range(2022, 2026)])
         assert late > early

@@ -116,8 +116,20 @@ class TestSourceSpec:
                                         {"api_date_range": ["20220101", "2022-12-31"]}])
     def test_wrong_type_rejected(self, change):
         with pytest.raises(ConfigError):
-            SourceSpec.from_dict({"path_or_url": "x", "format": "csv", "date_field": "d",
+            SourceSpec.from_dict({"path_or_url": "x", "format": "api", "date_field": "d",
                                   "text_field": "t", **change})
+
+    @pytest.mark.parametrize("change", [{"api_page_size": 50},
+                                        {"api_date_range": ["2020-01-01", "2020-12-31"]},
+                                        {"api_page_param": "page"},
+                                        {"api_items_field": "items"},
+                                        {"api_token": "secret"}])
+    def test_api_key_on_file_source_rejected(self, change):
+        (key,) = change
+        spec = {"path_or_url": "x", "date_field": "d", "text_field": "t", **change}
+        assert SourceSpec.from_dict({**spec, "format": "api"}).format == "api"
+        with pytest.raises(ConfigError, match=f"{key}.*apply only to format 'api'"):
+            SourceSpec.from_dict({**spec, "format": "csv"})
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError, match="text_field"):

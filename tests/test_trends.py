@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from skillscope.arima import ArimaSpec
 from skillscope.errors import ConfigError
-from skillscope.skills import SkillFlags, detect_skills
+from skillscope.skills import detect_skills
 from skillscope.taxonomy import SKILL_CATEGORIES, CompiledMatcher, load_sectors, load_taxonomy
 from skillscope.trends import (
     RateSeries,
@@ -225,15 +225,19 @@ class TestClassifySector:
 
 
 class TestSectorRates:
-    def flags_for(self, postings):
-        return {p.id: detect_skills(p, MATCHER) for p in postings}
+    def flag_rows(self, postings):
+        """The ``skill_flags.ndjson`` rows ``extract`` writes for ``postings``."""
+        sectors = sector_totals(postings, SECTORS)
+        return [{"posting_id": p.id, **detect_skills(p, MATCHER).flags, "sector": sectors[p.id]}
+                for p in postings]
 
     def rates(self, postings):
         """{(sector, year): (postings, rates)} from the ascending rows."""
-        rows = sector_rates(postings, self.flags_for(postings),
-                            sector_totals(postings, SECTORS))
-        assert [key for key, _, _ in rows] == sorted(key for key, _, _ in rows)
-        return {key: (n, rate) for key, n, rate in rows}
+        rows = sector_rates(postings, self.flag_rows(postings))
+        keys = [tuple(row[:2]) for row in rows]
+        assert keys == sorted(keys)
+        return {(sector, year): (n, dict(zip(SKILL_CATEGORIES, rates)))
+                for sector, year, n, *rates in rows}
 
     def test_rate_arithmetic(self):
         postings = [posting(
