@@ -42,9 +42,8 @@ from .ingest import (
     Deduplicator,
     RawRecord,
     SourceCounts,
-    fetch_api,
     load_manifest,
-    parse_file,
+    read_source,
 )
 from .skills import detect_skills, per_mille, rate_table
 from .taxonomy import (
@@ -122,7 +121,7 @@ class RunConfig:
         for field in FILE_FIELDS:
             if top[field] is not None and not Path(top[field]).exists():
                 raise ConfigError(f"config field {field!r}: file not found: {top[field]}")
-        self.sources = top["sources"]
+        self.sources = load_manifest(top["sources"])
         self.taxonomy, self.anchors, self.sectors = (
             load_taxonomy(top["taxonomy"]), load_anchors(top["anchors"]),
             load_sectors(top["sectors"]))
@@ -281,30 +280,25 @@ def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
 # --- stages -----------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
-    specs = load_manifest(cfg.sources)
-
     def collect(spec):
-        counts = SourceCounts()
-        if spec.format != "api":
-            return list(parse_file(spec, counts=counts)), counts, {}
-        stats = ApiClientStats()
-        return (list(fetch_api(spec, counts=counts, stats=stats,
-                               date_order=cfg.cleanse.date_order)), counts, asdict(stats))
+        counts, stats = SourceCounts(), ApiClientStats()
+        records = list(read_source(spec, counts, stats, cfg.cleanse.date_order))
+        return records, counts, asdict(stats) if spec.format == "api" else {}
 
-    if jobs > 1 and len(specs) > 1:
+    if jobs > 1 and len(cfg.sources) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(collect, specs))
+            results = list(pool.map(collect, cfg.sources))
     else:
-        results = [collect(s) for s in specs]
+        results = [collect(s) for s in cfg.sources]
 
     dedup = Deduplicator()
     kept: list[RawRecord] = []
     for records, _, _ in results:
         kept.extend(dedup.filter(records))
     report = {}
-    for spec, (_, counts, api_stats) in zip(specs, results):
+    for spec, (_, counts, api_stats) in zip(cfg.sources, results):
         counts.duplicates_removed = dedup.removed_by_source.get(spec.name, 0)
-        report[spec.name] = {**counts.as_dict(), **api_stats}
+        report[spec.name] = {**asdict(counts), **api_stats}
 
     write_ndjson(out / "raw_records.ndjson", map(asdict, kept))
     write_json(out / "ingest_report.json", report)

@@ -1,8 +1,14 @@
 """Multi-format ingestion: CSV/XML/JSON/LDJSON files plus a paginated REST API.
 
-Each source yields RawRecords in source order. Malformed rows are skipped and
-counted, empty-body rows dropped and counted, so for every source
-emitted + skipped + dropped_empty equals the number of logical input items.
+Each format only yields its items in source order: CSV rows, XML elements
+that have the text child, the objects of a JSON array, the non-blank lines of
+LDJSON, the items of each API page in turn. ``read_source`` applies one rule
+to all five: an item that does not parse, is not an object, or whose text
+field is missing or null is skipped (as is an API item dated outside
+``api_date_range``); one whose text is blank is dropped; the rest become
+RawRecords. So for every source emitted + skipped + dropped_empty equals the
+number of items. An API that keeps failing ends the run with
+EndpointUnreachableError.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import io
 import json
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -94,9 +100,6 @@ class SourceCounts:
     dropped_empty: int = 0
     duplicates_removed: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def load_manifest(path: str | Path) -> list[SourceSpec]:
     """Read a source manifest (JSON array of SourceSpec objects)."""
@@ -127,34 +130,50 @@ def _read_text(path: str | Path) -> str:
         raise FileUnreadableError(f"cannot read {path}: {e}") from e
 
 
-def parse_file(spec: SourceSpec, counts: SourceCounts | None = None) -> Iterator[RawRecord]:
-    """Parse one file source into RawRecords, in file order."""
-    if spec.format not in ("csv", "xml", "json", "ldjson"):
-        raise ConfigError(f"parse_file cannot handle format {spec.format!r}")
-    counts = counts if counts is not None else SourceCounts()
-    text = _read_text(spec.path_or_url)
-    parser = {
-        "csv": _iter_csv,
-        "xml": _iter_xml,
-        "json": _iter_json,
-        "ldjson": _iter_ldjson,
-    }[spec.format]
-    for ordinal, item in parser(text, spec):
-        if item is None:
+def read_source(
+    spec: SourceSpec,
+    counts: SourceCounts | None = None,
+    stats: ApiClientStats | None = None,
+    date_order: str = "DMY",
+    transport: Transport | None = None,
+    backoff_base: float = 0.5,
+    max_attempts: int = 3,
+) -> Iterator[RawRecord]:
+    """RawRecords of one source of any format, in source order.
+
+    The format's reader yields items; the n-th item (from 0) becomes the
+    record ``f"{spec.name}:{n}"``. An item that is not an object or whose
+    text field is missing or null is skipped; with ``api_date_range``, so is
+    one whose date parses as ``cleanse`` parses it (``date_order`` breaks
+    NN/NN/YYYY ties) outside the range, while one whose date does not parse
+    is kept, for ``cleanse`` to count; an item whose text is blank is dropped.
+    """
+    counts = counts or SourceCounts()
+    if spec.format == "api":
+        items = _api_items(spec, transport, stats or ApiClientStats(), backoff_base,
+                           max_attempts)
+    else:
+        items = _FILE_READERS[spec.format](_read_text(spec.path_or_url), spec)
+    date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
+    for ordinal, item in enumerate(items):
+        text = item.get(spec.text_field) if isinstance(item, dict) else None
+        if text is None:
             counts.skipped += 1
             continue
-        raw_date, raw_text = item
+        raw_date = str(item.get(spec.date_field) or "")
+        day = date_range and parse_date(raw_date, date_order)
+        if day and not (date_range[0] <= day <= date_range[1]):
+            counts.skipped += 1
+            continue
+        raw_text = str(text)
         if not raw_text.strip():
             counts.dropped_empty += 1
             continue
         counts.emitted += 1
-        yield RawRecord(
-            source_id=f"{spec.name}:{ordinal}",
-            raw_date=raw_date,
-            raw_text=raw_text,
-            source_format=spec.format,
-        )
+        yield RawRecord(f"{spec.name}:{ordinal}", raw_date, raw_text, spec.format)
 
+
+# Each file reader yields its items in file order, None for one that does not parse.
 
 def _iter_csv(text: str, spec: SourceSpec):
     reader = csv.DictReader(io.StringIO(text))
@@ -164,22 +183,13 @@ def _iter_csv(text: str, spec: SourceSpec):
         raise FormatMismatchError(
             f"{spec.path_or_url}: header lacks {spec.date_field!r}/{spec.text_field!r}"
         )
-    ordinal = 0
     while True:
         try:
-            row = next(reader)
+            yield next(reader)
         except StopIteration:
             return
         except csv.Error:
-            yield ordinal, None
-            ordinal += 1
-            continue
-        body = row.get(spec.text_field)
-        if body is None:
-            yield ordinal, None
-        else:
-            yield ordinal, (str(row.get(spec.date_field) or ""), str(body))
-        ordinal += 1
+            yield None
 
 
 def _iter_xml(text: str, spec: SourceSpec):
@@ -187,14 +197,10 @@ def _iter_xml(text: str, spec: SourceSpec):
         root = ET.fromstring(text)
     except ET.ParseError as e:
         raise FormatMismatchError(f"{spec.path_or_url}: not well-formed XML: {e}") from e
-    ordinal = 0
     for elem in root.iter():
-        if elem.find(spec.text_field) is None:
-            continue
-        body = elem.findtext(spec.text_field) or ""
-        date = elem.findtext(spec.date_field) or ""
-        yield ordinal, (date, body)
-        ordinal += 1
+        if elem.find(spec.text_field) is not None:
+            yield {field: elem.findtext(field) or ""
+                   for field in (spec.text_field, spec.date_field)}
 
 
 def _iter_json(text: str, spec: SourceSpec):
@@ -203,45 +209,29 @@ def _iter_json(text: str, spec: SourceSpec):
     except json.JSONDecodeError as e:
         raise FormatMismatchError(f"{spec.path_or_url}: not valid JSON: {e}") from e
     if isinstance(doc, list):
-        items = doc
-    elif isinstance(doc, dict):
+        return doc
+    if isinstance(doc, dict):
         # auto-detect an object wrapping a single array field
         arrays = [v for v in doc.values() if isinstance(v, list)]
         if len(arrays) != 1:
             raise FormatMismatchError(
                 f"{spec.path_or_url}: expected a JSON array or an object with one array field"
             )
-        items = arrays[0]
-    else:
-        raise FormatMismatchError(f"{spec.path_or_url}: top-level JSON must be array or object")
-    yield from _iter_objects(items, spec)
+        return arrays[0]
+    raise FormatMismatchError(f"{spec.path_or_url}: top-level JSON must be array or object")
 
 
 def _iter_ldjson(text: str, spec: SourceSpec):
-    ordinal = 0
     for line in text.splitlines():
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            yield json.loads(line)
         except json.JSONDecodeError:
-            yield ordinal, None
-            ordinal += 1
-            continue
-        yield from _pick_fields(ordinal, obj, spec)
-        ordinal += 1
+            yield None
 
 
-def _iter_objects(items: list, spec: SourceSpec):
-    for ordinal, obj in enumerate(items):
-        yield from _pick_fields(ordinal, obj, spec)
-
-
-def _pick_fields(ordinal: int, obj, spec: SourceSpec):
-    if not isinstance(obj, dict) or spec.text_field not in obj:
-        yield ordinal, None
-        return
-    yield ordinal, (str(obj.get(spec.date_field) or ""), str(obj[spec.text_field]))
+_FILE_READERS = {"csv": _iter_csv, "xml": _iter_xml, "json": _iter_json, "ldjson": _iter_ldjson}
 
 
 # --- API client -------------------------------------------------------------
@@ -295,41 +285,27 @@ class ApiClientStats:
     pages_skipped: int = 0
 
 
-def fetch_api(
-    spec: SourceSpec,
-    transport: Transport | None = None,
-    counts: SourceCounts | None = None,
-    stats: ApiClientStats | None = None,
-    backoff_base: float = 0.5,
-    max_attempts: int = 3,
-    date_order: str = "DMY",
-) -> Iterator[RawRecord]:
-    """Paginate a REST endpoint until it reports no more items.
+def _api_items(spec, transport, stats, backoff_base, max_attempts):
+    """The items of each page in turn, until a page has none or fewer than
+    ``api_page_size``.
 
     Each page is requested up to ``max_attempts`` times with exponential
-    backoff on 5xx/429/transport errors; a page that still fails is fatal.
-    A page whose body lacks the items array is skipped and counted. With
-    ``api_date_range``, a record whose date parses as ``cleanse`` parses it
-    (``date_order`` breaks NN/NN/YYYY ties) outside the range is skipped; one
-    whose date does not parse is kept, for ``cleanse`` to count.
+    backoff on 5xx/429/transport errors; a page that still fails is fatal. A
+    page with another non-200 status or a body that is not JSON is skipped
+    and counted, and ``max_attempts`` such pages in a row are fatal.
     """
-    if spec.format != "api":
-        raise ConfigError("fetch_api requires format 'api'")
-    counts = counts if counts is not None else SourceCounts()
-    stats = stats if stats is not None else ApiClientStats()
     if transport is None:
         # local replay fixtures keep test/demo runs network-free
         if Path(spec.path_or_url).exists():
             transport = ReplayTransport.from_file(spec.path_or_url)
         else:
             transport = http_transport
-    date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
     headers = {}
     if spec.api_token:
         headers["Authorization"] = f"Bearer {spec.api_token}"
 
     page = 1
-    ordinal = 0
+    bad_pages = 0
     while True:
         params: dict = {spec.api_page_param: page}
         if spec.api_page_size:
@@ -337,43 +313,26 @@ def fetch_api(
         if spec.api_date_range:
             params["date_from"], params["date_to"] = spec.api_date_range
 
-        body = _fetch_page(spec, transport, params, headers, stats, backoff_base, max_attempts)
-        if body is _MALFORMED:
+        status, body = _fetch_page(spec, transport, params, headers, stats, backoff_base,
+                                   max_attempts)
+        if status != 200 or not isinstance(body, (dict, list)):
             stats.pages_skipped += 1
+            bad_pages += 1
+            if bad_pages == max_attempts:
+                raise EndpointUnreachableError(
+                    f"{spec.path_or_url} page {page}: {bad_pages} unusable pages in a row, "
+                    f"the last HTTP {status}" + (" with no JSON body" if status == 200 else ""))
             page += 1
             continue
+        bad_pages = 0
         items = body.get(spec.api_items_field) if isinstance(body, dict) else None
         if not items:
             return
         stats.pages_fetched += 1
-        for obj in items:
-            result = list(_pick_fields(ordinal, obj, spec))
-            for o, item in result:
-                if item is None:
-                    counts.skipped += 1
-                    continue
-                raw_date, raw_text = item
-                day = date_range and parse_date(raw_date, date_order)
-                if day and not (date_range[0] <= day <= date_range[1]):
-                    counts.skipped += 1
-                    continue
-                if not raw_text.strip():
-                    counts.dropped_empty += 1
-                    continue
-                counts.emitted += 1
-                yield RawRecord(
-                    source_id=f"{spec.name}:{o}",
-                    raw_date=raw_date,
-                    raw_text=raw_text,
-                    source_format="api",
-                )
-            ordinal += 1
+        yield from items
         if spec.api_page_size and len(items) < spec.api_page_size:
             return
         page += 1
-
-
-_MALFORMED = object()
 
 
 def _fetch_page(spec, transport, params, headers, stats, backoff_base, max_attempts):
@@ -391,9 +350,7 @@ def _fetch_page(spec, transport, params, headers, stats, backoff_base, max_attem
         if status == 429 or status >= 500:
             last_err = f"HTTP {status}"
             continue
-        if status != 200 or body is None or not isinstance(body, (dict, list)):
-            return _MALFORMED
-        return body
+        return status, body
     raise EndpointUnreachableError(
         f"{spec.path_or_url} page {params.get(spec.api_page_param)} failed after "
         f"{max_attempts} attempts: {last_err}"

@@ -213,6 +213,24 @@ class TestErrors:
         else:
             assert not out.exists() or not any(out.iterdir())
 
+    def test_bad_source_spec_stops_every_stage(self, tmp_path, capsys):
+        run = write_demo_corpus(tmp_path, n=60)
+        assert main(["ingest", "--config", str(run)]) == EXIT_OK
+        (spec,) = json.loads((tmp_path / "sources.json").read_text())
+        (tmp_path / "sources.json").write_text(json.dumps([{**spec, "api_page_size": "x"}]))
+        assert main(["cleanse", "--config", str(run)]) == EXIT_CONFIG
+        assert "api_page_size" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "postings.ndjson").exists()
+
+    def test_api_that_keeps_failing_is_exit_4(self, tmp_path, capsys):
+        run = write_demo_corpus(tmp_path, n=60)
+        (tmp_path / "jobs_api.json").write_text(json.dumps({"calls": [{"status": 404}] * 3}))
+        (tmp_path / "sources.json").write_text(json.dumps([
+            {"path_or_url": str(tmp_path / "jobs_api.json"), "format": "api",
+             "date_field": "date", "text_field": "description"}]))
+        assert main(["ingest", "--config", str(run)]) == EXIT_DATA
+        assert "page 3: 3 unusable pages in a row, the last HTTP 404" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, group, entry", [
         ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variants": "ml"}),
         ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variant": ["foo bar"]}),

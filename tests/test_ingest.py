@@ -1,4 +1,6 @@
+import csv
 import json
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,8 @@ from skillscope.ingest import (
     SourceCounts,
     SourceSpec,
     dedup_key,
-    fetch_api,
     load_manifest,
-    parse_file,
+    read_source,
 )
 
 
@@ -33,7 +34,7 @@ class TestParseFile:
     def test_csv_rows_in_file_order(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("date,description\n2022-01-01,first\n2022-01-02,second\n2022-01-03,third\n")
-        records = list(parse_file(spec_for(p)))
+        records = list(read_source(spec_for(p)))
         assert [r.raw_text for r in records] == ["first", "second", "third"]
         assert records[0].source_id == "a:0"
         assert records[0].source_format == "csv"
@@ -42,7 +43,7 @@ class TestParseFile:
         p = tmp_path / "a.csv"
         p.write_text("when,text\n2022-01-01,hello\n")
         with pytest.raises(FormatMismatchError):
-            list(parse_file(spec_for(p)))
+            list(read_source(spec_for(p)))
 
     def test_ldjson_bad_line_skipped_and_counted(self, tmp_path):
         p = tmp_path / "a.ldjson"
@@ -50,7 +51,7 @@ class TestParseFile:
         lines[1] = "{not json"
         p.write_text("\n".join(lines) + "\n")
         counts = SourceCounts()
-        records = list(parse_file(spec_for(p, "ldjson"), counts=counts))
+        records = list(read_source(spec_for(p, "ldjson"), counts=counts))
         assert len(records) == 4
         assert counts.skipped == 1
         assert counts.emitted == 4
@@ -64,7 +65,7 @@ class TestParseFile:
         p = tmp_path / "a.xml"
         p.write_text("<jobs>" + "".join(jobs) + "</jobs>")
         counts = SourceCounts()
-        records = list(parse_file(spec_for(p, "xml"), counts=counts))
+        records = list(read_source(spec_for(p, "xml"), counts=counts))
         assert len(records) == 8
         assert counts.dropped_empty == 2
 
@@ -75,18 +76,18 @@ class TestParseFile:
         p1.write_text(json.dumps(items))
         p2 = tmp_path / "obj.json"
         p2.write_text(json.dumps({"meta": 1, "rows": items}))
-        assert [r.raw_text for r in parse_file(spec_for(p1, "json"))] == ["a", "b"]
-        assert [r.raw_text for r in parse_file(spec_for(p2, "json"))] == ["a", "b"]
+        assert [r.raw_text for r in read_source(spec_for(p1, "json"))] == ["a", "b"]
+        assert [r.raw_text for r in read_source(spec_for(p2, "json"))] == ["a", "b"]
 
     def test_json_garbage_is_format_mismatch(self, tmp_path):
         p = tmp_path / "a.json"
         p.write_text("not json at all")
         with pytest.raises(FormatMismatchError):
-            list(parse_file(spec_for(p, "json")))
+            list(read_source(spec_for(p, "json")))
 
     def test_missing_file_unreadable(self, tmp_path):
         with pytest.raises(FileUnreadableError):
-            list(parse_file(spec_for(tmp_path / "nope.csv")))
+            list(read_source(spec_for(tmp_path / "nope.csv")))
 
     def test_conservation_emitted_skipped_empty(self, tmp_path):
         p = tmp_path / "a.ldjson"
@@ -97,9 +98,22 @@ class TestParseFile:
                 json.dumps({"date": "2022-01-01", "description": "fine"})]
         p.write_text("\n".join(rows))
         counts = SourceCounts()
-        records = list(parse_file(spec_for(p, "ldjson"), counts=counts))
+        records = list(read_source(spec_for(p, "ldjson"), counts=counts))
         assert counts.emitted == len(records) == 2
         assert counts.emitted + counts.skipped + counts.dropped_empty == 5
+
+    @pytest.mark.parametrize("fmt", ["json", "ldjson", "api"])
+    def test_null_text_is_skipped(self, tmp_path, fmt):
+        items = [{"date": "2022-01-01", "description": None},
+                 {"date": "2022-01-02", "description": "kept"}]
+        p = tmp_path / f"a.{fmt}"
+        p.write_text({"json": json.dumps(items),
+                      "ldjson": "\n".join(map(json.dumps, items)),
+                      "api": json.dumps({"pages": [{"data": items}]})}[fmt])
+        counts = SourceCounts()
+        records = list(read_source(spec_for(p, fmt), counts=counts))
+        assert [(r.source_id, r.raw_text) for r in records] == [("a:1", "kept")]
+        assert (counts.emitted, counts.skipped, counts.dropped_empty) == (1, 1, 0)
 
 
 class TestSourceSpec:
@@ -163,7 +177,7 @@ class TestFetchApi:
     def test_three_pages_of_fifty(self):
         transport = ReplayTransport({"pages": [_page(_items(50, i * 50)) for i in range(3)]
                                      + [{"data": []}]})
-        records = list(fetch_api(self.api_spec(), transport=transport))
+        records = list(read_source(self.api_spec(), transport=transport))
         assert len(records) == 150
         assert records[0].raw_text == "posting number 0"
         assert records[-1].raw_text == "posting number 149"
@@ -175,7 +189,7 @@ class TestFetchApi:
                  {"status": 200, "body": pages[2]},
                  {"status": 200, "body": pages[3]}]
         stats = ApiClientStats()
-        records = list(fetch_api(self.api_spec(), transport=ReplayTransport({"calls": calls}),
+        records = list(read_source(self.api_spec(), transport=ReplayTransport({"calls": calls}),
                                  stats=stats, backoff_base=0.0))
         assert len(records) == 150
         assert stats.retries == 2
@@ -183,11 +197,11 @@ class TestFetchApi:
     def test_endpoint_unreachable_after_three_failures(self):
         transport = ReplayTransport({"calls": [{"status": 503}] * 3})
         with pytest.raises(EndpointUnreachableError):
-            list(fetch_api(self.api_spec(), transport=transport, backoff_base=0.0))
+            list(read_source(self.api_spec(), transport=transport, backoff_base=0.0))
 
     def test_date_range_excluding_everything(self):
         transport = ReplayTransport({"pages": [_page(_items(10, year="2010")), {"data": []}]})
-        records = list(fetch_api(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
+        records = list(read_source(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
                                  transport=transport))
         assert records == []
 
@@ -199,7 +213,7 @@ class TestFetchApi:
         items.append(("not a date", "posting with a date cleanse rejects"))
         transport = ReplayTransport({"pages": [_page(items), {"data": []}]})
         counts = SourceCounts()
-        records = list(fetch_api(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
+        records = list(read_source(self.api_spec(api_date_range=("2022-01-01", "2022-12-31")),
                                  transport=transport, counts=counts, date_order=date_order))
         assert [r.raw_date for r in records] == dated[2022] + ["not a date"]
         assert counts.skipped == 3
@@ -210,15 +224,31 @@ class TestFetchApi:
                  {"status": 200, "body": _page(_items(5, 5))},
                  {"status": 200, "body": {"data": []}}]
         stats = ApiClientStats()
-        records = list(fetch_api(self.api_spec(), transport=ReplayTransport({"calls": calls}),
+        records = list(read_source(self.api_spec(), transport=ReplayTransport({"calls": calls}),
                                  stats=stats, backoff_base=0.0))
         assert len(records) == 10
         assert stats.pages_skipped == 1
 
+    @pytest.mark.parametrize("status, body", [(404, None), (200, None), (200, "not json")])
+    def test_pages_that_keep_failing_end_the_run(self, status, body):
+        pages = []
+
+        def transport(url, params, headers):
+            pages.append(params["page"])
+            assert len(pages) <= 50, "still paging"
+            return (200, _page(_items(5))) if params["page"] == 1 else (status, body)
+
+        stats = ApiClientStats()
+        with pytest.raises(EndpointUnreachableError, match=f"page 4: .*HTTP {status}"):
+            list(read_source(self.api_spec(), transport=transport, stats=stats,
+                             backoff_base=0.0))
+        assert pages == [1, 2, 3, 4]  # max_attempts calls after the first failure
+        assert stats.pages_skipped == 3
+
     def test_replay_is_deterministic(self):
         fixture = {"pages": [_page(_items(7)), {"data": []}]}
-        a = list(fetch_api(self.api_spec(), transport=ReplayTransport(fixture)))
-        b = list(fetch_api(self.api_spec(), transport=ReplayTransport(fixture)))
+        a = list(read_source(self.api_spec(), transport=ReplayTransport(fixture)))
+        b = list(read_source(self.api_spec(), transport=ReplayTransport(fixture)))
         assert a == b
 
 
@@ -269,3 +299,46 @@ class TestDeduplicate:
         twice = list(Deduplicator().filter(once))
         assert once == twice
         assert len(once) == len({dedup_key(t) for t in texts})
+
+
+_xml_safe_text = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Cn"))
+                         | st.sampled_from(" \t\n"), max_size=12)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(["2022-01-05", "", "05/03/2021"]),
+                               _xml_safe_text | st.sampled_from(["", " ", "\n\t"])),
+                     max_size=12),
+       page_size=st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_every_format_reads_the_same_rows(tmp_path_factory, rows, page_size):
+    tmp = tmp_path_factory.mktemp("formats")
+    objects = [{"date": d, "description": t} for d, t in rows]
+    with open(tmp / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "description"])
+        writer.writerows(rows)
+    (tmp / "rows.xml").write_text("<jobs>" + "".join(
+        f"<job><date>{escape(d)}</date><description>{escape(t)}</description></job>"
+        for d, t in rows) + "</jobs>", encoding="utf-8")
+    (tmp / "rows.json").write_text(json.dumps(objects), encoding="utf-8")
+    (tmp / "wrapped.json").write_text(json.dumps({"meta": 1, "rows": objects}),
+                                      encoding="utf-8")
+    (tmp / "rows.ldjson").write_text("".join(json.dumps(o) + "\n" for o in objects),
+                                     encoding="utf-8")
+    pages = [{"data": objects[i:i + page_size]} for i in range(0, len(objects), page_size)]
+    (tmp / "api.json").write_text(json.dumps({"pages": pages + [{"data": []}]}),
+                                  encoding="utf-8")
+
+    results = []
+    for name, fmt in [("rows.csv", "csv"), ("rows.xml", "xml"), ("rows.json", "json"),
+                      ("wrapped.json", "json"), ("rows.ldjson", "ldjson"),
+                      ("api.json", "api")]:
+        counts = SourceCounts()
+        records = list(read_source(spec_for(tmp / name, fmt), counts=counts))
+        results.append(([(r.raw_date, r.raw_text, int(r.source_id.rsplit(":", 1)[1]))
+                         for r in records], counts))
+    expected = [(d, t, n) for n, (d, t) in enumerate(rows) if t.strip()]
+    for got, counts in results:
+        assert got == expected
+        assert counts == results[0][1]
+        assert counts.emitted + counts.skipped + counts.dropped_empty == len(rows)
