@@ -62,7 +62,7 @@ from .topics import (
     lda_fit,
     scaled_min_cluster_size,
     temporal_weights,
-    tfidf_matrix,
+    top_terms,
 )
 from .trends import (
     RateSeries,
@@ -381,19 +381,17 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
     dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
                         seed=derive_seed(cfg.seed, "topics.density"))
-    # one dense D×V tf-idf for both clusterings
-    weights = tfidf_matrix(dtm)
-    km_terms = cluster_terms(km.assignments, weights, dtm.vocab)
-    dm.topic_terms = cluster_terms(dm.labels, weights, dtm.vocab)
+    km_terms = cluster_terms(km.assignments, dtm)
+    dm_terms = cluster_terms(dm.labels, dtm)
 
     # written only once all three models are fitted, so a failed run leaves
     # no topic file newer than the others
-    lda_terms = lda.top_terms()
-    doc_topics = [int(np.argmax(lda.theta[i])) for i in range(len(texts))]
+    lda_terms = {k: top_terms(row, dtm.vocab) for k, row in enumerate(lda.phi)}
+    lda_sizes = np.bincount(lda.theta.argmax(axis=1), minlength=lda_cfg.K).tolist()
     write_json(out / "lda_topics.json", {
         "K": lda_cfg.K, "iterations": lda_cfg.iterations,
         "log_likelihood_trace": lda.log_likelihood_trace,
-        "topics": topic_entries({k: doc_topics.count(k) for k in lda_terms}, lda_terms)})
+        "topics": topic_entries(dict(enumerate(lda_sizes)), lda_terms)})
     write_json(out / "kmeans_clusters.json", {
         "K": cfg.kmeans["K"], "wcss": km.wcss,
         "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
@@ -401,7 +399,7 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
     write_json(out / "density_topics.json", {
         "min_cluster_size": mcs, "all_noise": dm.all_noise,
         "noise_count": int((dm.labels == -1).sum()),
-        "topics": topic_entries(dm.topic_sizes, dm.topic_terms)})
+        "topics": topic_entries(dm.topic_sizes, dm_terms)})
     matrix = temporal_weights(dm.labels.tolist(), years)
     write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"],
               [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]

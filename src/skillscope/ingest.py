@@ -4,11 +4,11 @@ Each format only yields its items in source order: CSV rows, XML elements
 that have the text child, the objects of a JSON array, the non-blank lines of
 LDJSON, the items of each API page in turn. ``read_source`` applies one rule
 to all five: an item that does not parse, is not an object, or whose text
-field is missing or null is skipped (as is an API item dated outside
-``api_date_range``); one whose text is blank is dropped; the rest become
-RawRecords. So for every source emitted + skipped + dropped_empty equals the
-number of items. An API that keeps failing ends the run with
-EndpointUnreachableError.
+field is missing or not a string (null, an object, an array, a number or a
+bool) is skipped, as is an API item dated outside ``api_date_range``; one
+whose text is blank is dropped; the rest become RawRecords. So for every
+source emitted + skipped + dropped_empty equals the number of items. An API
+that keeps failing ends the run with EndpointUnreachableError.
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ def read_source(
 
     The format's reader yields items; the n-th item (from 0) becomes the
     record ``f"{spec.name}:{n}"``. An item that is not an object or whose
-    text field is missing or null is skipped; with ``api_date_range``, so is
-    one whose date parses as ``cleanse`` parses it (``date_order`` breaks
-    NN/NN/YYYY ties) outside the range, while one whose date does not parse
-    is kept, for ``cleanse`` to count; an item whose text is blank is dropped.
+    text field is missing or not a string is skipped; with
+    ``api_date_range``, so is one whose date parses as ``cleanse`` parses it
+    (``date_order`` breaks NN/NN/YYYY ties) outside the range, while one
+    whose date does not parse is kept, for ``cleanse`` to count; an item
+    whose text is blank is dropped.
     """
     counts = counts or SourceCounts()
     if spec.format == "api":
@@ -157,7 +158,7 @@ def read_source(
     date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
     for ordinal, item in enumerate(items):
         text = item.get(spec.text_field) if isinstance(item, dict) else None
-        if text is None:
+        if not isinstance(text, str):
             counts.skipped += 1
             continue
         raw_date = str(item.get(spec.date_field) or "")
@@ -165,12 +166,11 @@ def read_source(
         if day and not (date_range[0] <= day <= date_range[1]):
             counts.skipped += 1
             continue
-        raw_text = str(text)
-        if not raw_text.strip():
+        if not text.strip():
             counts.dropped_empty += 1
             continue
         counts.emitted += 1
-        yield RawRecord(f"{spec.name}:{ordinal}", raw_date, raw_text, spec.format)
+        yield RawRecord(f"{spec.name}:{ordinal}", raw_date, text, spec.format)
 
 
 # Each file reader yields its items in file order, None for one that does not parse.
@@ -254,17 +254,19 @@ class ReplayTransport:
 
     Fixture shape: {"calls": [{"status": 200, "body": {...}}, ...]} consumed
     in call order, or {"pages": [{"data": [...]}, ...]} addressed by the page
-    query parameter (always status 200).
+    query parameter (always status 200). Past both it answers a page with an
+    empty ``items_field`` list, which ends the paging.
     """
 
-    def __init__(self, fixture: dict):
+    def __init__(self, fixture: dict, items_field: str = "data"):
         self.calls = list(fixture.get("calls", []))
         self.pages = list(fixture.get("pages", []))
+        self.items_field = items_field
         self.call_count = 0
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayTransport":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+    def from_file(cls, path: str | Path, items_field: str = "data") -> "ReplayTransport":
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")), items_field)
 
     def __call__(self, url: str, params: dict, headers: dict) -> tuple[int, object]:
         self.call_count += 1
@@ -275,7 +277,7 @@ class ReplayTransport:
         idx = page - 1
         if 0 <= idx < len(self.pages):
             return 200, self.pages[idx]
-        return 200, {}
+        return 200, {self.items_field: []}
 
 
 @dataclass
@@ -291,13 +293,14 @@ def _api_items(spec, transport, stats, backoff_base, max_attempts):
 
     Each page is requested up to ``max_attempts`` times with exponential
     backoff on 5xx/429/transport errors; a page that still fails is fatal. A
-    page with another non-200 status or a body that is not JSON is skipped
-    and counted, and ``max_attempts`` such pages in a row are fatal.
+    page with another non-200 status, or whose body is not a JSON object
+    with a list under ``api_items_field``, is skipped and counted, and
+    ``max_attempts`` such pages in a row are fatal.
     """
     if transport is None:
         # local replay fixtures keep test/demo runs network-free
         if Path(spec.path_or_url).exists():
-            transport = ReplayTransport.from_file(spec.path_or_url)
+            transport = ReplayTransport.from_file(spec.path_or_url, spec.api_items_field)
         else:
             transport = http_transport
     headers = {}
@@ -315,17 +318,18 @@ def _api_items(spec, transport, stats, backoff_base, max_attempts):
 
         status, body = _fetch_page(spec, transport, params, headers, stats, backoff_base,
                                    max_attempts)
-        if status != 200 or not isinstance(body, (dict, list)):
+        items = body.get(spec.api_items_field) if isinstance(body, dict) else None
+        if status != 200 or not isinstance(items, list):
             stats.pages_skipped += 1
             bad_pages += 1
             if bad_pages == max_attempts:
                 raise EndpointUnreachableError(
                     f"{spec.path_or_url} page {page}: {bad_pages} unusable pages in a row, "
-                    f"the last HTTP {status}" + (" with no JSON body" if status == 200 else ""))
+                    f"the last HTTP {status}"
+                    + (f" without a {spec.api_items_field!r} list" if status == 200 else ""))
             page += 1
             continue
         bad_pages = 0
-        items = body.get(spec.api_items_field) if isinstance(body, dict) else None
         if not items:
             return
         stats.pages_fetched += 1

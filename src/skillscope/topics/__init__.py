@@ -1,4 +1,4 @@
-from .dtm import DocTermMatrix, build_dtm, cluster_terms, tfidf_matrix
+from .dtm import DocTermMatrix, build_dtm, cluster_terms, top_terms
 from .lda import LdaConfig, LdaModel, lda_fit
 from .kmeans import KMeansModel, kmeans_fit, wcss_of
 from .density import (
@@ -12,7 +12,7 @@ from .density import (
 from .temporal import TemporalTopicMatrix, temporal_weights
 
 __all__ = [
-    "DocTermMatrix", "build_dtm", "cluster_terms", "tfidf_matrix",
+    "DocTermMatrix", "build_dtm", "cluster_terms", "top_terms",
     "LdaConfig", "LdaModel", "lda_fit",
     "KMeansModel", "kmeans_fit", "wcss_of",
     "NOISE", "DensityTopicModel", "density_topics", "k_distance_knee",

@@ -36,7 +36,6 @@ class DensityTopicModel:
     eps: float
     all_noise: bool
     topic_sizes: dict[int, int] = field(default_factory=dict)
-    topic_terms: dict[int, list[tuple[str, float]]] = field(default_factory=dict)
 
 
 def scaled_min_cluster_size(n_docs: int, fraction: float = 0.002, floor: int = 5) -> int:

@@ -39,12 +39,6 @@ class DocTermMatrix:
     def n_terms(self) -> int:
         return len(self.vocab)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n_docs, self.n_terms), dtype=np.int64)
-        for d, (idx, cnt) in enumerate(zip(self.doc_indices, self.doc_counts)):
-            out[d, idx] = cnt
-        return out
-
     def doc_frequency(self) -> np.ndarray:
         df = np.zeros(self.n_terms, dtype=np.int64)
         for idx in self.doc_indices:
@@ -84,31 +78,35 @@ def build_dtm(texts: Sequence[str], min_df: int = 1,
     return DocTermMatrix(vocab=vocab, doc_indices=doc_indices, doc_counts=doc_counts)
 
 
-def tfidf_matrix(dtm: DocTermMatrix) -> np.ndarray:
-    """tf = raw count, idf = ln(D/df)."""
-    counts = dtm.dense().astype(float)
-    df = dtm.doc_frequency().astype(float)
-    return counts * np.log(float(dtm.n_docs) / df)
+def top_terms(weights: np.ndarray, vocab: Sequence[str],
+              n: int = 15) -> list[tuple[str, float]]:
+    """The n terms of ``vocab`` with the largest ``weights``, ties
+    lexicographic; each weight is clipped at zero."""
+    rank = np.empty(len(vocab), dtype=np.intp)
+    rank[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
+    return [(vocab[i], max(float(weights[i]), 0.0))
+            for i in np.lexsort((rank, -weights))[:n]]
 
 
-def cluster_terms(assignments: Sequence[int], weights: np.ndarray, vocab: Sequence[str],
+def cluster_terms(assignments: Sequence[int], dtm: DocTermMatrix,
                   top_n: int = 15) -> dict[int, list[tuple[str, float]]]:
-    """Per-cluster mean of the D×V ``weights`` (``tfidf_matrix``), top_n terms
-    of ``vocab``, ties lexicographic.
+    """Each cluster's top_n terms by mean tf-idf (tf = raw count,
+    idf = ln(D/df)), from the non-zero cells of ``dtm`` alone.
 
-    Documents labeled ``NOISE`` are excluded. Empty clusters are skipped.
-    Weights are clipped at zero (idf of an everywhere-present term is
-    exactly zero).
+    Documents labeled ``NOISE`` are excluded. A cluster's cells are summed
+    in document order and divided by its size, which is what the mean over
+    the rows of a dense D×V tf-idf gives, bit for bit.
     """
     assignments = np.asarray(assignments)
-    if len(assignments) != len(weights):
-        raise ValueError("assignments must cover all rows of weights")
+    if len(assignments) != dtm.n_docs:
+        raise ValueError("assignments must cover every document of dtm")
+    term = np.concatenate(dtm.doc_indices)
+    weight = np.concatenate(dtm.doc_counts) * np.log(dtm.n_docs / dtm.doc_frequency())[term]
+    cell_cluster = np.repeat(assignments, [len(idx) for idx in dtm.doc_indices])
     out: dict[int, list[tuple[str, float]]] = {}
-    for cluster in sorted(set(int(a) for a in assignments) - {NOISE}):
-        members = np.flatnonzero(assignments == cluster)
-        if members.size == 0:
-            continue
-        mean_w = weights[members].mean(axis=0)
-        order = sorted(range(len(vocab)), key=lambda i: (-mean_w[i], vocab[i]))
-        out[cluster] = [(vocab[i], max(float(mean_w[i]), 0.0)) for i in order[:top_n]]
+    for cluster in sorted(set(assignments.tolist()) - {NOISE}):
+        cells = cell_cluster == cluster
+        sums = np.bincount(term[cells], weights=weight[cells], minlength=dtm.n_terms)
+        out[cluster] = top_terms(sums / np.count_nonzero(assignments == cluster),
+                                 dtm.vocab, top_n)
     return out

@@ -47,19 +47,10 @@ class LdaConfig:
 
 @dataclass
 class LdaModel:
-    phi: np.ndarray        # K x V, rows sum to 1
+    phi: np.ndarray        # K x V in dtm.vocab order, rows sum to 1
     theta: np.ndarray      # D x K, rows sum to 1
     doc_topic_counts: np.ndarray  # D x K expected counts, rows sum to doc lengths
-    vocab: list[str]
     log_likelihood_trace: list[float] = field(default_factory=list)
-
-    def top_terms(self, n: int = 15) -> dict[int, list[tuple[str, float]]]:
-        out = {}
-        for k in range(self.phi.shape[0]):
-            order = sorted(range(len(self.vocab)),
-                           key=lambda i: (-self.phi[k, i], self.vocab[i]))
-            out[k] = [(self.vocab[i], float(self.phi[k, i])) for i in order[:n]]
-        return out
 
 
 def _log_joint_words(n_kt: np.ndarray, beta: float) -> float:
@@ -101,5 +92,4 @@ def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
     n_kt = n_wk.T
     phi = (n_kt + beta) / (n_kt.sum(axis=1, keepdims=True) + vbeta)
     theta = (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + K * alpha)
-    return LdaModel(phi=phi, theta=theta, doc_topic_counts=n_dk, vocab=list(dtm.vocab),
-                    log_likelihood_trace=trace)
+    return LdaModel(phi=phi, theta=theta, doc_topic_counts=n_dk, log_likelihood_trace=trace)

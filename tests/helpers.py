@@ -1,5 +1,7 @@
 """Shared hand-labeled fixtures used by module tests and the acceptance suite."""
 
+import numpy as np
+
 from skillscope.ingest import RawRecord
 
 VALID_EN = (
@@ -43,3 +45,11 @@ def labeled_cleanse_batch():
     for i in range(10):
         add(f"{VALID_EN} Second reference {i}.", "n/a", "bad_date")
     return records, labels
+
+
+def dense(dtm):
+    """The D×V count matrix of a DocTermMatrix (int64), for reference checks."""
+    out = np.zeros((dtm.n_docs, dtm.n_terms), dtype=np.int64)
+    for d, (idx, cnt) in enumerate(zip(dtm.doc_indices, dtm.doc_counts)):
+        out[d, idx] = cnt
+    return out

@@ -115,6 +115,16 @@ class TestParseFile:
         assert [(r.source_id, r.raw_text) for r in records] == [("a:1", "kept")]
         assert (counts.emitted, counts.skipped, counts.dropped_empty) == (1, 1, 0)
 
+    def test_non_string_text_is_skipped(self, tmp_path):
+        texts = [{"a": 1}, ["a", "list"], 5, 2.5, True, False, None, "kept", "  "]
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps([{"date": "2022-01-01", "description": t} for t in texts]))
+        counts = SourceCounts()
+        records = list(read_source(spec_for(p, "json"), counts=counts))
+        assert [(r.source_id, r.raw_text) for r in records] == [("a:7", "kept")]
+        assert (counts.emitted, counts.skipped, counts.dropped_empty) == (1, 7, 1)
+        assert counts.emitted + counts.skipped + counts.dropped_empty == len(texts)
+
 
 class TestSourceSpec:
     def test_unknown_manifest_key_rejected(self):
@@ -229,7 +239,28 @@ class TestFetchApi:
         assert len(records) == 10
         assert stats.pages_skipped == 1
 
-    @pytest.mark.parametrize("status, body", [(404, None), (200, None), (200, "not json")])
+    @pytest.mark.parametrize("body", [{"error": "busy"}, [{"date": "2022-01-01"}],
+                                      {"data": None}, {"data": {"a": 1}}])
+    def test_page_without_item_list_skipped(self, body):
+        pages = [_page(_items(5)), body, _page(_items(5, 5)), {"data": []}]
+        transport = ReplayTransport({"pages": pages})
+        stats = ApiClientStats()
+        records = list(read_source(self.api_spec(), transport=transport, stats=stats,
+                                   backoff_base=0.0))
+        assert [r.raw_text for r in records] == [t for _, t in _items(10)]
+        assert (stats.pages_fetched, stats.pages_skipped) == (2, 1)
+        assert transport.call_count == 4
+
+    def test_replay_ends_with_an_empty_list_under_the_items_field(self, tmp_path):
+        p = tmp_path / "jobs.json"
+        p.write_text(json.dumps({"pages": [{"items": _page(_items(3))["data"]}]}))
+        stats = ApiClientStats()
+        records = list(read_source(spec_for(p, "api", api_items_field="items"), stats=stats))
+        assert [r.raw_text for r in records] == [t for _, t in _items(3)]
+        assert (stats.pages_fetched, stats.pages_skipped) == (1, 0)
+
+    @pytest.mark.parametrize("status, body", [(404, None), (200, None), (200, "not json"),
+                                              (200, {"error": "busy"}), (200, [])])
     def test_pages_that_keep_failing_end_the_run(self, status, body):
         pages = []
 

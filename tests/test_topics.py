@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from skillscope.errors import ConfigError, EmptyVocabularyError
 from skillscope.topics import (
     NOISE,
+    DocTermMatrix,
     LdaConfig,
     build_dtm,
     cluster_terms,
@@ -19,11 +21,13 @@ from skillscope.topics import (
     random_projection,
     scaled_min_cluster_size,
     temporal_weights,
-    tfidf_matrix,
+    top_terms,
     wcss_of,
 )
 from skillscope.topics.density import _dbscan
 from skillscope.topics.kmeans import _sq_dists
+
+from .helpers import dense
 
 
 class TestBuildDtm:
@@ -31,7 +35,7 @@ class TestBuildDtm:
         dtm = build_dtm(["alpha beta beta", "beta gamma"])
         # df(beta)=2 ranks first; alpha/gamma tie broken lexicographically
         assert dtm.vocab == ["beta", "alpha", "gamma"]
-        assert dtm.dense().tolist() == [[2, 1, 0], [1, 0, 1]]
+        assert dense(dtm).tolist() == [[2, 1, 0], [1, 0, 1]]
 
     def test_max_df_excludes_ubiquitous_term(self):
         dtm = build_dtm(["common alpha", "common beta"], max_df_fraction=0.5)
@@ -57,26 +61,50 @@ class TestBuildDtm:
         assert counts == {"alpha": 1, "beta": 2}
 
 
+def dense_tfidf(dtm):
+    """Reference D×V tf-idf: tf = raw count, idf = ln(D/df)."""
+    counts = dense(dtm).astype(float)
+    return counts * np.log(dtm.n_docs / (counts > 0).sum(axis=0))
+
+
+def dense_cluster_terms(assignments, dtm, top_n):
+    """Reference ranking: each cluster's mean row of the dense tf-idf, sorted
+    by (-weight, term) in Python, weights clipped at zero."""
+    w = dense_tfidf(dtm)
+    out = {}
+    for cluster in sorted(set(assignments) - {NOISE}):
+        mean_w = w[[i for i, a in enumerate(assignments) if a == cluster]].mean(axis=0)
+        order = sorted(range(dtm.n_terms), key=lambda i: (-mean_w[i], dtm.vocab[i]))
+        out[cluster] = [(dtm.vocab[i], max(float(mean_w[i]), 0.0)) for i in order[:top_n]]
+    return out
+
+
 class TestTfidf:
     def test_hand_computed(self):
         dtm = build_dtm(["alpha beta beta", "beta gamma"])
-        w = tfidf_matrix(dtm)
+        terms = cluster_terms([0, 1], dtm, top_n=dtm.n_terms)
         ln2 = math.log(2.0)
         # beta present everywhere -> idf 0; alpha/gamma in one doc of two
-        expected = [[2 * 0.0, 1 * ln2, 0.0], [0.0, 0.0, 1 * ln2]]
-        assert np.allclose(w, expected, atol=1e-12)
+        expected = {0: {"alpha": 1 * ln2, "beta": 2 * 0.0, "gamma": 0.0},
+                    1: {"alpha": 0.0, "beta": 0.0, "gamma": 1 * ln2}}
+        assert set(terms) == {0, 1}
+        for cluster, weights in expected.items():
+            got = dict(terms[cluster])
+            assert got.keys() == weights.keys()
+            for term, weight in weights.items():
+                assert got[term] == pytest.approx(weight, abs=1e-12)
 
     def test_everywhere_term_weight_zero_in_every_cluster(self):
         dtm = build_dtm(["shared alpha", "shared beta", "shared gamma"])
-        terms = cluster_terms([0, 0, 1], tfidf_matrix(dtm), dtm.vocab, top_n=10)
+        terms = cluster_terms([0, 0, 1], dtm, top_n=10)
         for cluster in terms.values():
             weights = dict(cluster)
             assert weights["shared"] == 0.0
 
     def test_single_doc_cluster_equals_row(self):
         dtm = build_dtm(["alpha beta beta", "beta gamma", "alpha gamma delta"])
-        w = tfidf_matrix(dtm)
-        terms = cluster_terms([0, 1, 2], w, dtm.vocab, top_n=dtm.n_terms)
+        w = dense_tfidf(dtm)
+        terms = cluster_terms([0, 1, 2], dtm, top_n=dtm.n_terms)
         for t, weight in terms[1]:
             assert weight == pytest.approx(max(w[1][dtm.vocab.index(t)], 0.0), abs=1e-12)
 
@@ -85,33 +113,66 @@ class TestTfidf:
                 + ["markerthree filler common"] * 3)
         dtm = build_dtm(docs)
         assignments = [0] * 3 + [1] * 3 + [2] * 3
-        terms = cluster_terms(assignments, tfidf_matrix(dtm), dtm.vocab)
+        terms = cluster_terms(assignments, dtm)
         assert terms[0][0][0] == "markerone"
         assert terms[1][0][0] == "markertwo"
         assert terms[2][0][0] == "markerthree"
 
     def test_cluster_permutation_equivariance(self):
         dtm = build_dtm(["alpha beta", "gamma delta", "alpha delta", "beta gamma"])
-        w = tfidf_matrix(dtm)
-        a = cluster_terms([0, 1, 0, 1], w, dtm.vocab)
-        b = cluster_terms([1, 0, 1, 0], w, dtm.vocab)
+        a = cluster_terms([0, 1, 0, 1], dtm)
+        b = cluster_terms([1, 0, 1, 0], dtm)
         assert a[0] == b[1] and a[1] == b[0]
 
     def test_recomputation_matches_to_1e9(self):
-        rng = random.Random(2)
-        vocab_pool = [f"word{i}" for i in range(30)]
-        docs = [" ".join(rng.choices(vocab_pool, k=20)) for _ in range(12)]
-        dtm = build_dtm(docs)
-        assignments = [rng.randrange(3) for _ in docs]
-        got = cluster_terms(assignments, tfidf_matrix(dtm), dtm.vocab, top_n=dtm.n_terms)
-        counts = dtm.dense().astype(float)
-        df = (counts > 0).sum(axis=0)
-        w = counts * np.log(len(docs) / df)
-        for cluster, ranked in got.items():
-            members = [i for i, a in enumerate(assignments) if a == cluster]
-            mean_w = w[members].mean(axis=0)
-            for term, weight in ranked:
-                assert abs(weight - max(mean_w[dtm.vocab.index(term)], 0.0)) < 1e-9
+        # exact: the same weights, bit for bit, in the same order; label -1
+        # is NOISE, whose documents no cluster counts
+        for seed in range(8):
+            rng = random.Random(seed)
+            vocab_pool = [f"word{i}" for i in range(rng.randint(5, 80))]
+            docs = [" ".join(rng.choices(vocab_pool, k=rng.randint(1, 40)))
+                    for _ in range(rng.randint(2, 60))]
+            dtm = build_dtm(docs)
+            assignments = [rng.randrange(-1, 4) for _ in docs]
+            for top_n in (3, 15, dtm.n_terms):
+                assert cluster_terms(assignments, dtm, top_n=top_n) \
+                    == dense_cluster_terms(assignments, dtm, top_n), (seed, top_n)
+
+    def test_assignments_must_cover_every_document(self):
+        dtm = build_dtm(["alpha beta", "gamma delta"])
+        with pytest.raises(ValueError):
+            cluster_terms([0], dtm)
+
+    def test_top_terms_ties_lexicographic_and_negatives_clipped(self):
+        vocab = ["delta", "beta", "alpha", "gamma", "epsilon"]
+        weights = np.array([1.0, 2.0, 1.0, -0.5, -3.0])
+        assert top_terms(weights, vocab, 5) == [
+            ("beta", 2.0), ("alpha", 1.0), ("delta", 1.0), ("gamma", 0.0), ("epsilon", 0.0)]
+        assert top_terms(weights, vocab, 2) == [("beta", 2.0), ("alpha", 1.0)]
+        assert top_terms(np.zeros(5), vocab, 5) == [(t, 0.0) for t in sorted(vocab)]
+
+    def test_memory_grows_with_non_zeros_not_docs_times_vocab(self):
+        # 4,000 docs x 8,000 terms: a dense float copy alone is 256 MB
+        n_docs, n_terms = 4000, 8000
+        rng = np.random.default_rng(0)
+        doc_indices, doc_counts = [], []
+        for d in range(n_docs):
+            idx = np.unique(np.concatenate([[d, d + n_docs], rng.integers(0, n_terms, 3)]))
+            doc_indices.append(idx.astype(np.int64))
+            doc_counts.append(rng.integers(1, 4, idx.size).astype(np.int64))
+        dtm = DocTermMatrix(vocab=[f"term{i:04d}" for i in range(n_terms)],
+                            doc_indices=doc_indices, doc_counts=doc_counts)
+        kmeans_like = rng.integers(0, 6, n_docs)
+        density_like = rng.integers(-1, 3, n_docs)
+        tracemalloc.start()
+        try:
+            terms = [cluster_terms(labels, dtm) for labels in (kmeans_like, density_like)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        assert sorted(terms[0]) == list(range(6)) and sorted(terms[1]) == [0, 1, 2]
+        assert all(len(ranked) == 15 for t in terms for ranked in t.values())
 
 
 def two_topic_corpus(n_docs=40, seed=0):
@@ -191,7 +252,7 @@ class TestLda:
         cfg = LdaConfig(K=1, iterations=5, seed=0)
         model = lda_fit(dtm, cfg)
         assert np.allclose(model.theta, 1.0)
-        counts = dtm.dense().sum(axis=0).astype(float)
+        counts = dense(dtm).sum(axis=0).astype(float)
         expected = (counts + cfg.beta) / (counts.sum() + dtm.n_terms * cfg.beta)
         assert np.allclose(model.phi[0], expected, atol=1e-12)
 
