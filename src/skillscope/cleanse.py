@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import from_json
 from .errors import ConfigError, TextTooShortError
 from .language import detect_language
-from .text import tokenize
+from .text import has_tokens
 
 DEFAULT_BOILERPLATE = [
     "Equal Opportunity Employer",
@@ -34,7 +34,10 @@ _ENTITIES = [
 ]
 
 _CONTROL_RE = re.compile(r"[\x00-\x09\x0b-\x1f\x7f]")
-_SPACE_RUN_RE = re.compile(r"[^\S\n]+")
+# a blank followed by more blanks, or one that is not a space: a lone space,
+# the commonest match of a plain run pattern, is left alone instead of
+# replaced by itself; the leading class lets the engine skip to each blank
+_SPACE_RUN_RE = re.compile(r"[^\S\n](?:[^\S\n]+|(?<! ))")
 _NL_SPACE_RE = re.compile(r" ?\n ?")
 _NL_RUN_RE = re.compile(r"\n+")
 
@@ -115,14 +118,20 @@ def _boilerplate_res(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
     return tuple(out)
 
 
+def _collapse_blanks(text: str) -> str:
+    """Each run of blanks becomes one space, and each run of line breaks with
+    the blanks around it one newline."""
+    text = _SPACE_RUN_RE.sub(" ", text)
+    if "\n" in text:  # the newline patterns have no literal prefix to search for
+        text = _NL_RUN_RE.sub("\n", _NL_SPACE_RE.sub("\n", text))
+    return text
+
+
 def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
     """Remove control characters, collapse whitespace and strip boilerplate
     sentences. Idempotent."""
     cfg = cfg or CleanseConfig()
-    text = _CONTROL_RE.sub(" ", raw)
-    text = _SPACE_RUN_RE.sub(" ", text)
-    text = _NL_SPACE_RE.sub("\n", text)
-    text = _NL_RUN_RE.sub("\n", text)
+    text = _collapse_blanks(_CONTROL_RE.sub(" ", raw))
     patterns = _boilerplate_res(tuple(cfg.boilerplate_patterns))
     changed = True
     while changed:  # removal can splice text into a fresh match
@@ -131,10 +140,7 @@ def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
             text, n = pat.subn("", text)
             if n:
                 changed = True
-    text = _SPACE_RUN_RE.sub(" ", text)
-    text = _NL_SPACE_RE.sub("\n", text)
-    text = _NL_RUN_RE.sub("\n", text)
-    return text.strip()
+    return _collapse_blanks(text).strip()
 
 
 def parse_date(raw: str, date_order: str = "DMY") -> dt.date | None:
@@ -197,7 +203,7 @@ def cleanse(records, cfg: CleanseConfig | None = None) -> tuple[list[Posting], C
         if not (lo <= date.year <= hi):
             report.rejected["out_of_range"] += 1
             continue
-        if len(tokenize(description)) < cfg.min_tokens:
+        if not has_tokens(description, cfg.min_tokens):
             report.rejected["too_short"] += 1
             continue
         report.retained += 1

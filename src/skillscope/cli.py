@@ -53,6 +53,7 @@ from .taxonomy import (
     load_sectors,
     load_taxonomy,
 )
+from .text import tokenize
 from .topics import (
     LdaConfig,
     build_dtm,
@@ -150,15 +151,23 @@ class RunConfig:
 
 # --- artifact IO ------------------------------------------------------------
 
-def atomic_write(path: Path, data: str) -> None:
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the strings ``chunks`` yields, in turn, to ``path`` through a
+    temp file, so a large artifact is never held as one string; a failure
+    while writing leaves no temp file and ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
 def write_json(path: Path, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -167,7 +176,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    atomic_write(path, buf.getvalue())
+    atomic_write(path, [buf.getvalue()])
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -179,7 +188,7 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
     """One sorted-key JSON object per line."""
-    atomic_write(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    atomic_write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def read_ndjson(path: Path) -> list[dict]:
@@ -300,7 +309,8 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
         counts.duplicates_removed = dedup.removed_by_source.get(spec.name, 0)
         report[spec.name] = {**asdict(counts), **api_stats}
 
-    write_ndjson(out / "raw_records.ndjson", map(asdict, kept))
+    # the row dataclasses are flat, so vars() is asdict() without its deep copy
+    write_ndjson(out / "raw_records.ndjson", map(vars, kept))
     write_json(out / "ingest_report.json", report)
     return {"records": len(kept), "duplicates_removed": dedup.removed}
 
@@ -318,8 +328,16 @@ def stage_cleanse(cfg: RunConfig, out: Path, jobs: int) -> dict:
 def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     postings = load_postings(out)
     matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
-    flags = [detect_skills(p, matcher) for p in postings]
-    sectors = sector_totals(postings, cfg.sectors)
+    flags = []
+
+    def tokens_after_skills():
+        # each description is tokenized once for both matchers, one at a time
+        for p in postings:
+            tokens = tokenize(p.description)
+            flags.append(detect_skills(p, matcher, tokens))
+            yield tokens
+
+    sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
     write_ndjson(out / "skill_flags.ndjson",
                  ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
                   for f in flags))
@@ -338,7 +356,7 @@ def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
     centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
     results = [frame_document(v, centroids, posting_id=p.id)
                for p, v in zip(postings, vectors)]
-    write_ndjson(out / "framing.ndjson", map(asdict, results))
+    write_ndjson(out / "framing.ndjson", map(vars, results))
 
     sims = [(r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index) for r in results]
     columns = ["n", "sim_ai", "sim_augment", "sim_automate", "fi"]
@@ -519,7 +537,7 @@ def stage_report(cfg: RunConfig, out: Path, jobs: int) -> dict:
     if off_diag:
         md += ["", f"Correlation off-diagonal range: "
                    f"{min(off_diag):.4f} .. {max(off_diag):.4f}"]
-    atomic_write(out / "summary.md", "\n".join(md) + "\n")
+    atomic_write(out / "summary.md", [line + "\n" for line in md])
     return {"tables": len(tables)}
 
 
@@ -621,6 +639,8 @@ def main(argv=None) -> int:
             return cmd_validate(args)
         if args.command == "demo":
             return cmd_demo(args)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -53,17 +54,24 @@ def _unit_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -exponent)
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real float vector, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two real float vectors, clipped to [-1, 1]; NaN stays NaN."""
     if a.shape != b.shape:
         raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    na, nb = _norm(a), _norm(b)
     lo, hi = _NORM_RANGE
     if not (lo <= na <= hi and lo <= nb <= hi):
         a, b = _unit_scaled(a), _unit_scaled(b)
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        na, nb = _norm(a), _norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero vector is undefined")
-    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
+    c = float(a.dot(b)) / (na * nb)
+    return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
 class HashedProvider:

@@ -23,7 +23,9 @@ MIN_DETECT_CHARS = 20
 LANGUAGES = ("en", "fr", "es", "de")
 
 _NON_LETTER_RE = re.compile(r"[^a-zà-öø-ÿœß ]+")
-_SPACE_RE = re.compile(r" +")
+# two or more spaces, spelt with a two-space literal prefix the engine searches
+# for: a lone space needs no replacing
+_SPACE_RE = re.compile("  +")
 
 # The characters _canonical keeps, in code-point order (space first): those
 # up to the class's largest code point that _NON_LETTER_RE does not match. A

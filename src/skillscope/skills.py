@@ -22,8 +22,10 @@ class SkillFlags:
     flags: dict[str, bool]
 
 
-def detect_skills(posting: Posting, matcher: CompiledMatcher) -> SkillFlags:
-    labels = matcher.match_labels(posting.description)
+def detect_skills(posting: Posting, matcher: CompiledMatcher,
+                  tokens: list[str] | None = None) -> SkillFlags:
+    """``tokens``, when given, is the tokenized description."""
+    labels = matcher.match_labels(posting.description, tokens)
     return SkillFlags(
         posting_id=posting.id,
         flags={cat: cat in labels for cat in SKILL_CATEGORIES},

@@ -172,9 +172,11 @@ class CompiledMatcher:
     def from_sectors(cls, lex: SectorLexicon) -> "CompiledMatcher":
         return cls({name: list(phrases) for name, phrases in lex.sectors.items()})
 
-    def match_hits(self, text: str) -> dict[str, set[str]]:
-        """Map label -> set of matched phrases (distinct phrases, not counts)."""
-        tokens = tokenize(text)
+    def match_hits(self, text: str, tokens: list[str] | None = None) -> dict[str, set[str]]:
+        """Map label -> set of matched phrases (distinct phrases, not counts).
+        ``tokens``, when given, is ``tokenize(text)`` already computed."""
+        if tokens is None:
+            tokens = tokenize(text)
         hits: dict[str, set[str]] = {}
         n = len(tokens)
         index = self._index
@@ -184,5 +186,5 @@ class CompiledMatcher:
                     hits.setdefault(label, set()).add(phrase)
         return hits
 
-    def match_labels(self, text: str) -> set[str]:
-        return set(self.match_hits(text))
+    def match_labels(self, text: str, tokens: list[str] | None = None) -> set[str]:
+        return set(self.match_hits(text, tokens))

@@ -20,6 +20,7 @@ from .cleanse import Posting
 from .errors import ConfigError
 from .skills import per_mille, rate_table
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
+from .text import tokenize
 
 SHORT_SERIES_THRESHOLD = 12
 
@@ -146,11 +147,13 @@ def pearson_matrix(series_by_category: dict[str, RateSeries]) -> CorrelationMatr
 
 
 def classify_sector(posting: Posting, lex: SectorLexicon,
-                    matcher: CompiledMatcher | None = None) -> str | None:
+                    matcher: CompiledMatcher | None = None,
+                    tokens: list[str] | None = None) -> str | None:
     """Sector with the most distinct trigger hits; ties go to the earlier
-    sector in the lexicon's priority order; no hits -> None."""
+    sector in the lexicon's priority order; no hits -> None. ``tokens``,
+    when given, is the tokenized description."""
     matcher = matcher if matcher is not None else CompiledMatcher.from_sectors(lex)
-    hits = matcher.match_hits(posting.description)
+    hits = matcher.match_hits(posting.description, tokens)
     if not hits:
         return None
     rank = {name: i for i, name in enumerate(lex.priority)}
@@ -167,7 +170,13 @@ def sector_rates(postings: list[Posting], flag_rows: list[dict]) -> list[list]:
                       for p, row in zip(postings, flag_rows) if row["sector"] is not None)
 
 
-def sector_totals(postings, lex: SectorLexicon) -> dict[str, str | None]:
-    """Sector of each posting id, ``None`` where no trigger matches."""
+def sector_totals(postings, lex: SectorLexicon, tokens=None) -> dict[str, str | None]:
+    """Sector of each posting id, ``None`` where no trigger matches.
+    ``tokens``, when given, yields each posting's tokenized description in
+    turn, so a caller can tokenize each posting once for several matchers
+    without holding every token list at once."""
     matcher = CompiledMatcher.from_sectors(lex)
-    return {p.id: classify_sector(p, lex, matcher) for p in postings}
+    if tokens is None:
+        tokens = (tokenize(p.description) for p in postings)
+    return {p.id: classify_sector(p, lex, matcher, toks)
+            for p, toks in zip(postings, tokens, strict=True)}

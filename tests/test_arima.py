@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skillscope.arima import (
     ArimaModel,
@@ -43,6 +46,32 @@ class TestCssResiduals:
         assert e[0] == 1.0
         assert e[1] == pytest.approx(1.0 - 0.5 * e[0])
         assert e[2] == pytest.approx(1.0 - 0.5 * e[1])
+
+
+    @given(arrays(float, st.integers(0, 12), elements=st.floats(-1e6, 1e6)),
+           arrays(float, st.integers(0, 3), elements=st.floats(-3, 3)),
+           arrays(float, st.integers(0, 3), elements=st.floats(-3, 3)),
+           st.just(0.0) | st.floats(-1e3, 1e3).map(np.float64))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_numpy_scalar_recursion(self, w, phi, theta, intercept):
+        assert css_residuals(w, phi, theta, intercept).tobytes() == \
+            reference_css_residuals(w, phi, theta, intercept).tobytes()
+
+
+def reference_css_residuals(w, phi, theta, intercept):
+    """The recursion on numpy float64 scalars, indexing the arrays it is given."""
+    n, p, q = len(w), len(phi), len(theta)
+    e = np.zeros(n)
+    for t in range(n):
+        pred = intercept
+        for i in range(1, p + 1):
+            if t - i >= 0:
+                pred += phi[i - 1] * w[t - i]
+        for j in range(1, q + 1):
+            if t - j >= 0:
+                pred += theta[j - 1] * e[t - j]
+        e[t] = w[t] - pred
+    return e
 
 
 def simulate_ar1(phi, n, seed, sigma=1.0):

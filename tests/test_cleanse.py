@@ -1,17 +1,19 @@
 import datetime as dt
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillscope.cleanse import (
+    DEFAULT_BOILERPLATE,
     CleanseConfig,
     cleanse,
     normalize_text,
     parse_date,
 )
 from skillscope.errors import ConfigError
-from skillscope.text import tokenize
+from skillscope.text import has_tokens, tokenize
 
 from .conftest import LONG_EN, LONG_FR, record
 from .helpers import labeled_cleanse_batch
@@ -50,6 +52,79 @@ class TestNormalizeText:
     def test_idempotent(self, raw):
         once = normalize_text(raw)
         assert normalize_text(once) == once
+
+
+# --- reference: normalize_text with a plain blank-run pattern, run on every
+# text, and every newline pattern run whether the text has a newline or not
+
+def reference_normalize(raw, patterns=DEFAULT_BOILERPLATE):
+    def collapse(text):
+        text = re.sub(r"[^\S\n]+", " ", text)
+        text = re.sub(r" ?\n ?", "\n", text)
+        return re.sub(r"\n+", "\n", text)
+
+    compiled = [re.compile(r"\s+".join(map(re.escape, pat.split()))
+                           + r"[^.!?\n]*(?:[.!?]+|(?=\n)|$)\s*", re.IGNORECASE)
+                for pat in patterns if pat.split()]
+    text = collapse(re.sub(r"[\x00-\x09\x0b-\x1f\x7f]", " ", raw))
+    changed = True
+    while changed:
+        changed = False
+        for pat in compiled:
+            text, n = pat.subn("", text)
+            changed = changed or n > 0
+    return collapse(text).strip()
+
+
+# every kind of blank: ASCII and Unicode spaces, the C0 separators (which \s
+# matches), NEL, NBSP, EM SPACE, LINE SEPARATOR, IDEOGRAPHIC SPACE and newline
+BLANKS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+          "\xa0", "\u2003", "\u2028", "\u3000", "\n"]
+
+
+@st.composite
+def boilerplate(draw):
+    """A default phrase in mixed case, its words split by blank runs."""
+    words = draw(st.sampled_from(DEFAULT_BOILERPLATE)).split()
+    seps = draw(st.lists(st.text(st.sampled_from(BLANKS), min_size=1, max_size=3),
+                         min_size=len(words) - 1, max_size=len(words) - 1))
+    text = words[0] + "".join(sep + word for sep, word in zip(seps, words[1:]))
+    upper = draw(st.integers(0, 2 ** len(text) - 1))  # bit i: the case of character i
+    return "".join(c.upper() if upper >> i & 1 else c.lower() for i, c in enumerate(text))
+
+
+blank_text = st.lists(st.sampled_from(BLANKS) | st.sampled_from(["data", "Role", "x", "."])
+                      | st.sampled_from(["!", "?", "\x00", "\x7f"]) | boilerplate(),
+                      max_size=40).map("".join)
+
+
+class TestNormalizeAgainstReference:
+    @given(blank_text)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_plain_pattern_formulation(self, raw):
+        assert normalize_text(raw) == reference_normalize(raw)
+
+    @pytest.mark.parametrize("raw", ["a \u3000 b", "a\tb", "a \n \n\xa0b", "x\u2028y",
+                                     "  lead and trail \x85 ", "Equal\u2003Opportunity "
+                                     "EMPLOYER\n next", "one  \n two"])
+    def test_hand_cases(self, raw):
+        assert normalize_text(raw) == reference_normalize(raw)
+
+
+class TestHasTokens:
+    @given(st.text(st.sampled_from(BLANKS + ["a", "B", "7", "-", "+", "#", "é", "."]),
+                   max_size=80), st.integers(1, 40))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_length_of_the_token_list(self, text, n):
+        assert has_tokens(text, n) == (len(tokenize(text)) >= n)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_too_short_at_the_floor(self, delta):
+        # the cut-off falls one token under, at and one over the description's count
+        n = len(tokenize(normalize_text(LONG_EN)))
+        postings, report = cleanse([record(LONG_EN)], CleanseConfig(min_tokens=n + delta))
+        assert report.rejected["too_short"] == (delta == 1)
+        assert len(postings) == (delta < 1)
 
 
 class TestParseDate:

@@ -1,13 +1,16 @@
 import csv
+import hashlib
 import json
 import os
 import re
 import shutil
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from skillscope import cli, ingest
+from skillscope import cli, ingest, taxonomy, trends
 from skillscope.cli import (
     CONFIG_FIELDS,
     EXIT_CONFIG,
@@ -18,12 +21,14 @@ from skillscope.cli import (
     MODEL_FIELDS,
     PIPELINE,
     RunConfig,
+    atomic_write,
     count_rows,
     derive_seed,
     load_postings,
     main,
     read_ndjson,
     run_stage,
+    write_ndjson,
 )
 from skillscope.fixtures import write_demo_corpus
 from skillscope.taxonomy import default_path, load_sectors
@@ -124,6 +129,13 @@ class TestErrors:
         bad = tmp_path / "run.json"
         bad.write_text("{}")  # no sources
         assert main(["all", "--config", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        run = write_demo_corpus(tmp_path)
+        assert main(["ingest", "--config", str(run), "--jobs", jobs]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_unreadable_config(self, tmp_path):
         assert main(["all", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -396,6 +408,21 @@ class TestSectorLabels:
         assert main(["all", "--config", str(run_path)]) == EXIT_OK
         assert calls == {"sector_totals": 1, "load_sectors": 1}
 
+    def test_extract_tokenizes_each_posting_once(self, demo_dir, tmp_path, monkeypatch):
+        seen = Counter()
+        for module in (cli, taxonomy, trends):
+            def counted(text, _fn=module.tokenize):
+                seen[text] += 1
+                return _fn(text)
+            monkeypatch.setattr(module, "tokenize", counted)
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE["extract"].inputs)
+        assert main(["extract", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_OK
+        descriptions = Counter(p.description for p in load_postings(out))
+        # the other calls tokenize the lexicons' phrases
+        assert {t: seen[t] for t in descriptions} == descriptions
+
     def test_framing_and_sectors_do_not_read_the_lexicon(self, demo_dir, tmp_path):
         first = tmp_path / "first"
         extract_with_extras(demo_dir, first)
@@ -477,6 +504,53 @@ class TestStageTable:
         assert code == EXIT_MISSING_UPSTREAM
         assert missing in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in stage.outputs)
+
+
+class TestArtifactWrites:
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "rows.ndjson"
+        target.write_text("old\n")
+
+        def rows():
+            yield "new\n"
+            raise RuntimeError("source failed mid-artifact")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(target, rows())
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.ndjson"]
+
+    def test_ndjson_rows_are_streamed(self, tmp_path):
+        # 20,000 rows are about 5 MB of JSON; no more than a few rows are held
+        rows = ({"id": f"p{i}", "description": "x" * 220} for i in range(20_000))
+        tracemalloc.start()
+        try:
+            write_ndjson(tmp_path / "rows.ndjson", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_ndjson(tmp_path / "rows.ndjson")) == 20_000
+        assert peak < 2 ** 20
+
+
+# sha256 of the artifacts of write_demo_corpus(200, seed=7) whose path has no
+# BLAS or scipy call, so they repeat across numpy builds and Python versions.
+# A change meant to alter one of these bytes updates its pin and says why.
+TEXT_PATH_DIGESTS = {
+    "raw_records.ndjson": "81def560e23a70778fb6ed0d6f47864e9792c20d567f3a16bee4351a4e100860",
+    "ingest_report.json": "b672d32c030e3846cc9ddcf185837b39b435b6f441b42a07e0a1989bfbce9df9",
+    "postings.ndjson": "e4dd0be1da103ce8a16fcbd2e843b382956003efe36af8bb92e04d7700439e1c",
+    "cleanse_report.json": "341ed38a8bdb4320d52b4e34eb326b5f867fefe5eedbed1e22338d54ba228d70",
+    "skill_flags.ndjson": "da302a914bacf38e9a07832de2b83c71794b7545f0fca294575d9364361ca97d",
+    "skill_rates.csv": "0fc5c694fe850a535c07026f4311e9ab27846cd8304034fb7e5c5cd7425df672",
+    "sector_rates.csv": "327a3f910a2aeb959e449f7418817c258abbe43d6facc645dd4ad2c60015ec63",
+}
+
+
+def test_text_path_artifacts_are_pinned(demo_dir):
+    out = results_dir(demo_dir)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in TEXT_PATH_DIGESTS} == TEXT_PATH_DIGESTS
 
 
 class TestConfigPlumbing:

@@ -29,6 +29,33 @@ from skillscope.text import tokenize
 TINY = np.array([3.1e-161, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def reference_cosine(a, b):
+    """cosine through np.linalg.norm and np.clip on every call."""
+    if a.shape != b.shape:
+        raise DimensionMismatchError("shape")
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if not (2.0 ** -500 <= na <= 2.0 ** 500 and 2.0 ** -500 <= nb <= 2.0 ** 500):
+        a, b = (np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (a, b))
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVectorError("zero")
+    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # NaN compares equal to itself as its repr
+    except ZeroVectorError:
+        return "ZeroVectorError"
+
+
+# vectors scaled by powers of two from deep underflow to near overflow, so
+# both the direct and the rescaled path run
+scaled = st.builds(lambda v, k: np.ldexp(v, k),
+                   arrays(float, 5, elements=st.floats(-100, 100)),
+                   st.sampled_from([-1070, -700, -520, -400, 0, 400, 520, 900]))
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([3.0, -1.0, 2.0])
@@ -63,6 +90,24 @@ class TestCosine:
         assert abs(r - cosine(b, a)) < 1e-12
         assert abs(r - cosine(lam * a, b)) < 1e-12
         assert -1.0 <= r <= 1.0
+
+
+    @given(scaled, scaled)
+    @example(a=np.array([np.nan, 1.0]), b=np.array([1.0, 0.0]))
+    @example(a=np.array([np.inf, 1.0]), b=np.array([1.0, 0.0]))
+    @example(a=np.array([1.0, 1e-300]), b=np.array([1.0, 1e-300]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_norm_and_clip_formulation(self, a, b):
+        assert outcome(cosine, a, b) == outcome(reference_cosine, a, b)
+
+    def test_nan_input_gives_nan(self):
+        assert math.isnan(cosine(np.array([np.nan, 1.0]), np.array([1.0, 0.0])))
+
+    def test_parallel_vectors_clip_to_one(self):
+        # the unclipped quotient of this pair rounds to 1 + 2**-52
+        v = np.array([0.651592972722763, 0.7887233511355132, 0.0938595867742349])
+        assert float(v.dot(3 * v)) / (math.sqrt(v.dot(v)) * math.sqrt((3 * v).dot(3 * v))) > 1.0
+        assert cosine(v, 3 * v) == 1.0 and cosine(v, -3 * v) == -1.0
 
 
 class TestHashedProvider:

@@ -1,4 +1,6 @@
 import math
+import re
+import unicodedata
 from importlib import resources
 
 import pytest
@@ -123,6 +125,19 @@ def test_matches_plain_loop_reference(text):
     lang, conf = detect_language(text)
     assert lang == want[0]
     assert math.isclose(conf, want[1], rel_tol=1e-9)
+
+
+def reference_canonical(text):
+    """_canonical with the plain space-run pattern, which rewrites a lone space."""
+    text = _NON_LETTER_RE.sub(" ", unicodedata.normalize("NFC", text.casefold()))
+    return re.sub(" +", " ", text).strip()
+
+
+@given(st.text(st.sampled_from(_CHARS + "  \xa0\u3000\u2028\x85"), max_size=80)
+       | st.lists(st.sampled_from(_WORDS + [" ", "  ", "-", "!!"]), max_size=30).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_canonical_matches_plain_space_collapse(text):
+    assert _canonical(text) == reference_canonical(text)
 
 
 def test_alphabet_is_what_canonical_keeps():
