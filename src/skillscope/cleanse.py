@@ -103,11 +103,32 @@ class CleanseReport:
     def as_dict(self) -> dict:
         return {"input": self.input, "retained": self.retained, "rejected": dict(self.rejected)}
 
+    def add(self, other: "CleanseReport") -> None:
+        """Count ``other``'s records too."""
+        self.input += other.input
+        self.retained += other.retained
+        for reason, n in other.rejected.items():
+            self.rejected[reason] += n
+
+
+# each character besides its two cases that re.IGNORECASE matches with an
+# ASCII letter, to that letter; str.lower() maps none of them to it
+_ASCII_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
+
+
+def _ascii_fold(text: str) -> str:
+    """``text`` lowercased, with each character that re.IGNORECASE matches
+    with an ASCII letter turned into that letter."""
+    return (text if text.isascii() else text.translate(_ASCII_FOLD)).lower()
+
 
 @lru_cache(maxsize=8)
-def _boilerplate_res(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
-    """Compiled once per pattern list, not once per record."""
-    out = []
+def _boilerplate_res(patterns: tuple[str, ...]
+                     ) -> tuple[tuple[re.Pattern, ...], tuple[str, ...] | None]:
+    """Compiled once per pattern list, not once per record; with them, the
+    folded first word of each, which a text must hold for any to match, or
+    None when a first word is not ASCII and so cannot be folded the same way."""
+    out, first_words = [], []
     for pat in patterns:
         words = pat.split()
         if not words:
@@ -115,7 +136,8 @@ def _boilerplate_res(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
         body = r"\s+".join(re.escape(w) for w in words)
         # phrase plus the remainder of its sentence, through the terminator
         out.append(re.compile(body + r"[^.!?\n]*(?:[.!?]+|(?=\n)|$)\s*", re.IGNORECASE))
-    return tuple(out)
+        first_words.append(_ascii_fold(words[0]))
+    return tuple(out), (tuple(first_words) if all(map(str.isascii, first_words)) else None)
 
 
 def _collapse_blanks(text: str) -> str:
@@ -132,8 +154,13 @@ def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
     sentences. Idempotent."""
     cfg = cfg or CleanseConfig()
     text = _collapse_blanks(_CONTROL_RE.sub(" ", raw))
-    patterns = _boilerplate_res(tuple(cfg.boilerplate_patterns))
-    changed = True
+    patterns, first_words = _boilerplate_res(tuple(cfg.boilerplate_patterns))
+    if first_words is not None:
+        folded = _ascii_fold(text)
+        # a pattern matches only where the text holds its first word
+        changed = any(word in folded for word in first_words)
+    else:
+        changed = True
     while changed:  # removal can splice text into a fresh match
         changed = False
         for pat in patterns:

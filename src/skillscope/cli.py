@@ -32,9 +32,9 @@ import numpy as np
 
 from . import __version__
 from .arima import ArimaSpec
-from .cleanse import CleanseConfig, Posting, cleanse
+from .cleanse import CleanseConfig, CleanseReport, Posting, cleanse
 from .config import check_fields
-from .embed import provider_from_spec, spec_arguments
+from .embed import HashedProvider, provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, frame_document
 from .ingest import (
@@ -45,6 +45,7 @@ from .ingest import (
     load_manifest,
     read_source,
 )
+from .parallel import map_chunks
 from .skills import detect_skills, per_mille, rate_table
 from .taxonomy import (
     SKILL_CATEGORIES,
@@ -232,9 +233,11 @@ class Manifest:
         self.doc.update(tool_version=__version__, config=cfg.raw)
 
     def record(self, stage: str, outputs: list[Path], wall_clock: float,
-               counts: dict | None = None) -> None:
+               counts: dict | None = None, jobs: int = 1, processes: int = 1) -> None:
         self.doc["stages"][stage] = {
             "wall_clock_s": round(wall_clock, 3),
+            "jobs": jobs,
+            "processes": processes,
             "counts": counts or {},
             "outputs": {
                 p.name: {"sha256": sha256_file(p), "rows": count_rows(p)}
@@ -288,14 +291,28 @@ def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
 
 # --- stages -----------------------------------------------------------------
 
-def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
+class Workers:
+    """A stage's ``--jobs`` budget, and the most processes it ran at once."""
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.processes = 1
+
+    def map_chunks(self, fn, items) -> list:
+        """``parallel.map_chunks`` within this budget."""
+        results = map_chunks(fn, items, self.jobs)
+        self.processes = max(self.processes, len(results))
+        return results
+
+
+def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     def collect(spec):
         counts, stats = SourceCounts(), ApiClientStats()
         records = list(read_source(spec, counts, stats, cfg.cleanse.date_order))
         return records, counts, asdict(stats) if spec.format == "api" else {}
 
-    if jobs > 1 and len(cfg.sources) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if workers.jobs > 1 and len(cfg.sources) > 1:
+        with ThreadPoolExecutor(max_workers=workers.jobs) as pool:
             results = list(pool.map(collect, cfg.sources))
     else:
         results = [collect(s) for s in cfg.sources]
@@ -315,29 +332,39 @@ def stage_ingest(cfg: RunConfig, out: Path, jobs: int) -> dict:
     return {"records": len(kept), "duplicates_removed": dedup.removed}
 
 
-def stage_cleanse(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson")]
-    postings, report = cleanse(records, cfg.cleanse)
+    chunks = workers.map_chunks(lambda chunk: cleanse(chunk, cfg.cleanse), records)
+    report = CleanseReport()
+    for _, part in chunks:
+        report.add(part)
     write_ndjson(out / "postings.ndjson",
                  ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
-                   "description": p.description} for p in postings))
+                   "description": p.description} for postings, _ in chunks for p in postings))
     write_json(out / "cleanse_report.json", report.as_dict())
     return report.as_dict()
 
 
-def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
     matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
-    flags = []
 
-    def tokens_after_skills():
-        # each description is tokenized once for both matchers, one at a time
-        for p in postings:
-            tokens = tokenize(p.description)
-            flags.append(detect_skills(p, matcher, tokens))
-            yield tokens
+    def label(chunk):
+        flags = []
 
-    sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
+        def tokens_after_skills():
+            # each description is tokenized once for both matchers, one at a time
+            for p in chunk:
+                tokens = tokenize(p.description)
+                flags.append(detect_skills(p, matcher, tokens))
+                yield tokens
+
+        return flags, sector_totals(chunk, cfg.sectors, tokens_after_skills())
+
+    flags, sectors = [], {}
+    for chunk_flags, chunk_sectors in workers.map_chunks(label, postings):
+        flags += chunk_flags
+        sectors.update(chunk_sectors)
     write_ndjson(out / "skill_flags.ndjson",
                  ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
                   for f in flags))
@@ -346,16 +373,22 @@ def stage_extract(cfg: RunConfig, out: Path, jobs: int) -> dict:
     return {"postings": len(postings), "years": len(yearly)}
 
 
-def stage_framing(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings to frame")
     rows = read_flag_rows(out, postings)
     provider = embedding_provider(cfg)
-    vectors = embed_postings(provider, postings)
     centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
-    results = [frame_document(v, centroids, posting_id=p.id)
-               for p, v in zip(postings, vectors)]
+
+    def frame(chunk):
+        return [frame_document(v, centroids, posting_id=p.id)
+                for p, v in zip(chunk, embed_postings(provider, chunk))]
+
+    # file lookups are cheap, and an http provider has its own concurrency
+    chunks = (workers.map_chunks(frame, postings) if isinstance(provider, HashedProvider)
+              else [frame(postings)])
+    results = [r for chunk in chunks for r in chunk]
     write_ndjson(out / "framing.ndjson", map(vars, results))
 
     sims = [(r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index) for r in results]
@@ -375,7 +408,7 @@ def topic_entries(sizes: dict[int, int], terms: dict[int, list]) -> dict:
             for t, size in sizes.items()}
 
 
-def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
     if not postings:
         raise DataError("no postings for topic modeling")
@@ -426,7 +459,7 @@ def stage_topics(cfg: RunConfig, out: Path, jobs: int) -> dict:
             "vocab": dtm.n_terms}
 
 
-def stage_forecast(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     series = rate_series_from_csv(out)
     horizon = cfg.forecast["horizon"]
     specs = [
@@ -450,7 +483,7 @@ def stage_forecast(cfg: RunConfig, out: Path, jobs: int) -> dict:
     return {"series": len(SKILL_CATEGORIES) * len(specs), "horizon": horizon}
 
 
-def stage_correlate(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     series = rate_series_from_csv(out)
     matrix = pearson_matrix(series)
     rows = []
@@ -465,7 +498,7 @@ def stage_correlate(cfg: RunConfig, out: Path, jobs: int) -> dict:
     return {"min_off_diagonal": lo, "max_off_diagonal": hi}
 
 
-def stage_sectors(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
     rows = sector_rates(postings, read_flag_rows(out, postings))
     write_csv(out / "sector_rates.csv",
@@ -480,7 +513,7 @@ REPORT_TABLES = (
 )
 
 
-def stage_report(cfg: RunConfig, out: Path, jobs: int) -> dict:
+def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     cleanse_report = json.loads((out / "cleanse_report.json").read_text(encoding="utf-8"))
     header, rate_rows = read_csv(out / "skill_rates.csv")
     rates_by_year = {r[0]: dict(zip(header, r)) for r in rate_rows}
@@ -543,7 +576,7 @@ def stage_report(cfg: RunConfig, out: Path, jobs: int) -> dict:
 
 @dataclass(frozen=True)
 class Stage:
-    run: Callable[[RunConfig, Path, int], dict]  # (cfg, output dir, jobs) -> counts
+    run: Callable[[RunConfig, Path, Workers], dict]  # (cfg, output dir, workers) -> counts
     inputs: tuple[str, ...]   # artifacts read from the output dir, checked in order
     outputs: tuple[str, ...]  # artifacts written, checksummed into the manifest
 
@@ -579,10 +612,12 @@ def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> dict:
             raise MissingUpstreamError(artifact)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg)
+    workers = Workers(jobs)
     started = time.monotonic()
-    counts = stage.run(cfg, out, jobs)
+    counts = stage.run(cfg, out, workers)
     elapsed = time.monotonic() - started
-    manifest.record(name, [out / f for f in stage.outputs], elapsed, counts)
+    manifest.record(name, [out / f for f in stage.outputs], elapsed, counts,
+                    jobs, workers.processes)
     return counts
 
 

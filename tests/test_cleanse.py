@@ -1,5 +1,6 @@
 import datetime as dt
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from skillscope.cleanse import (
     DEFAULT_BOILERPLATE,
     CleanseConfig,
+    _ascii_fold,
+    _boilerplate_res,
     cleanse,
     normalize_text,
     parse_date,
@@ -109,6 +112,63 @@ class TestNormalizeAgainstReference:
                                      "EMPLOYER\n next", "one  \n two"])
     def test_hand_cases(self, raw):
         assert normalize_text(raw) == reference_normalize(raw)
+
+
+# --- the first-word test that lets a text skip the boilerplate patterns --------
+
+# the characters besides its two cases that re.IGNORECASE matches with a letter
+IGNORECASE_TWINS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}
+# a phrase with a k, one whose first word is not ASCII, one that starts with digits
+PHRASES = [*DEFAULT_BOILERPLATE, "Kick-off bonus", "\u00dcber uns", "24/7 Support"]
+
+
+@st.composite
+def disguised(draw):
+    """A phrase or a prefix of one, each letter in either case or as one of
+    its IGNORECASE twins."""
+    phrase = draw(st.sampled_from(PHRASES))
+    if draw(st.booleans()):
+        phrase = phrase[:draw(st.integers(1, len(phrase)))]
+    return "".join(draw(st.sampled_from([c.lower(), c.upper(),
+                                          *IGNORECASE_TWINS.get(c.lower(), "")]))
+                   for c in phrase)
+
+
+twin_text = st.lists(disguised() | st.sampled_from([" ", "\n", ".", "data", "x",
+                                                    *"\u0130\u0131\u212a\u017f"]),
+                     max_size=30).map("".join)
+
+
+class TestBoilerplateFirstWord:
+    @given(twin_text, st.sampled_from([DEFAULT_BOILERPLATE, PHRASES, ["Kick-off bonus"]]))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_running_every_pattern_on_every_text(self, raw, patterns):
+        cfg = CleanseConfig(boilerplate_patterns=list(patterns))
+        assert normalize_text(raw, cfg) == reference_normalize(raw, patterns)
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("Great job. BENEF\u0130TS include a gym. Apply.", "Great job. Apply."),
+        ("Great job. Benef\u0131ts include a gym. Apply.", "Great job. Apply."),
+        ("Great job. Benefit\u017f include a gym. Apply.", "Great job. Apply."),
+        ("Great job. Equal opportunity employer. Apply.", "Great job. Apply."),
+        ("Great job. Equal pay. Apply.", "Great job. Equal pay. Apply."),
+    ])
+    def test_hand_cases(self, raw, expected):
+        assert normalize_text(raw) == reference_normalize(raw) == expected
+
+    def test_a_kelvin_sign_matches_k(self):
+        cfg = CleanseConfig(boilerplate_patterns=["Kick-off bonus"])
+        assert normalize_text("Role. \u212aICK-OFF bonus paid. End.", cfg) == "Role. End."
+
+    def test_fold_maps_every_ignorecase_match_to_the_character(self):
+        every = "".join(map(chr, [*range(0xD800), *range(0xE000, 0x110000)]))
+        for ch in string.printable:
+            matched = set(re.findall(re.escape(ch), every, re.IGNORECASE))
+            assert {_ascii_fold(c) for c in matched} == {ch.lower()}, ch
+
+    def test_a_first_word_that_is_not_ascii_runs_every_pattern(self):
+        assert _boilerplate_res(tuple(DEFAULT_BOILERPLATE))[1] == ("equal", "about", "benefits")
+        assert _boilerplate_res(("Equal pay", "\u00dcber uns"))[1] is None
 
 
 class TestHasTokens:
