@@ -9,13 +9,12 @@ so the report conserves counts exactly.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .config import from_json
+from .config import from_json, read_json
 from .errors import ConfigError, TextTooShortError
 from .language import detect_language
 from .text import has_tokens
@@ -79,11 +78,7 @@ class CleanseConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CleanseConfig":
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"cannot read cleanse config {path}: {e}") from e
-        return from_json(cls, d, f"cleanse config {path}")
+        return from_json(cls, read_json(path, "cleanse config"), f"cleanse config {path}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .arima import ArimaSpec
 from .cleanse import CleanseConfig, CleanseReport, Posting, cleanse
-from .config import check_fields
+from .config import check_fields, read_json
 from .embed import HashedProvider, provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, frame_document
@@ -111,7 +111,6 @@ CONFIG_FIELDS = {
 class RunConfig:
     def __init__(self, raw: dict, path: Path):
         self.raw = raw
-        self.path = path
         top = check_fields(raw, CONFIG_FIELDS, f"config {path}")
         self.lda, self.kmeans, self.density, self.forecast = (
             check_fields(top[name], fields, f"config {name!r}")
@@ -120,34 +119,32 @@ class RunConfig:
             raise ConfigError("config field 'sources' is required")
         if top["granularity"] != "year":
             raise ConfigError("granularity must be 'year'")
-        for field in FILE_FIELDS:
-            if top[field] is not None and not Path(top[field]).exists():
-                raise ConfigError(f"config field {field!r}: file not found: {top[field]}")
-        self.sources = load_manifest(top["sources"])
-        self.taxonomy, self.anchors, self.sectors = (
-            load_taxonomy(top["taxonomy"]), load_anchors(top["anchors"]),
-            load_sectors(top["sectors"]))
-        self.cleanse = (CleanseConfig.from_file(top["cleanse_config"])
-                        if top["cleanse_config"] else CleanseConfig())
+        # a path in run.json is taken relative to the directory run.json is in
+        files = {field: path.parent / top[field] for field in FILE_FIELDS if top[field]}
         self.embedding = dict(top["embedding"])
-        # a provider checks its own bounds; a file provider would read its whole file
-        if spec_arguments(self.embedding)[0] != "file":
+        if spec_arguments(self.embedding)[0] == "file":
+            files["embedding.path"] = path.parent / self.embedding["path"]
+            self.embedding["path"] = str(files["embedding.path"])
+        else:  # a provider checks its own bounds; a file provider would read its whole file
             provider_from_spec(self.embedding)
+        for field, file in files.items():
+            if not file.exists():
+                raise ConfigError(f"config field {field!r}: file not found: {file}")
+        self.sources = load_manifest(files["sources"])
+        self.taxonomy, self.anchors, self.sectors = (
+            load_taxonomy(files.get("taxonomy")), load_anchors(files.get("anchors")),
+            load_sectors(files.get("sectors")))
+        self.cleanse = (CleanseConfig.from_file(files["cleanse_config"])
+                        if "cleanse_config" in files else CleanseConfig())
         LdaConfig(**self.lda)
         ArimaSpec(1, 1, 1, self.forecast["smoothing_alpha"])
-        self.output_dir = Path(top["output_dir"] or os.environ.get("SKILLSCOPE_OUT") or "out")
+        self.output_dir = (path.parent / top["output_dir"] if top["output_dir"]
+                           else Path(os.environ.get("SKILLSCOPE_OUT") or "out"))
         self.seed = top["seed"]
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        p = Path(path)
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-        return cls(raw, p)
+        return cls(read_json(path, "config"), Path(path))
 
 
 # --- artifact IO ------------------------------------------------------------
@@ -180,11 +177,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, [buf.getvalue()])
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def read_csv(path: Path) -> list[dict[str, str]]:
+    """Each data row as a dict keyed by the header's column names."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    return rows[0], rows[1:]
+        return list(csv.DictReader(fh))
 
 
 def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
@@ -193,17 +189,19 @@ def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
 
 
 def read_ndjson(path: Path) -> list[dict]:
-    # line by line: the JSON is ASCII-escaped, so "\n" is its only line break
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
+    """One value per non-blank line; a line that does not parse raises
+    DataError naming the file and the line."""
+    rows = []
+    # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
+    # each line is decoded on its own, so bad UTF-8 is caught on its line too
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line.decode("utf-8")))
+                except ValueError as e:
+                    raise DataError(f"{path} line {number}: {e}") from e
+    return rows
 
 
 # the object whose entries are a JSON artifact's rows; any other JSON file is one row
@@ -216,19 +214,25 @@ def count_rows(path: Path) -> int:
     topics or clusters of a topic model (else 1), however it is indented."""
     if path.suffix == ".json":
         key = JSON_ROWS.get(path.name)
-        if not key:
-            return 1
-        with open(path, encoding="utf-8") as fh:
-            return len(json.load(fh)[key])
+        return len(read_json(path, "artifact", DataError)[key]) if key else 1
     with open(path, encoding="utf-8") as fh:
         lines = sum(1 for line in fh if line.strip())
     return lines - 1 if path.suffix == ".csv" and lines else lines
 
 
+def describe(path: Path) -> dict:
+    """An artifact's sha256 and its row count, as the manifest and the report list it."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return {"sha256": digest.hexdigest(), "rows": count_rows(path)}
+
+
 class Manifest:
     def __init__(self, out: Path, cfg: RunConfig):
         self.path = out / "run_manifest.json"
-        self.doc = (json.loads(self.path.read_text(encoding="utf-8"))
+        self.doc = (read_json(self.path, "run manifest", DataError)
                     if self.path.exists() else {"stages": {}})
         self.doc.update(tool_version=__version__, config=cfg.raw)
 
@@ -239,10 +243,7 @@ class Manifest:
             "jobs": jobs,
             "processes": processes,
             "counts": counts or {},
-            "outputs": {
-                p.name: {"sha256": sha256_file(p), "rows": count_rows(p)}
-                for p in outputs
-            },
+            "outputs": {p.name: describe(p) for p in outputs},
         }
         write_json(self.path, self.doc)
 
@@ -279,14 +280,10 @@ def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
 
 
 def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
-    header, rows = read_csv(out / "skill_rates.csv")
-    series: dict[str, list[tuple[int, float]]] = {c: [] for c in SKILL_CATEGORIES}
-    for row in rows:
-        rec = dict(zip(header, row))
-        for cat in SKILL_CATEGORIES:
-            series[cat].append((int(rec["year"]), float(rec[cat])))
-    return {cat: RateSeries(label=(cat,), points=tuple(pts))
-            for cat, pts in series.items()}
+    rows = read_csv(out / "skill_rates.csv")
+    return {cat: RateSeries(label=(cat,), points=tuple((int(r["year"]), float(r[cat]))
+                                                       for r in rows))
+            for cat in SKILL_CATEGORIES}
 
 
 # --- stages -----------------------------------------------------------------
@@ -514,30 +511,19 @@ REPORT_TABLES = (
 
 
 def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    cleanse_report = json.loads((out / "cleanse_report.json").read_text(encoding="utf-8"))
-    header, rate_rows = read_csv(out / "skill_rates.csv")
-    rates_by_year = {r[0]: dict(zip(header, r)) for r in rate_rows}
-    fy_header, fy_rows = read_csv(out / "framing_by_year.csv")
-    mean_fi = {r[0]: float(dict(zip(fy_header, r))["fi"]) for r in fy_rows}
-    density = json.loads((out / "density_topics.json").read_text(encoding="utf-8"))
-    corr_header, corr_rows = read_csv(out / "correlation.csv")
-    off_diag = []
-    for i, row in enumerate(corr_rows):
-        for j, v in enumerate(row[1:]):
-            if i != j and v != "undefined":
-                off_diag.append(float(v))
-    fc_header, fc_rows = read_csv(out / "forecast.csv")
+    cleanse_report = read_json(out / "cleanse_report.json", "artifact", DataError)
+    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv")}
+    mean_fi = {r["year"]: float(r["fi"]) for r in read_csv(out / "framing_by_year.csv")}
+    density = read_json(out / "density_topics.json", "artifact", DataError)
+    # each row's cells off the diagonal, which is the row's own category column
+    off_diag = [float(v) for r in read_csv(out / "correlation.csv") for col, v in r.items()
+                if col not in ("category", r["category"]) and v != "undefined"]
     endpoints: dict[str, dict[str, float]] = {}
-    for row in fc_rows:
-        rec = dict(zip(fc_header, row))
-        if rec["is_forecast"] == "1":
-            endpoints.setdefault(rec["label"], {})[rec["spec"]] = float(rec["value"])
+    for r in read_csv(out / "forecast.csv"):
+        if r["is_forecast"] == "1":
+            endpoints.setdefault(r["label"], {})[r["spec"]] = float(r["value"])
 
-    tables = {
-        name: {"path": name, "rows": count_rows(out / name),
-               "sha256": sha256_file(out / name)}
-        for name in REPORT_TABLES
-    }
+    tables = {name: {"path": name, **describe(out / name)} for name in REPORT_TABLES}
     summary = {
         "tool_version": __version__,
         "tables": tables,

@@ -1,16 +1,28 @@
-"""One type rule for every JSON config file: an int field takes neither a
-bool nor a float, so no float is truncated; a float field takes an int but no
-NaN or infinity; only a bool field takes true or false; a tuple field takes an
-array of its length."""
+"""One reader and one type rule for every JSON file read whole. ``read_json``
+raises the caller's error class for a file that does not read or parse. An
+int field takes neither a bool nor a float, so no float is truncated; a float
+field takes an int but no NaN or infinity; only a bool field takes true or
+false; a tuple field takes an array of its length."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import types
 import typing
 
 from .errors import ConfigError
+
+
+def read_json(path, what: str, error=ConfigError):
+    """The JSON value in UTF-8 file ``path``; a file that cannot be read,
+    decoded or parsed raises ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
 
 
 def conforms(value, kind) -> bool:

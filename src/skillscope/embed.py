@@ -10,8 +10,8 @@ the file and http providers plug in externally computed embeddings
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -24,6 +24,7 @@ import requests
 from .config import REQUIRED, check_fields
 from .errors import (
     ConfigError,
+    DataError,
     DimensionMismatchError,
     MissingEmbeddingError,
     ServiceError,
@@ -127,11 +128,9 @@ class FileProvider:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise ConfigError(f"{path}: empty embedding file")
-        header = lines[0].split(",")
-        if len(header) != 2 or header[0] != "id":
-            raise ConfigError(f"{path}: header must be 'id,<dim>'")
+        header = lines[0].split(",") if lines else []
+        if len(header) != 2 or header[0] != "id" or not re.fullmatch(r"[1-9][0-9]*", header[1]):
+            raise ConfigError(f"{path}: header must be 'id,<dim>', <dim> a positive integer")
         self.dimension = int(header[1])
         self._table: dict[str, np.ndarray] = {}
         for ln, line in enumerate(lines[1:], start=2):
@@ -142,7 +141,11 @@ class FileProvider:
                 raise DimensionMismatchError(
                     f"{path}:{ln}: expected {self.dimension} values, got {len(parts) - 1}"
                 )
-            self._table[parts[0]] = _normalize(np.array([float(x) for x in parts[1:]]))
+            try:
+                vector = np.array([float(x) for x in parts[1:]])
+            except ValueError as e:
+                raise DataError(f"{path}:{ln}: {e}") from e
+            self._table[parts[0]] = _normalize(vector)
 
     def embed(self, text: str, key: str | None = None) -> np.ndarray:
         lookup = key if key is not None else text

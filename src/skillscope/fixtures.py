@@ -122,9 +122,9 @@ def generate_rows(n: int = 200, seed: int = 7) -> list[tuple[str, str]]:
 
 
 def write_demo_corpus(out_dir: str | Path, n: int = 200, seed: int = 7) -> Path:
-    """Materialize the demo corpus and a ready-to-run config; returns the
-    run config path."""
-    out = Path(out_dir)
+    """Materialize the demo corpus and a ready-to-run config, whose paths are
+    absolute; returns the run config path."""
+    out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     rows = generate_rows(n=n, seed=seed)
     with open(out / "postings.csv", "w", newline="", encoding="utf-8") as fh:

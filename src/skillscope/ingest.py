@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import requests
 
 from .cleanse import parse_date
-from .config import from_json
+from .config import check_fields, from_json, read_json
 from .errors import (
     ConfigError,
     EndpointUnreachableError,
@@ -102,19 +102,18 @@ class SourceCounts:
 
 
 def load_manifest(path: str | Path) -> list[SourceSpec]:
-    """Read a source manifest (JSON array of SourceSpec objects)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise FileUnreadableError(f"cannot read manifest {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"manifest {path} is not valid JSON: {e}") from e
+    """Read a source manifest (JSON array of SourceSpec objects). A file
+    ``path_or_url`` is taken relative to the manifest's directory; an
+    ``http://`` or ``https://`` URL is kept as it is."""
+    raw = read_json(path, "source manifest")
     if not isinstance(raw, list):
-        raise ConfigError("source manifest must be a JSON array")
+        raise ConfigError(f"source manifest {path} must be a JSON array")
     specs = [SourceSpec.from_dict(d) for d in raw]
-    # the name prefixes posting ids and keys the ingest report, so it must be unique
     by_name: dict[str, str] = {}
     for spec in specs:
+        if not spec.path_or_url.startswith(("http://", "https://")):
+            spec.path_or_url = str(Path(path).parent / spec.path_or_url)
+        # the name prefixes posting ids and keys the ingest report, so it must be unique
         if spec.name in by_name:
             raise ConfigError(f"sources {by_name[spec.name]} and {spec.path_or_url} "
                               f"share the name {spec.name!r}; rename one file")
@@ -258,6 +257,9 @@ class ReplayTransport:
     empty ``items_field`` list, which ends the paging.
     """
 
+    # the keys of a replay file: (type, default, lowest value)
+    FIELDS = {"calls": (list[dict], [], None), "pages": (list, [], None)}
+
     def __init__(self, fixture: dict, items_field: str = "data"):
         self.calls = list(fixture.get("calls", []))
         self.pages = list(fixture.get("pages", []))
@@ -266,7 +268,9 @@ class ReplayTransport:
 
     @classmethod
     def from_file(cls, path: str | Path, items_field: str = "data") -> "ReplayTransport":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")), items_field)
+        fixture = read_json(path, "API replay file", FormatMismatchError)
+        return cls(check_fields(fixture, cls.FIELDS, f"API replay file {path}",
+                                FormatMismatchError), items_field)
 
     def __call__(self, url: str, params: dict, headers: dict) -> tuple[int, object]:
         self.call_count += 1

@@ -14,12 +14,11 @@ type-checked and not otherwise read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .config import REQUIRED, check_fields
+from .config import REQUIRED, check_fields, read_json
 from .errors import DuplicatePatternError, EmptyCategoryError, PatternCompileError, SchemaError
 from .text import tokenize
 
@@ -76,13 +75,6 @@ def phrase_tokens(phrase: str, where: str = "pattern") -> tuple[str, ...]:
     return toks
 
 
-def _read_json(path: str | Path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(f"cannot load lexicon {path}: {e}") from e
-
-
 def _skill(entry, where: str) -> tuple[SkillPattern, tuple[str, ...]]:
     e = check_fields(entry, SKILL_FIELDS, where, SchemaError)
     if e["surface"] in e["variants"]:
@@ -127,19 +119,22 @@ def _groups(obj, names: tuple[str, ...], entry, where: str) -> dict[str, list]:
 
 def load_taxonomy(path: str | Path | None = None) -> SkillTaxonomy:
     path = path or default_path("taxonomy")
-    doc = check_fields(_read_json(path), TAXONOMY_FIELDS, str(path), SchemaError)
+    doc = check_fields(read_json(path, "lexicon", SchemaError), TAXONOMY_FIELDS, str(path),
+                       SchemaError)
     return SkillTaxonomy(_groups(doc["categories"], SKILL_CATEGORIES, _skill,
                                  f"{path}: categories"))
 
 
 def load_anchors(path: str | Path | None = None) -> AnchorSet:
     path = path or default_path("anchors")
-    return AnchorSet(**_groups(_read_json(path), ANCHOR_GROUPS, _phrase, str(path)))
+    return AnchorSet(**_groups(read_json(path, "lexicon", SchemaError), ANCHOR_GROUPS, _phrase,
+                               str(path)))
 
 
 def load_sectors(path: str | Path | None = None) -> SectorLexicon:
     path = path or default_path("sectors")
-    doc = check_fields(_read_json(path), SECTOR_FIELDS, str(path), SchemaError)
+    doc = check_fields(read_json(path, "lexicon", SchemaError), SECTOR_FIELDS, str(path),
+                       SchemaError)
     if sorted(doc["priority"]) != sorted(SECTOR_NAMES):
         raise SchemaError(f"{path}: priority must be a total order over the nine sectors")
     return SectorLexicon(_groups(doc["sectors"], SECTOR_NAMES, _phrase, f"{path}: sectors"),

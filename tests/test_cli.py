@@ -30,6 +30,7 @@ from skillscope.cli import (
     run_stage,
     write_ndjson,
 )
+from skillscope.errors import DataError
 from skillscope.fixtures import write_demo_corpus
 from skillscope.taxonomy import default_path, load_sectors
 from skillscope.trends import sector_totals
@@ -242,6 +243,49 @@ class TestErrors:
              "date_field": "date", "text_field": "description"}]))
         assert main(["ingest", "--config", str(run)]) == EXIT_DATA
         assert "page 3: 3 unusable pages in a row, the last HTTP 404" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"pages": [{"data": []}', "[]", '{"calls": [5]}',
+                                      '{"page": []}', "\udcff"])
+    def test_malformed_replay_file_is_exit_4(self, tmp_path, capsys, text):
+        run = write_demo_corpus(tmp_path, n=60)
+        replay = tmp_path / "jobs_api.json"
+        replay.write_text(text, errors="surrogateescape")
+        (tmp_path / "sources.json").write_text(json.dumps([
+            {"path_or_url": str(replay), "format": "api",
+             "date_field": "date", "text_field": "description"}]))
+        assert main(["ingest", "--config", str(run)]) == EXIT_DATA
+        assert f"API replay file {replay}" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "raw_records.ndjson").exists()
+
+    @pytest.mark.parametrize("stage, name", [
+        ("cleanse", "raw_records.ndjson"), ("extract", "postings.ndjson"),
+        ("framing", "skill_flags.ndjson"), ("report", "cleanse_report.json"),
+        ("report", "density_topics.json"), ("report", "lda_topics.json"),
+        ("report", "run_manifest.json")])
+    def test_corrupt_artifact_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys, stage,
+                                                  name):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, {*PIPELINE[stage].inputs, name})
+        data = (out / name).read_bytes()
+        cut = data.index(b"\n", len(data) // 2) - 5  # inside a record, as a full disk leaves it
+        (out / name).write_bytes(data[:cut])
+        code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        line = data[:cut].count(b"\n") + 1
+        assert (f"{out / name} line {line}: " if name.endswith(".ndjson")
+                else f"cannot read {'run manifest' if name.startswith('run') else 'artifact'} "
+                     f"{out / name}: ") in err
+        assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
+
+    def test_missing_embedding_file_stops_before_writing(self, tmp_path, capsys):
+        run = write_demo_corpus(tmp_path, n=60)
+        run.write_text(json.dumps({**json.loads(run.read_text()),
+                                   "embedding": {"kind": "file", "path": "vectors.csv"}}))
+        assert main(["all", "--config", str(run)]) == EXIT_CONFIG
+        assert (f"'embedding.path': file not found: {tmp_path / 'vectors.csv'}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("name, group, entry", [
         ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variants": "ml"}),
@@ -532,6 +576,13 @@ class TestArtifactWrites:
         assert len(read_ndjson(tmp_path / "rows.ndjson")) == 20_000
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("bad", [b'{"id": "p1"', b'{"id": "\xff"}', b"[1] [2]"])
+    def test_ndjson_line_that_does_not_parse_is_named(self, tmp_path, bad):
+        path = tmp_path / "rows.ndjson"
+        path.write_bytes(b'{"id": "p0"}\n\n' + bad + b'\n{"id": "p2"}\n')
+        with pytest.raises(DataError, match=re.escape(f"{path} line 3: ")):
+            read_ndjson(path)
+
 
 # sha256 of the artifacts of write_demo_corpus(200, seed=7) whose path has no
 # BLAS or scipy call, so they repeat across numpy builds and Python versions.
@@ -585,6 +636,30 @@ class TestConfigPlumbing:
             assert rows[key][0] == words[kind], key
             if default is not None and kind is not dict:
                 assert rows[key][1] == f"`{json.dumps(default)}`", key
+
+    def test_relative_paths_follow_the_file_that_names_them(self, tmp_path, monkeypatch):
+        demo = write_demo_corpus(tmp_path / "demo", n=60)
+        data = tmp_path / "cfg" / "data"
+        data.mkdir(parents=True)
+        shutil.copyfile(tmp_path / "demo" / "postings.csv", data / "postings.csv")
+        (spec,) = json.loads((tmp_path / "demo" / "sources.json").read_text())
+        (data / "sources.json").write_text(json.dumps([{**spec, "path_or_url": "postings.csv"}]))
+        shutil.copyfile(default_path("sectors"), tmp_path / "cfg" / "sectors.json")
+        (tmp_path / "cfg" / "cleanse.json").write_text('{"min_tokens": 30}')
+        (tmp_path / "cfg" / "run.json").write_text(json.dumps({
+            "sources": "data/sources.json", "cleanse_config": "cleanse.json",
+            "sectors": "sectors.json", "output_dir": "results"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--config", "cfg/run.json"]) == EXIT_OK
+        assert main(["ingest", "--config", str(demo), "--out", "flag"]) == EXIT_OK
+        monkeypatch.setenv("SKILLSCOPE_OUT", "env")
+        demo.write_text(json.dumps({k: v for k, v in json.loads(demo.read_text()).items()
+                                    if k != "output_dir"}))
+        assert main(["ingest", "--config", str(demo)]) == EXIT_OK
+        # --out and SKILLSCOPE_OUT stay relative to the working directory
+        expected = (tmp_path / "flag" / "raw_records.ndjson").read_bytes()
+        for out in (tmp_path / "cfg" / "results", tmp_path / "env"):
+            assert (out / "raw_records.ndjson").read_bytes() == expected
 
     def test_validate_defaults_ok(self, capsys):
         assert main(["validate"]) == EXIT_OK
@@ -650,6 +725,36 @@ class TestReports:
                              )["stages"]["ingest"]["counts"]["duplicates_removed"]
         assert report["jobs:2024"]["duplicates_removed"] == report["jobs:2024"]["emitted"]
         assert sum(r["duplicates_removed"] for r in report.values()) == removed
+
+    def test_ingest_on_threads_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        run = write_demo_corpus(tmp_path, n=60)
+        with open(tmp_path / "postings.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        # rows the first source also holds, so duplicates are charged across sources
+        (tmp_path / "jobs.ldjson").write_text("".join(json.dumps(r) + "\n" for r in rows[::2]))
+        (tmp_path / "jobs_api.json").write_text(json.dumps({"pages": [{"data": rows[1::3]}]}))
+        (spec,) = json.loads((tmp_path / "sources.json").read_text())
+        (tmp_path / "sources.json").write_text(json.dumps([
+            spec, {**spec, "path_or_url": "jobs.ldjson", "format": "ldjson"},
+            {**spec, "path_or_url": "jobs_api.json", "format": "api"}]))
+        pools = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        for jobs in (1, 2):
+            assert main(["ingest", "--config", str(run), "--jobs", str(jobs),
+                         "--out", str(tmp_path / f"jobs{jobs}")]) == EXIT_OK
+        assert pools == [2]
+        for name in PIPELINE["ingest"].outputs:
+            assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name
+                                                                ).read_bytes(), name
+        report = json.loads((tmp_path / "jobs2" / "ingest_report.json").read_text())
+        assert report["jobs"]["duplicates_removed"] == report["jobs"]["emitted"] > 0
+        assert report["jobs_api"]["pages_fetched"] == 1
 
     def test_forecast_csv_shape(self, demo_dir):
         with open(results_dir(demo_dir) / "forecast.csv", newline="") as fh:

@@ -1,9 +1,10 @@
+import re
 from dataclasses import dataclass
 
 import pytest
 
-from skillscope.config import check_fields, conforms, from_json
-from skillscope.errors import ConfigError
+from skillscope.config import check_fields, conforms, from_json, read_json
+from skillscope.errors import ConfigError, DataError
 
 
 class TestConforms:
@@ -52,3 +53,19 @@ class TestFromJson:
     def test_rejects(self, obj):
         with pytest.raises(ConfigError):
             from_json(Spec, obj, "t")
+
+
+class TestReadJson:
+    def test_reads_utf8(self, tmp_path):
+        f = tmp_path / "a.json"
+        f.write_bytes('{"name": "caf\u00e9"}'.encode("utf-8"))
+        assert read_json(f, "thing") == {"name": "caf\u00e9"}
+
+    @pytest.mark.parametrize("data", [None, b"", b'{"a": 1', b'{"a": "\xff"}', b"[1] [2]"])
+    @pytest.mark.parametrize("error", [ConfigError, DataError])
+    def test_unreadable_raises_the_given_error_naming_the_file(self, tmp_path, data, error):
+        f = tmp_path / "a.json"
+        if data is not None:  # else missing
+            f.write_bytes(data)
+        with pytest.raises(error, match=re.escape(f"cannot read thing {f}: ")):
+            read_json(f, "thing", error)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from skillscope.embed import (
 )
 from skillscope.errors import (
     ConfigError,
+    DataError,
     DimensionMismatchError,
     MissingEmbeddingError,
     ServiceError,
@@ -198,6 +200,20 @@ class TestFileProvider:
         f = tmp_path / "bad.csv"
         f.write_text("ident,3\n")
         with pytest.raises(ConfigError):
+            FileProvider(f)
+
+    @pytest.mark.parametrize("text", ["", "ident,3\n", "id,abc\n", "id,0\n", "id,-3\n",
+                                      "id,2.5\n", "id,3,4\n"])
+    def test_bad_header_variants(self, tmp_path, text):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"{text}p1,1,0,0\n" if text else "")
+        with pytest.raises(ConfigError, match="header"):
+            FileProvider(f)
+
+    def test_value_not_a_number_names_file_and_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("id,3\np1,1,0,0\np2,0,x,0\n")
+        with pytest.raises(DataError, match=f"{re.escape(str(f))}:3: .*'x'"):
             FileProvider(f)
 
     def test_row_dimension_mismatch(self, tmp_path):

@@ -1,8 +1,10 @@
 import csv
 import json
+import re
 from xml.sax.saxutils import escape
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,10 +167,25 @@ class TestSourceSpec:
 
     def test_manifest_roundtrip(self, tmp_path):
         m = tmp_path / "sources.json"
-        m.write_text(json.dumps([{"path_or_url": "a.csv", "format": "csv",
-                                  "date_field": "date", "text_field": "description"}]))
+        fields = {"date_field": "date", "text_field": "description"}
+        m.write_text(json.dumps([{"path_or_url": "a.csv", "format": "csv", **fields},
+                                 {"path_or_url": "https://api.example/jobs", "format": "api",
+                                  **fields}]))
         specs = load_manifest(m)
-        assert len(specs) == 1 and specs[0].format == "csv"
+        assert [s.format for s in specs] == ["csv", "api"]
+        # a file is found beside the manifest; a URL is kept as it is
+        assert [s.path_or_url for s in specs] == [str(tmp_path / "a.csv"),
+                                                  "https://api.example/jobs"]
+
+    @pytest.mark.parametrize("data", [None, b"[{", b"\xff", b"{}"])
+    def test_unreadable_manifest_is_a_config_error(self, tmp_path, data):
+        m = tmp_path / "sources.json"
+        if data is None:
+            m.mkdir()
+        else:
+            m.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(str(m))):
+            load_manifest(m)
 
 
 def _page(items):
@@ -275,6 +292,45 @@ class TestFetchApi:
                              backoff_base=0.0))
         assert pages == [1, 2, 3, 4]  # max_attempts calls after the first failure
         assert stats.pages_skipped == 3
+
+    def test_page_size_is_sent_as_limit_and_a_short_page_ends_the_paging(self):
+        sent = []
+
+        def transport(url, params, headers):
+            sent.append(dict(params))
+            page = params["page"]
+            return 200, _page(_items(3 if page == 1 else 2, 3 * (page - 1)))
+
+        records = list(read_source(self.api_spec(api_page_size=3), transport=transport))
+        assert [r.raw_text for r in records] == [t for _, t in _items(5)]
+        assert sent == [{"page": 1, "limit": 3}, {"page": 2, "limit": 3}]
+
+    def test_token_is_sent_as_a_bearer_header(self):
+        sent = []
+
+        def transport(url, params, headers):
+            sent.append(dict(headers))
+            return 200, {"data": []}
+
+        assert list(read_source(self.api_spec(api_token="s3cret"), transport=transport)) == []
+        assert sent == [{"Authorization": "Bearer s3cret"}]
+
+    @pytest.mark.parametrize("error", [requests.ConnectionError("reset by peer"),
+                                       OSError("broken pipe")])
+    def test_transport_exception_is_retried(self, error):
+        pages = []
+
+        def transport(url, params, headers):
+            pages.append(params["page"])
+            if len(pages) == 1:
+                raise error
+            return 200, _page(_items(2)) if params["page"] == 1 else {"data": []}
+
+        stats = ApiClientStats()
+        records = list(read_source(self.api_spec(), transport=transport, stats=stats,
+                                   backoff_base=0.0))
+        assert [r.raw_text for r in records] == [t for _, t in _items(2)]
+        assert pages == [1, 1, 2] and stats.retries == 1
 
     def test_replay_is_deterministic(self):
         fixture = {"pages": [_page(_items(7)), {"data": []}]}

@@ -379,6 +379,31 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.ones((3, 2)), 4)
 
+    # The two fixtures below reach the k-means++ draw with every remaining
+    # distance 0 and the empty-cluster repair (checked with a line tracer);
+    # a faster Lloyd step must give the same partitions.
+    def test_kmeanspp_draw_when_every_distance_is_zero(self):
+        # two distinct points, K=3: the third seed is drawn uniformly and
+        # duplicates another, so its cluster starts empty and is repaired
+        points = np.array([[0.0, 0.0]] * 4 + [[1.0, 0.0]] * 4)
+        m = kmeans_fit(points, 3, seed=0)
+        assert m.assignments.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+        assert m.centroids.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert (m.iterations_run, m.wcss, m.wcss_trace) == (2, 0.0, [0.0, 0.0])
+
+    def test_empty_cluster_reseeded_to_the_farthest_point(self):
+        # the first Lloyd step leaves cluster 1 empty while point 1 lies 1.86
+        # (squared) from its nearest centroid, so the repair moves cluster 1 to it
+        points = np.array([[1, 0], [0, 1], [2, 2], [1.2, -0.2], [1, 0], [1, 2], [1.5, 0],
+                           [0, 2], [2.1, 0.6], [2.1, 1.9], [1.3, 2.2]])
+        m = kmeans_fit(points, 3, seed=3783)
+        assert m.assignments.tolist() == [2, 1, 0, 2, 2, 0, 2, 1, 2, 0, 0]
+        assert m.iterations_run == 4
+        assert np.allclose(m.centroids, [[1.6, 2.025], [0.0, 1.5], [1.36, 0.08]],
+                           rtol=0, atol=1e-12)
+        assert m.wcss_trace == pytest.approx([7.884, 4.548055555555555, 2.6275, 2.6275],
+                                             abs=1e-12)
+
     @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (17, 3, 4), (50, 8, 6), (40, 9, 3),
                                          (300, 256, 6), (64, 17, 9)])
     def test_sq_dists_bit_equal_to_broadcast(self, n, d, k):
