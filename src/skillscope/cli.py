@@ -24,16 +24,16 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .arima import ArimaSpec
 from .cleanse import CleanseConfig, CleanseReport, Posting, cleanse
-from .config import check_fields, read_json
+from .config import check_fields, check_utf8, read_json
 from .embed import HashedProvider, provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, frame_document
@@ -45,7 +45,6 @@ from .ingest import (
     load_manifest,
     read_source,
 )
-from .parallel import map_chunks
 from .skills import detect_skills, per_mille, rate_table
 from .taxonomy import (
     SKILL_CATEGORIES,
@@ -128,8 +127,11 @@ class RunConfig:
         else:  # a provider checks its own bounds; a file provider would read its whole file
             provider_from_spec(self.embedding)
         for field, file in files.items():
-            if not file.exists():
-                raise ConfigError(f"config field {field!r}: file not found: {file}")
+            if not file.is_file():
+                problem = "not a file" if file.exists() else "file not found"
+                raise ConfigError(f"config field {field!r}: {problem}: {file}")
+        if "embedding.path" in files:  # a file provider reads it only when a stage starts
+            check_utf8(files["embedding.path"], "config field 'embedding.path'")
         self.sources = load_manifest(files["sources"])
         self.taxonomy, self.anchors, self.sectors = (
             load_taxonomy(files.get("taxonomy")), load_anchors(files.get("anchors")),
@@ -188,9 +190,10 @@ def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
     atomic_write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
-def read_ndjson(path: Path) -> list[dict]:
-    """One value per non-blank line; a line that does not parse raises
-    DataError naming the file and the line."""
+def read_ndjson(path: Path, fields: Iterable[str] = ()) -> list[dict]:
+    """One value per non-blank line; a line that does not parse, or whose value
+    is not an object holding each of ``fields``, raises DataError naming the
+    file and the line."""
     rows = []
     # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
     # each line is decoded on its own, so bad UTF-8 is caught on its line too
@@ -198,9 +201,16 @@ def read_ndjson(path: Path) -> list[dict]:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    rows.append(json.loads(line.decode("utf-8")))
+                    row = json.loads(line.decode("utf-8"))
                 except ValueError as e:
                     raise DataError(f"{path} line {number}: {e}") from e
+                if fields:
+                    if not isinstance(row, dict):
+                        raise DataError(f"{path} line {number}: not a JSON object")
+                    missing = [f for f in fields if f not in row]
+                    if missing:
+                        raise DataError(f"{path} line {number}: missing field {missing[0]!r}")
+                rows.append(row)
     return rows
 
 
@@ -238,10 +248,19 @@ class Manifest:
 
     def record(self, stage: str, outputs: list[Path], wall_clock: float,
                counts: dict | None = None, jobs: int = 1, processes: int = 1) -> None:
+        import resource  # here, so that loading the CLI imports no more
+
+        def peak_mb(who) -> float:  # ru_maxrss is in KiB
+            return round(resource.getrusage(who).ru_maxrss / 1024, 1)
+
         self.doc["stages"][stage] = {
             "wall_clock_s": round(wall_clock, 3),
             "jobs": jobs,
             "processes": processes,
+            # high-water marks since this process started: its own, and that
+            # of the largest worker it has waited for
+            "peak_rss_mb": peak_mb(resource.RUSAGE_SELF),
+            "workers_peak_rss_mb": peak_mb(resource.RUSAGE_CHILDREN),
             "counts": counts or {},
             "outputs": {p.name: describe(p) for p in outputs},
         }
@@ -250,16 +269,21 @@ class Manifest:
 
 # --- shared loaders ---------------------------------------------------------
 
+# the keys every row of an ndjson artifact must hold
+POSTING_FIELDS, RAW_RECORD_FIELDS = (tuple(f.name for f in dataclass_fields(cls))
+                                     for cls in (Posting, RawRecord))
+
+
 def load_postings(out: Path) -> list[Posting]:
     return [Posting(id=d["id"], date=dt.date.fromisoformat(d["date"]),
                     year=d["year"], description=d["description"])
-            for d in read_ndjson(out / "postings.ndjson")]
+            for d in read_ndjson(out / "postings.ndjson", POSTING_FIELDS)]
 
 
 def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
     """The rows ``extract`` wrote, one per posting in order, each with its
     sector; rows of other postings or without a sector are stale."""
-    rows = read_ndjson(out / "skill_flags.ndjson")
+    rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES))
     if ([d["posting_id"] for d in rows] != [p.id for p in postings]
             or any("sector" not in d for d in rows)):
         raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
@@ -295,11 +319,20 @@ class Workers:
         self.jobs = jobs
         self.processes = 1
 
-    def map_chunks(self, fn, items) -> list:
+    def map_chunks(self, fn, items, floor: int | None = None) -> list:
         """``parallel.map_chunks`` within this budget."""
-        results = map_chunks(fn, items, self.jobs)
+        results = parallel.map_chunks(fn, items, self.jobs, floor)
         self.processes = max(self.processes, len(results))
         return results
+
+    def call_all(self, calls, items: int) -> list:
+        """``parallel.call_all(calls)`` when this budget allows more than one
+        process and the stage's ``items`` fill two chunks of MIN_CHUNK; else
+        each call in turn, here, in the same order."""
+        if self.jobs == 1 or items < 2 * parallel.MIN_CHUNK or not hasattr(os, "fork"):
+            return [call() for call in calls]
+        self.processes = max(self.processes, len(calls))
+        return parallel.call_all(calls)
 
 
 def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -330,7 +363,8 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 
 def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson")]
+    records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson",
+                                                   RAW_RECORD_FIELDS)]
     chunks = workers.map_chunks(lambda chunk: cleanse(chunk, cfg.cleanse), records)
     report = CleanseReport()
     for _, part in chunks:
@@ -424,21 +458,29 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     lda_cfg = LdaConfig(**cfg.lda, seed=derive_seed(cfg.seed, "topics.lda"))
     dtm = build_dtm(texts, min_df=lda_cfg.vocab_min_df,
                     max_df_fraction=lda_cfg.vocab_max_df_fraction)
-    lda = lda_fit(dtm, lda_cfg)
-    emb = np.array(embed_postings(provider, postings))
-    km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
-    dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
-                        seed=derive_seed(cfg.seed, "topics.density"))
-    km_terms = cluster_terms(km.assignments, dtm)
-    dm_terms = cluster_terms(dm.labels, dtm)
+
+    def clusters():
+        emb = np.array(embed_postings(provider, postings))
+        km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
+        dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
+                            seed=derive_seed(cfg.seed, "topics.density"))
+        return km, dm, cluster_terms(km.assignments, dtm), cluster_terms(dm.labels, dtm)
+
+    def lda():  # only what the artifact needs comes back from a worker
+        model = lda_fit(dtm, lda_cfg)
+        return model.phi, model.theta, model.log_likelihood_trace
+
+    # given the processes and postings, LDA fits in a worker meanwhile
+    (km, dm, km_terms, dm_terms), (phi, theta, trace) = workers.call_all(
+        [clusters, lda], len(postings))
 
     # written only once all three models are fitted, so a failed run leaves
     # no topic file newer than the others
-    lda_terms = {k: top_terms(row, dtm.vocab) for k, row in enumerate(lda.phi)}
-    lda_sizes = np.bincount(lda.theta.argmax(axis=1), minlength=lda_cfg.K).tolist()
+    lda_terms = {k: top_terms(row, dtm.vocab) for k, row in enumerate(phi)}
+    lda_sizes = np.bincount(theta.argmax(axis=1), minlength=lda_cfg.K).tolist()
     write_json(out / "lda_topics.json", {
         "K": lda_cfg.K, "iterations": lda_cfg.iterations,
-        "log_likelihood_trace": lda.log_likelihood_trace,
+        "log_likelihood_trace": trace,
         "topics": topic_entries(dict(enumerate(lda_sizes)), lda_terms)})
     write_json(out / "kmeans_clusters.json", {
         "K": cfg.kmeans["K"], "wcss": km.wcss,
@@ -464,20 +506,25 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
          ArimaSpec(1, 1, 1, smoothing_alpha=cfg.forecast["smoothing_alpha"])),
         ("arima(2,0,2)", ArimaSpec(2, 0, 2)),
     ]
-    rows = []
-    for cat in SKILL_CATEGORIES:
-        s = series[cat]
-        for spec_name, spec in specs:
+
+    def fit(group):
+        rows = []
+        for cat, (spec_name, spec) in group:
+            s = series[cat]
             fc = forecast_series(s, spec, horizon=horizon)
             for year, rate in s.points:
                 rows.append([cat, spec_name, year, float(rate), float(rate), float(rate), 0])
             for year, point, lower, upper in fc.forecasts:
                 rows.append([cat, spec_name, year, float(point), float(lower),
                              float(upper), 1])
+        return rows
+
+    # one fit costs far more than one fork, so a group may hold a single fit
+    fits = [(cat, spec) for cat in SKILL_CATEGORIES for spec in specs]
     write_csv(out / "forecast.csv",
               ["label", "spec", "year", "value", "lower", "upper", "is_forecast"],
-              rows)
-    return {"series": len(SKILL_CATEGORIES) * len(specs), "horizon": horizon}
+              [row for rows in workers.map_chunks(fit, fits, floor=1) for row in rows])
+    return {"series": len(fits), "horizon": horizon}
 
 
 def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:

@@ -1,5 +1,6 @@
 """One reader and one type rule for every JSON file read whole. ``read_json``
-raises the caller's error class for a file that does not read or parse. An
+raises the caller's error class for a file that does not read or parse, and
+``check_utf8`` for one, read later, that does not decode. An
 int field takes neither a bool nor a float, so no float is truncated; a float
 field takes an int but no NaN or infinity; only a bool field takes true or
 false; a tuple field takes an array of its length."""
@@ -23,6 +24,17 @@ def read_json(path, what: str, error=ConfigError):
             return json.load(fh)
     except (OSError, ValueError) as e:
         raise error(f"cannot read {what} {path}: {e}") from e
+
+
+def check_utf8(path, what: str) -> None:
+    """Raise ConfigError naming ``what`` and the path unless ``path`` reads
+    as UTF-8; a block at a time, so a large file is never held whole."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while fh.read(1 << 20):
+                pass
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
 
 
 def conforms(value, kind) -> bool:

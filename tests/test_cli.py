@@ -65,6 +65,15 @@ class TestSmoke:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert set(manifest["stages"]) == set(PIPELINE)
 
+    def test_manifest_records_each_stage_s_peak_memory(self, demo_dir):
+        stages = json.loads((results_dir(demo_dir) / "run_manifest.json").read_text())["stages"]
+        for entry in stages.values():
+            assert entry["peak_rss_mb"] > 0
+            assert entry["workers_peak_rss_mb"] >= 0
+        # high-water marks over the run: they never fall from stage to stage
+        peaks = [stages[name]["peak_rss_mb"] for name in PIPELINE]
+        assert peaks == sorted(peaks)
+
     def test_exit_zero_via_main(self, demo_dir):
         assert main(["extract", "--config", str(demo_dir / "run.json")]) == EXIT_OK
 
@@ -286,6 +295,48 @@ class TestErrors:
         assert (f"'embedding.path': file not found: {tmp_path / 'vectors.csv'}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("field, make, message", [
+        ("embedding.path", lambda path: path.mkdir(), "not a file"),
+        ("embedding.path", lambda path: path.write_bytes(b"id,2\nx,0.5,\xff\n"),
+         "cannot read config field 'embedding.path'"),
+        ("taxonomy", lambda path: path.mkdir(), "not a file"),
+    ], ids=["embedding-dir", "embedding-not-utf8", "taxonomy-dir"])
+    def test_file_field_that_is_no_utf8_file_stops_before_writing(self, tmp_path, capsys,
+                                                                  field, make, message):
+        run = write_demo_corpus(tmp_path, n=60)
+        make(tmp_path / "given")
+        value = ({"embedding": {"kind": "file", "path": "given"}} if field == "embedding.path"
+                 else {field: "given"})
+        run.write_text(json.dumps({**json.loads(run.read_text()), **value}))
+        assert main(["all", "--config", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field!r}" in err and message in err and str(tmp_path / "given") in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("stage, name, field", [
+        ("cleanse", "raw_records.ndjson", "raw_text"),
+        ("extract", "postings.ndjson", "description"),
+        ("sectors", "skill_flags.ndjson", "posting_id"),
+        ("framing", "skill_flags.ndjson", "AI_Data"),
+        ("topics", "postings.ndjson", None),  # a value that is not an object
+    ])
+    def test_ndjson_row_without_a_field_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys,
+                                                            stage, name, field):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE[stage].inputs)
+        lines = (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[2])
+        if field:
+            del row[field]
+        lines[2] = json.dumps(row if field else list(row)) + "\n"
+        (out / name).write_text("".join(lines), encoding="utf-8")
+        code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert (f"{out / name} line 3: "
+                + (f"missing field {field!r}" if field else "not a JSON object")
+                in capsys.readouterr().err)
+        assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
     @pytest.mark.parametrize("name, group, entry", [
         ("taxonomy", ("categories", "AI_Data"), {"surface": "m word", "variants": "ml"}),

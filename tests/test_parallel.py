@@ -1,5 +1,6 @@
-"""``parallel.map_chunks`` and the stages that split their records over it:
-order, byte identity across ``--jobs``, and every way a worker can fail."""
+"""``parallel.call_all`` and ``map_chunks``, and the stages that split their
+work over them: order, warnings, byte identity across ``--jobs``, and every
+way a worker can fail."""
 
 import json
 import os
@@ -7,6 +8,8 @@ import shutil
 import signal
 import sys
 import time
+import warnings
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -14,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillscope import cli, parallel
-from skillscope.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
+from skillscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from skillscope.embed import HashedProvider
 from skillscope.errors import DataError, MissingUpstreamError, PatternCompileError
 from skillscope.fixtures import write_demo_corpus
-from skillscope.parallel import WorkerError, map_chunks
+from skillscope.parallel import WorkerError, call_all, map_chunks
 from skillscope.taxonomy import load_anchors
+from skillscope.topics import lda_fit
 
 SPLIT_STAGES = ("cleanse", "extract", "framing")
+MODEL_STAGES = ("topics", "forecast")
 
 
 def in_worker(parent_pid: int) -> bool:
@@ -33,6 +38,76 @@ def assert_no_children() -> None:
     for waitpid to reap."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def warned(calls, action: str) -> list[tuple]:
+    """The warnings ``call_all(calls)`` shows under filter ``action``, as
+    (category, message, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        call_all(calls)
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def warn_and_return(text: str):
+    def call():
+        warnings.warn(text)
+        return text
+    return call
+
+
+class TestCallAll:
+    def test_each_call_runs_once_the_first_here_and_results_keep_call_order(self):
+        parent = os.getpid()
+        results = call_all([lambda i=i: (i, os.getpid()) for i in range(4)])
+        assert [i for i, _ in results] == [0, 1, 2, 3]
+        assert results[0][1] == parent
+        assert len({pid for _, pid in results[1:]} - {parent}) == 3
+        assert_no_children()
+
+    def test_the_first_error_in_call_order_is_raised(self):
+        def fail(error):
+            def call():
+                raise error
+            return call
+
+        with pytest.raises(DataError, match="second call"):
+            call_all([lambda: 0, fail(DataError("second call")), fail(KeyError("third"))])
+        assert_no_children()
+
+    def test_worker_warnings_are_shown_here_in_call_order(self):
+        calls = [warn_and_return(f"from call {i}") for i in range(3)]
+        shown = warned(calls, "always")
+        assert [message for _, message, _, _ in shown] == [
+            "from call 0", "from call 1", "from call 2"]
+        # each where warnings.warn was called, as in one process
+        assert {(category, file) for category, _, file, _ in shown} == {
+            (UserWarning, __file__)}
+        assert_no_children()
+
+    def test_a_worker_warning_before_its_error_is_shown(self):
+        def warn_then_fail():
+            warnings.warn("before the error")
+            raise DataError("after the warning")
+
+        with pytest.warns(UserWarning, match="before the error"), \
+                pytest.raises(DataError, match="after the warning"):
+            call_all([lambda: 0, warn_then_fail])
+        assert_no_children()
+
+    @pytest.mark.parametrize("action", ["default", "once", "ignore", "always"])
+    def test_the_filters_of_this_process_apply_as_to_serial_calls(self, action):
+        calls = [warn_and_return("same place, same text")] * 3
+        serial = warned([lambda: [call() for call in calls]], action)
+        assert warned(calls, action) == serial
+        assert len(serial) == {"default": 1, "once": 1, "ignore": 0, "always": 3}[action]
+
+    def test_a_warning_filtered_as_error_is_raised(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="an error here"):
+                call_all([lambda: 0, warn_and_return("an error here")])
+        assert_no_children()
 
 
 class TestMapChunks:
@@ -59,6 +134,11 @@ class TestMapChunks:
     def test_at_the_floor_splits(self):
         items = list(range(2 * parallel.MIN_CHUNK))
         assert map_chunks(len, items, 4) == [parallel.MIN_CHUNK] * 2
+
+    def test_a_floor_given_replaces_the_default(self):
+        assert map_chunks(len, range(5), 4, floor=1) == [1, 1, 1, 2]
+        assert map_chunks(len, range(5), 4, floor=2) == [2, 3]
+        assert map_chunks(len, range(5), 4, floor=3) == [5]
 
     @pytest.mark.parametrize("error", [
         MissingUpstreamError("postings.ndjson"),
@@ -137,12 +217,13 @@ class TestMapChunks:
 
 # --- the stages ---------------------------------------------------------------
 
-def run_split_stages(config, raw_records, out, jobs: int) -> dict[str, bytes]:
-    """cleanse, extract and framing from ``raw_records`` into ``out`` with
-    ``jobs``; every artifact but the manifest, by name."""
+def run_split_stages(config, raw_records, out, jobs: int,
+                     stages=SPLIT_STAGES) -> dict[str, bytes]:
+    """``stages`` from ``raw_records`` into ``out`` with ``jobs``; every
+    artifact but the manifest, by name."""
     out.mkdir(parents=True)
     shutil.copyfile(raw_records, out / "raw_records.ndjson")
-    for stage in SPLIT_STAGES:
+    for stage in stages:
         assert main([stage, "--config", str(config), "--out", str(out),
                      "--jobs", str(jobs)]) == EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
@@ -164,13 +245,90 @@ def stage_processes(out) -> dict[str, tuple[int, int]]:
 class TestSplitStages:
     def test_2000_postings_are_byte_identical_for_jobs_1_2_3(self, tmp_path):
         config, raw = ingested(tmp_path, 2000)
-        runs = {jobs: run_split_stages(config, raw, tmp_path / f"jobs{jobs}", jobs)
+        runs = {jobs: run_split_stages(config, raw, tmp_path / f"jobs{jobs}", jobs,
+                                       SPLIT_STAGES + MODEL_STAGES)
                 for jobs in (1, 2, 3)}
-        assert len(runs[1]) == 8  # raw_records.ndjson and seven outputs
+        assert len(runs[1]) == 13  # raw_records.ndjson and twelve outputs
         assert runs[1] == runs[2] == runs[3]
         for jobs in (1, 2, 3):
+            # topics fits LDA beside the embedding models; forecast has 10 fits
             assert stage_processes(tmp_path / f"jobs{jobs}") == {
-                stage: (jobs, jobs) for stage in SPLIT_STAGES}
+                **{stage: (jobs, jobs) for stage in SPLIT_STAGES},
+                "topics": (jobs, min(jobs, 2)), "forecast": (jobs, min(jobs, 10))}
+        assert_no_children()
+
+    def test_topics_forks_only_for_two_chunks_of_postings(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("topics forked below two chunks of postings")
+
+        config, raw = ingested(tmp_path, 200)
+        out = tmp_path / "out"
+        run_split_stages(config, raw, out, 1, ("cleanse",))
+        n = len(cli.load_postings(out))
+        topics = ["topics", "--config", str(config), "--out", str(out), "--jobs", "3"]
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "fork", no_fork)
+            assert main(topics) == EXIT_OK  # about 200 postings, below 2 × MIN_CHUNK
+            assert stage_processes(out)["topics"] == (3, 1)
+            patched.setattr(parallel, "MIN_CHUNK", n // 2 + 1)
+            assert main(topics) == EXIT_OK
+            assert stage_processes(out)["topics"] == (3, 1)
+        monkeypatch.setattr(parallel, "MIN_CHUNK", n // 2)
+        assert main(topics) == EXIT_OK
+        assert stage_processes(out)["topics"] == (3, 2)
+        assert_no_children()
+
+    @pytest.mark.parametrize("fails, code, message", [
+        ("lda_fit", EXIT_CONFIG, "config error: empty document-term matrix\n"),
+        ("kmeans_fit", EXIT_DATA, "data error: k-means failed here\n"),
+    ])
+    def test_an_error_in_either_branch_exits_as_at_jobs_1(self, tmp_path, monkeypatch,
+                                                          capsys, fails, code, message):
+        def failing(*args, **kwargs):
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            if fails == "kmeans_fit":
+                raise DataError("k-means failed here")
+            dtm, cfg = args
+            return lda_fit(replace(dtm, vocab=[], doc_indices=[], doc_counts=[]), cfg)
+
+        monkeypatch.setattr(parallel, "MIN_CHUNK", 1)
+        config, raw = ingested(tmp_path, 200)
+        out = tmp_path / "out"
+        run_split_stages(config, raw, out, 1, ("cleanse",))
+        monkeypatch.setattr(cli, fails, failing)
+        errors, pids = {}, {}
+        for jobs in (1, 2):
+            assert main(["topics", "--config", str(config), "--out", str(out),
+                         "--jobs", str(jobs)]) == code
+            errors[jobs] = capsys.readouterr().err
+            pids[jobs] = int((tmp_path / "pid").read_text())
+            # the LDA worker is gone too when the branch here fails
+            assert_no_children()
+        assert errors[1] == errors[2] == message
+        # LDA fits in the worker at --jobs 2; k-means here at either
+        assert pids[1] == os.getpid()
+        assert (pids[2] != os.getpid()) == (fails == "lda_fit")
+        assert not any((out / name).exists() for name in cli.PIPELINE["topics"].outputs)
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_forecast_shows_the_same_warnings_for_jobs_1_2_3(self, tmp_path, action):
+        config, raw = ingested(tmp_path, 200)
+        out = tmp_path / "out"
+        run_split_stages(config, raw, out, 1, ("cleanse", "extract"))
+        shown = {}
+        for jobs in (1, 2, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert main(["forecast", "--config", str(config), "--out", str(out),
+                             "--jobs", str(jobs)]) == EXIT_OK
+            shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno)
+                           for w in caught]
+        assert shown[1] == shown[2] == shown[3]
+        # the not-converged, non-stationary and short-series warnings, also
+        # those of the last category's fits, which a worker makes
+        for text in ("did not converge", "not stationary", "('Leadership',) has only"):
+            assert any(text in message for _, message, _, _ in shown[1])
+        assert stage_processes(out)["forecast"] == (3, 3)
         assert_no_children()
 
     def test_uneven_chunks_and_more_jobs_than_postings(self, tmp_path, monkeypatch):
