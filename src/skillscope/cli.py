@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -179,10 +178,37 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, [buf.getvalue()])
 
 
-def read_csv(path: Path) -> list[dict[str, str]]:
-    """Each data row as a dict keyed by the header's column names."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def read_csv(path: Path, columns: dict[str, Callable[[str], object]]) -> list[dict]:
+    """Each data row as a dict keyed by the header's column names, with the
+    cell of each of ``columns`` converted by its function. A header without
+    one of ``columns``, a last row without its line end (a cut file), a row
+    with more or fewer fields than the header, or a cell that does not
+    convert raises DataError naming the file and the line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as e:
+        raise DataError(f"cannot read artifact {path}: {e}") from e
+    if not text.endswith("\n"):
+        last = text.count("\n") + 1
+        raise DataError(f"{path} line {last}: cut short, no line end")
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    rows = []
+    try:
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"no column {missing[0]!r}")
+        for cells in reader:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} fields, the header has {len(header)}")
+            row = dict(zip(header, cells))
+            for column, convert in columns.items():
+                row[column] = convert(row[column])
+            rows.append(row)
+    except (ValueError, csv.Error) as e:
+        raise DataError(f"{path} line {reader.line_num}: {e}") from e
+    return rows
 
 
 def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
@@ -190,10 +216,12 @@ def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
     atomic_write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
-def read_ndjson(path: Path, fields: Iterable[str] = ()) -> list[dict]:
-    """One value per non-blank line; a line that does not parse, or whose value
-    is not an object holding each of ``fields``, raises DataError naming the
-    file and the line."""
+def read_ndjson(path: Path, fields: Iterable[str] = (),
+                make: Callable[[dict], object] | None = None) -> list:
+    """One value per non-blank line, or what ``make`` makes of it; a line
+    that does not parse, whose value is not an object holding each of
+    ``fields``, or whose value ``make`` rejects with ValueError, raises
+    DataError naming the file and the line."""
     rows = []
     # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
     # each line is decoded on its own, so bad UTF-8 is caught on its line too
@@ -202,15 +230,15 @@ def read_ndjson(path: Path, fields: Iterable[str] = ()) -> list[dict]:
             if line.strip():
                 try:
                     row = json.loads(line.decode("utf-8"))
+                    if fields:
+                        if not isinstance(row, dict):
+                            raise ValueError("not a JSON object")
+                        missing = [f for f in fields if f not in row]
+                        if missing:
+                            raise ValueError(f"missing field {missing[0]!r}")
+                    rows.append(make(row) if make else row)
                 except ValueError as e:
                     raise DataError(f"{path} line {number}: {e}") from e
-                if fields:
-                    if not isinstance(row, dict):
-                        raise DataError(f"{path} line {number}: not a JSON object")
-                    missing = [f for f in fields if f not in row]
-                    if missing:
-                        raise DataError(f"{path} line {number}: missing field {missing[0]!r}")
-                rows.append(row)
     return rows
 
 
@@ -274,10 +302,23 @@ POSTING_FIELDS, RAW_RECORD_FIELDS = (tuple(f.name for f in dataclass_fields(cls)
                                      for cls in (Posting, RawRecord))
 
 
+def posting_from_row(d: dict) -> Posting:
+    """The Posting a postings.ndjson row holds; ValueError if its date is not
+    ISO, its year not that date's year or its description not a string."""
+    date, year, description = d["date"], d["year"], d["description"]
+    try:
+        day = dt.date.fromisoformat(date)
+    except (TypeError, ValueError):
+        raise ValueError(f"date {date!r} is not an ISO date") from None
+    if not isinstance(year, int) or year != day.year:
+        raise ValueError(f"year {year!r} is not the year of date {date!r}")
+    if not isinstance(description, str):
+        raise ValueError(f"description is {type(description).__name__}, not a string")
+    return Posting(id=d["id"], date=day, year=year, description=description)
+
+
 def load_postings(out: Path) -> list[Posting]:
-    return [Posting(id=d["id"], date=dt.date.fromisoformat(d["date"]),
-                    year=d["year"], description=d["description"])
-            for d in read_ndjson(out / "postings.ndjson", POSTING_FIELDS)]
+    return read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)
 
 
 def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
@@ -303,10 +344,16 @@ def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
                                 keys=[p.id for p in postings])
 
 
+# the cells of skill_rates.csv that are read, and how
+RATE_COLUMNS = {"year": int, **dict.fromkeys(SKILL_CATEGORIES, float)}
+
+
 def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
-    rows = read_csv(out / "skill_rates.csv")
-    return {cat: RateSeries(label=(cat,), points=tuple((int(r["year"]), float(r[cat]))
-                                                       for r in rows))
+    path = out / "skill_rates.csv"
+    rows = read_csv(path, RATE_COLUMNS)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return {cat: RateSeries(label=(cat,), points=tuple((r["year"], r[cat]) for r in rows))
             for cat in SKILL_CATEGORIES}
 
 
@@ -326,10 +373,8 @@ class Workers:
         return results
 
     def call_all(self, calls, items: int) -> list:
-        """``parallel.call_all(calls)`` when this budget allows more than one
-        process and the stage's ``items`` fill two chunks of MIN_CHUNK; else
-        each call in turn, here, in the same order."""
-        if self.jobs == 1 or items < 2 * parallel.MIN_CHUNK or not hasattr(os, "fork"):
+        """``parallel.call_all`` if ``map_chunks`` would split ``items``, else each call here."""
+        if parallel.chunk_count(items, self.jobs) <= 1:
             return [call() for call in calls]
         self.processes = max(self.processes, len(calls))
         return parallel.call_all(calls)
@@ -341,11 +386,9 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         records = list(read_source(spec, counts, stats, cfg.cleanse.date_order))
         return records, counts, asdict(stats) if spec.format == "api" else {}
 
-    if workers.jobs > 1 and len(cfg.sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers.jobs) as pool:
-            results = list(pool.map(collect, cfg.sources))
-    else:
-        results = [collect(s) for s in cfg.sources]
+    # each process reads a contiguous group of sources; duplicates go here, in source order
+    results = [r for group in workers.map_chunks(lambda specs: list(map(collect, specs)),
+                                                 cfg.sources, floor=1) for r in group]
 
     dedup = Deduplicator()
     kept: list[RawRecord] = []
@@ -559,16 +602,22 @@ REPORT_TABLES = (
 
 def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     cleanse_report = read_json(out / "cleanse_report.json", "artifact", DataError)
-    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv")}
-    mean_fi = {r["year"]: float(r["fi"]) for r in read_csv(out / "framing_by_year.csv")}
+    # the year rows as text, as the table holds them
+    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv",
+                                                    dict.fromkeys(RATE_COLUMNS, str))}
+    mean_fi = {r["year"]: r["fi"] for r in read_csv(out / "framing_by_year.csv",
+                                                    {"year": str, "fi": float})}
     density = read_json(out / "density_topics.json", "artifact", DataError)
     # each row's cells off the diagonal, which is the row's own category column
-    off_diag = [float(v) for r in read_csv(out / "correlation.csv") for col, v in r.items()
-                if col not in ("category", r["category"]) and v != "undefined"]
+    correlations = read_csv(out / "correlation.csv", {"category": str, **dict.fromkeys(
+        SKILL_CATEGORIES, lambda v: None if v == "undefined" else float(v))})
+    off_diag = [v for r in correlations for col, v in r.items()
+                if col not in ("category", r["category"]) and v is not None]
     endpoints: dict[str, dict[str, float]] = {}
-    for r in read_csv(out / "forecast.csv"):
-        if r["is_forecast"] == "1":
-            endpoints.setdefault(r["label"], {})[r["spec"]] = float(r["value"])
+    for r in read_csv(out / "forecast.csv",
+                      {"label": str, "spec": str, "value": float, "is_forecast": int}):
+        if r["is_forecast"] == 1:
+            endpoints.setdefault(r["label"], {})[r["spec"]] = r["value"]
 
     tables = {name: {"path": name, **describe(out / name)} for name in REPORT_TABLES}
     summary = {

@@ -6,9 +6,8 @@ before, so whatever a call reads it finds in the memory it inherited and
 nothing is pickled on the way in; only each result comes back, pickled over a
 pipe. ``map_chunks(fn, items, jobs)`` is ``call_all`` over ``fn`` of at most
 ``jobs`` contiguous chunks of ``items``, each of at least a floor of items.
-Where ``os.fork`` is not available every call runs here, in turn. A forked
-child holds only the thread that forked it, so no other thread of the caller
-may be running.
+skillscope runs on POSIX systems, so ``os.fork`` is there. A forked child
+holds only the thread that forked it, so no other thread may be running.
 
 A worker records the warnings its call raises and sends them with its result;
 they are issued again here, worker by worker in call order, through the
@@ -112,7 +111,7 @@ def call_all(calls: Sequence[Callable[[], T]]) -> list[T]:
     """Each of ``calls`` made once, the first here and each other in its own
     forked worker, and their results in order; the first error, in call
     order, is raised here, and no worker outlives the call."""
-    if len(calls) <= 1 or not hasattr(os, "fork"):
+    if len(calls) <= 1:
         return [call() for call in calls]
     workers = []  # (pid, read end of its pipe) of each worker not yet waited for
     try:
@@ -148,12 +147,17 @@ def call_all(calls: Sequence[Callable[[], T]]) -> list[T]:
             pipe.close()
 
 
+def chunk_count(items: int, jobs: int, floor: int | None = None) -> int:
+    """How many chunks ``map_chunks`` cuts ``items`` items into, 0 meaning 1:
+    at most ``jobs``, each of at least ``floor`` items (MIN_CHUNK by default)."""
+    return min(jobs, items // (MIN_CHUNK if floor is None else floor))
+
+
 def map_chunks(fn: Callable[[Sequence], T], items: Sequence, jobs: int,
                floor: int | None = None) -> list[T]:
-    """``fn`` over at most ``jobs`` contiguous chunks of at least ``floor``
-    items (MIN_CHUNK by default), in order, through ``call_all``."""
-    n = min(jobs, len(items) // (MIN_CHUNK if floor is None else floor))
-    if n <= 1 or not hasattr(os, "fork"):
+    """``fn`` over ``chunk_count`` contiguous chunks of ``items``, in order."""
+    n = chunk_count(len(items), jobs, floor)
+    if n <= 1:
         return [fn(items)]
     bounds = [len(items) * i // n for i in range(n + 1)]
     # each worker slices its own chunk from the items it inherited

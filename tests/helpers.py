@@ -1,7 +1,13 @@
-"""Shared hand-labeled fixtures used by module tests and the acceptance suite."""
+"""Shared fixtures and checks used by the module tests and the acceptance suite."""
+
+import csv
+import json
+import os
 
 import numpy as np
+import pytest
 
+from skillscope.fixtures import write_demo_corpus
 from skillscope.ingest import RawRecord
 
 VALID_EN = (
@@ -53,3 +59,26 @@ def dense(dtm):
     for d, (idx, cnt) in enumerate(zip(dtm.doc_indices, dtm.doc_counts)):
         out[d, idx] = cnt
     return out
+
+
+def assert_no_children() -> None:
+    """Every worker has been waited for: none is running, and none is left
+    for waitpid to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_three_sources(tmp_path):
+    """The 60-posting demo corpus read from three sources, csv, ldjson and an
+    api replay file, the last two repeating rows of the first so duplicates
+    are charged across sources; the path of its run.json."""
+    run = write_demo_corpus(tmp_path, n=60)
+    with open(tmp_path / "postings.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    (tmp_path / "jobs.ldjson").write_text("".join(json.dumps(r) + "\n" for r in rows[::2]))
+    (tmp_path / "jobs_api.json").write_text(json.dumps({"pages": [{"data": rows[1::3]}]}))
+    (spec,) = json.loads((tmp_path / "sources.json").read_text())
+    (tmp_path / "sources.json").write_text(json.dumps([
+        spec, {**spec, "path_or_url": "jobs.ldjson", "format": "ldjson"},
+        {**spec, "path_or_url": "jobs_api.json", "format": "api"}]))
+    return run

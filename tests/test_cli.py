@@ -35,6 +35,8 @@ from skillscope.fixtures import write_demo_corpus
 from skillscope.taxonomy import default_path, load_sectors
 from skillscope.trends import sector_totals
 
+from .helpers import assert_no_children, write_three_sources
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a tie between IT and Finance, which the lexicon's priority breaks, and a
 # posting that no sector trigger matches
@@ -43,6 +45,50 @@ EXTRA_POSTINGS = [
      "description": "developer needed for audit work"},
     {"id": "extra:none", "date": "2022-05-01", "year": 2022,
      "description": "a generic posting about an unnamed role in town"},
+]
+
+
+def cut_inside_a_record(data: bytes) -> tuple[bytes, str]:
+    """As a full disk leaves a file: cut a few bytes before a line's end."""
+    cut = data.index(b"\n", len(data) // 2) - 5
+    line = data[:cut].count(b"\n") + 1
+    return data[:cut], f" line {line}: "
+
+
+def word_in_the_last_column(data: bytes) -> tuple[bytes, str]:
+    lines = data.split(b"\n")
+    lines[2] = lines[2].rsplit(b",", 1)[0] + b",abc"
+    return b"\n".join(lines), " line 3: "
+
+
+def without_the_last_column(data: bytes) -> tuple[bytes, str]:
+    lines = data.split(b"\n")
+    return (b"\n".join(line.rsplit(b",", 1)[0] for line in lines),
+            f" line 1: no column {lines[0].rsplit(b',', 1)[1].decode()!r}")
+
+
+# each way to damage an artifact, and what the message then says after its path
+DAMAGE = {"cut": cut_inside_a_record, "word": word_in_the_last_column,
+          "header-only": lambda data: (data[:data.index(b"\n") + 1], ": no data rows"),
+          "no-column": without_the_last_column}
+# (stage, artifact it reads, damage)
+CORRUPT_ARTIFACTS = [
+    *((stage, name, "cut") for stage, name in [
+        ("cleanse", "raw_records.ndjson"), ("extract", "postings.ndjson"),
+        ("framing", "skill_flags.ndjson"), ("report", "cleanse_report.json"),
+        ("report", "density_topics.json"), ("report", "lda_topics.json"),
+        ("report", "run_manifest.json"), ("forecast", "skill_rates.csv"),
+        ("correlate", "skill_rates.csv"), ("report", "skill_rates.csv"),
+        ("report", "framing_by_year.csv"), ("report", "forecast.csv"),
+        ("report", "correlation.csv")]),
+    *((stage, name, "word") for stage, name in [
+        ("forecast", "skill_rates.csv"), ("correlate", "skill_rates.csv"),
+        ("report", "framing_by_year.csv"), ("report", "forecast.csv"),
+        ("report", "correlation.csv")]),
+    ("forecast", "skill_rates.csv", "header-only"),
+    ("correlate", "skill_rates.csv", "header-only"),
+    ("forecast", "skill_rates.csv", "no-column"), ("correlate", "skill_rates.csv", "no-column"),
+    ("report", "skill_rates.csv", "no-column"), ("report", "forecast.csv", "no-column"),
 ]
 
 
@@ -266,23 +312,19 @@ class TestErrors:
         assert f"API replay file {replay}" in capsys.readouterr().err
         assert not (tmp_path / "results" / "raw_records.ndjson").exists()
 
-    @pytest.mark.parametrize("stage, name", [
-        ("cleanse", "raw_records.ndjson"), ("extract", "postings.ndjson"),
-        ("framing", "skill_flags.ndjson"), ("report", "cleanse_report.json"),
-        ("report", "density_topics.json"), ("report", "lda_topics.json"),
-        ("report", "run_manifest.json")])
+    @pytest.mark.parametrize("stage, name, damage", CORRUPT_ARTIFACTS, ids=[
+        "-".join([stage, name] + ([damage] if damage != "cut" else []))
+        for stage, name, damage in CORRUPT_ARTIFACTS])
     def test_corrupt_artifact_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys, stage,
-                                                  name):
+                                                  name, damage):
         out = tmp_path / "out"
         copy_artifacts(results_dir(demo_dir), out, {*PIPELINE[stage].inputs, name})
-        data = (out / name).read_bytes()
-        cut = data.index(b"\n", len(data) // 2) - 5  # inside a record, as a full disk leaves it
-        (out / name).write_bytes(data[:cut])
+        data, where = DAMAGE[damage]((out / name).read_bytes())
+        (out / name).write_bytes(data)
         code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        line = data[:cut].count(b"\n") + 1
-        assert (f"{out / name} line {line}: " if name.endswith(".ndjson")
+        assert (f"{out / name}{where}" if name.endswith((".ndjson", ".csv"))
                 else f"cannot read {'run manifest' if name.startswith('run') else 'artifact'} "
                      f"{out / name}: ") in err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
@@ -320,22 +362,31 @@ class TestErrors:
         ("sectors", "skill_flags.ndjson", "posting_id"),
         ("framing", "skill_flags.ndjson", "AI_Data"),
         ("topics", "postings.ndjson", None),  # a value that is not an object
-    ])
+        # (field, value it is given, what the message says of it)
+        ("extract", "postings.ndjson", ("date", "2020-13-45",
+                                        "date '2020-13-45' is not an ISO date")),
+        ("sectors", "postings.ndjson", ("year", "2020", "year '2020' is not the year of date")),
+        ("framing", "postings.ndjson", ("year", 1999, "year 1999 is not the year of date")),
+        ("topics", "postings.ndjson", ("description", None,
+                                       "description is NoneType, not a string")),
+    ], ids=lambda v: f"{v[0]}={v[1]}" if isinstance(v, tuple) else None)
     def test_ndjson_row_without_a_field_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys,
                                                             stage, name, field):
         out = tmp_path / "out"
         copy_artifacts(results_dir(demo_dir), out, PIPELINE[stage].inputs)
         lines = (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
         row = json.loads(lines[2])
-        if field:
+        if isinstance(field, tuple):
+            row[field[0]] = field[1]
+        elif field:
             del row[field]
         lines[2] = json.dumps(row if field else list(row)) + "\n"
         (out / name).write_text("".join(lines), encoding="utf-8")
         code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
         assert code == EXIT_DATA
-        assert (f"{out / name} line 3: "
-                + (f"missing field {field!r}" if field else "not a JSON object")
-                in capsys.readouterr().err)
+        message = (field[2] if isinstance(field, tuple) else
+                   f"missing field {field!r}" if field else "not a JSON object")
+        assert f"{out / name} line 3: {message}" in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
     @pytest.mark.parametrize("name, group, entry", [
@@ -777,35 +828,51 @@ class TestReports:
         assert report["jobs:2024"]["duplicates_removed"] == report["jobs:2024"]["emitted"]
         assert sum(r["duplicates_removed"] for r in report.values()) == removed
 
-    def test_ingest_on_threads_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        run = write_demo_corpus(tmp_path, n=60)
-        with open(tmp_path / "postings.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        # rows the first source also holds, so duplicates are charged across sources
-        (tmp_path / "jobs.ldjson").write_text("".join(json.dumps(r) + "\n" for r in rows[::2]))
-        (tmp_path / "jobs_api.json").write_text(json.dumps({"pages": [{"data": rows[1::3]}]}))
-        (spec,) = json.loads((tmp_path / "sources.json").read_text())
-        (tmp_path / "sources.json").write_text(json.dumps([
-            spec, {**spec, "path_or_url": "jobs.ldjson", "format": "ldjson"},
-            {**spec, "path_or_url": "jobs_api.json", "format": "api"}]))
-        pools = []
-
-        class Pool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-        for jobs in (1, 2):
+    def test_ingest_in_processes_writes_the_same_bytes(self, tmp_path):
+        run = write_three_sources(tmp_path)
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
             assert main(["ingest", "--config", str(run), "--jobs", str(jobs),
-                         "--out", str(tmp_path / f"jobs{jobs}")]) == EXIT_OK
-        assert pools == [2]
+                         "--out", str(out)]) == EXIT_OK
+            entry = json.loads((out / "run_manifest.json").read_text())["stages"]["ingest"]
+            # one process per contiguous group of sources, at most one per source
+            assert (entry["jobs"], entry["processes"]) == (jobs, jobs)
         for name in PIPELINE["ingest"].outputs:
-            assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name
-                                                                ).read_bytes(), name
+            assert ((tmp_path / "jobs1" / name).read_bytes()
+                    == (tmp_path / "jobs2" / name).read_bytes()
+                    == (tmp_path / "jobs3" / name).read_bytes()), name
         report = json.loads((tmp_path / "jobs2" / "ingest_report.json").read_text())
         assert report["jobs"]["duplicates_removed"] == report["jobs"]["emitted"] > 0
         assert report["jobs_api"]["pages_fetched"] == 1
+        assert_no_children()
+
+    def test_a_malformed_source_read_by_a_worker_exits_as_at_jobs_1(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        run = write_three_sources(tmp_path)
+        sources = json.loads((tmp_path / "sources.json").read_text())
+        # the last source, which a worker reads at --jobs 2 and 3
+        (tmp_path / "jobs_xml.xml").write_text("<postings><posting><description>cut")
+        sources[2] = {**sources[2], "path_or_url": "jobs_xml.xml", "format": "xml"}
+        (tmp_path / "sources.json").write_text(json.dumps(sources))
+        read_source = cli.read_source
+
+        def reading(spec, *args):
+            if spec.format == "xml":
+                (tmp_path / "pid").write_text(str(os.getpid()))
+            return read_source(spec, *args)
+
+        monkeypatch.setattr(cli, "read_source", reading)
+        errors = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["ingest", "--config", str(run), "--jobs", str(jobs),
+                         "--out", str(out)]) == EXIT_DATA
+            errors[jobs] = capsys.readouterr().err
+            assert (int((tmp_path / "pid").read_text()) == os.getpid()) == (jobs == 1)
+            assert not (out / "raw_records.ndjson").exists()
+            assert_no_children()
+        assert errors[1] == errors[2] == errors[3]
+        assert f"data error: {tmp_path / 'jobs_xml.xml'}: not well-formed XML" in errors[1]
 
     def test_forecast_csv_shape(self, demo_dir):
         with open(results_dir(demo_dir) / "forecast.csv", newline="") as fh:

@@ -7,6 +7,7 @@ import os
 import shutil
 import signal
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -25,19 +26,14 @@ from skillscope.parallel import WorkerError, call_all, map_chunks
 from skillscope.taxonomy import load_anchors
 from skillscope.topics import lda_fit
 
+from .helpers import assert_no_children, write_three_sources
+
 SPLIT_STAGES = ("cleanse", "extract", "framing")
 MODEL_STAGES = ("topics", "forecast")
 
 
 def in_worker(parent_pid: int) -> bool:
     return os.getpid() != parent_pid
-
-
-def assert_no_children() -> None:
-    """Every worker has been waited for: none is running, and none is left
-    for waitpid to reap."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def warned(calls, action: str) -> list[tuple]:
@@ -216,6 +212,28 @@ class TestMapChunks:
 
 
 # --- the stages ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command, jobs, forks", [
+    # cleanse, extract, framing, topics and forecast fork one worker each
+    (lambda tmp_path: ["all", "--config", str(write_demo_corpus(tmp_path, 2000, seed=7))],
+     2, 5),
+    # the second and third sources are read by a worker each
+    (lambda tmp_path: ["ingest", "--config", str(write_three_sources(tmp_path))], 3, 2),
+], ids=["all-2000", "ingest-three-sources"])
+def test_no_other_thread_runs_when_a_worker_is_forked(tmp_path, monkeypatch, command, jobs,
+                                                      forks):
+    fork, threads = os.fork, []
+
+    def checked_fork():
+        threads.append(threading.active_count())
+        assert threads[-1] == 1, threading.enumerate()
+        return fork()
+
+    monkeypatch.setattr(os, "fork", checked_fork)
+    assert main(command(tmp_path) + ["--jobs", str(jobs)]) == EXIT_OK
+    assert threads == [1] * forks
+    assert_no_children()
+
 
 def run_split_stages(config, raw_records, out, jobs: int,
                      stages=SPLIT_STAGES) -> dict[str, bytes]:
