@@ -211,6 +211,14 @@ def read_csv(path: Path, columns: dict[str, Callable[[str], object]]) -> list[di
     return rows
 
 
+def as_text(convert: Callable[[str], object]) -> Callable[[str], str]:
+    """A ``read_csv`` converter that keeps a cell's text once ``convert`` takes it."""
+    def check(cell: str) -> str:
+        convert(cell)
+        return cell
+    return check
+
+
 def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
     """One sorted-key JSON object per line."""
     atomic_write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
@@ -302,6 +310,10 @@ POSTING_FIELDS, RAW_RECORD_FIELDS = (tuple(f.name for f in dataclass_fields(cls)
                                      for cls in (Posting, RawRecord))
 
 
+def wrong_type(field: str, value, expected: str) -> ValueError:
+    return ValueError(f"{field} is {type(value).__name__}, not {expected}")
+
+
 def posting_from_row(d: dict) -> Posting:
     """The Posting a postings.ndjson row holds; ValueError if its date is not
     ISO, its year not that date's year or its description not a string."""
@@ -313,8 +325,30 @@ def posting_from_row(d: dict) -> Posting:
     if not isinstance(year, int) or year != day.year:
         raise ValueError(f"year {year!r} is not the year of date {date!r}")
     if not isinstance(description, str):
-        raise ValueError(f"description is {type(description).__name__}, not a string")
+        raise wrong_type("description", description, "a string")
     return Posting(id=d["id"], date=day, year=year, description=description)
+
+
+def record_from_row(d: dict) -> RawRecord:
+    """The RawRecord a raw_records.ndjson row holds; ValueError if a field is
+    not a string."""
+    values = [d[field] for field in RAW_RECORD_FIELDS]
+    for field, value in zip(RAW_RECORD_FIELDS, values):
+        if not isinstance(value, str):
+            raise wrong_type(field, value, "a string")
+    return RawRecord(*values)
+
+
+def checked_flags(d: dict) -> dict:
+    """A skill_flags.ndjson row; ValueError if a category's flag is not a
+    bool or the sector is neither a string nor null."""
+    for category in SKILL_CATEGORIES:
+        if not isinstance(d[category], bool):
+            raise wrong_type(category, d[category], "a bool")
+    sector = d.get("sector")  # a row without one is stale, which read_flag_rows says
+    if sector is not None and not isinstance(sector, str):
+        raise wrong_type("sector", sector, "a string or null")
+    return d
 
 
 def load_postings(out: Path) -> list[Posting]:
@@ -324,7 +358,8 @@ def load_postings(out: Path) -> list[Posting]:
 def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
     """The rows ``extract`` wrote, one per posting in order, each with its
     sector; rows of other postings or without a sector are stale."""
-    rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES))
+    rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES),
+                       checked_flags)
     if ([d["posting_id"] for d in rows] != [p.id for p in postings]
             or any("sector" not in d for d in rows)):
         raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
@@ -353,8 +388,11 @@ def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
     rows = read_csv(path, RATE_COLUMNS)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return {cat: RateSeries(label=(cat,), points=tuple((r["year"], r[cat]) for r in rows))
-            for cat in SKILL_CATEGORIES}
+    try:
+        return {cat: RateSeries(label=(cat,), points=tuple((r["year"], r[cat]) for r in rows))
+                for cat in SKILL_CATEGORIES}
+    except ConfigError as e:  # the rule is the series', the fault the file's
+        raise DataError(f"{path}: {e}") from e
 
 
 # --- stages -----------------------------------------------------------------
@@ -406,8 +444,7 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 
 def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    records = [RawRecord(**d) for d in read_ndjson(out / "raw_records.ndjson",
-                                                   RAW_RECORD_FIELDS)]
+    records = read_ndjson(out / "raw_records.ndjson", RAW_RECORD_FIELDS, record_from_row)
     chunks = workers.map_chunks(lambda chunk: cleanse(chunk, cfg.cleanse), records)
     report = CleanseReport()
     for _, part in chunks:
@@ -572,7 +609,10 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     series = rate_series_from_csv(out)
-    matrix = pearson_matrix(series)
+    try:
+        matrix = pearson_matrix(series)
+    except ConfigError as e:
+        raise DataError(f"{out / 'skill_rates.csv'}: {e}") from e
     rows = []
     for i, label in enumerate(matrix.labels):
         row = [label]
@@ -602,9 +642,10 @@ REPORT_TABLES = (
 
 def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     cleanse_report = read_json(out / "cleanse_report.json", "artifact", DataError)
-    # the year rows as text, as the table holds them
-    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv",
-                                                    dict.fromkeys(RATE_COLUMNS, str))}
+    # the year rows as text, as the table holds them, once each cell converts
+    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv", {
+        column: as_text(convert) for column, convert in
+        {"postings": int, **RATE_COLUMNS}.items()})}
     mean_fi = {r["year"]: r["fi"] for r in read_csv(out / "framing_by_year.csv",
                                                     {"year": str, "fi": float})}
     density = read_json(out / "density_topics.json", "artifact", DataError)

@@ -12,15 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import requests
 
+from . import net
 from .config import REQUIRED, check_fields
 from .errors import (
     ConfigError,
@@ -161,56 +160,41 @@ class FileProvider:
 
 class HttpProvider:
     """POSTs {"texts": [...]} and expects {"vectors": [[...], ...]} in the
-    same order; batches of at most 64, three attempts per batch."""
+    same order; batches of at most 64, each sent as ``net.call`` retries."""
 
     BATCH = 64
 
     def __init__(self, url: str, dimension: int, auth: str | None = None,
-                 concurrency: int = 8, max_attempts: int = 3,
-                 backoff_base: float = 0.5, post=None):
+                 concurrency: int = 8, post=None):
         self.url = url
         self.dimension = dimension
         self.concurrency = concurrency
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._headers = {"Content-Type": "application/json"}
         if auth:
             self._headers["Authorization"] = f"Bearer {auth}"
-        self._post = post if post is not None else self._requests_post
+        self._post = post if post is not None else self._send
 
-    def _requests_post(self, body: dict) -> tuple[int, object]:
-        resp = requests.post(self.url, json=body, headers=self._headers, timeout=60)
-        try:
-            return resp.status_code, resp.json()
-        except ValueError:
-            return resp.status_code, None
+    def _send(self, body: dict) -> tuple[int, object]:
+        return net.send_json("POST", self.url, 60, json=body, headers=self._headers)
 
     def _embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
-        last = ""
-        for attempt in range(self.max_attempts):
-            if attempt > 0 and self.backoff_base > 0:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                status, body = self._post({"texts": list(texts)})
-            except (requests.RequestException, OSError) as e:
-                last = str(e)
-                continue
-            if status != 200 or not isinstance(body, dict) or "vectors" not in body:
-                last = f"HTTP {status}"
-                continue
-            vectors = body["vectors"]
-            if len(vectors) != len(texts):
-                raise ServiceError(f"service returned {len(vectors)} vectors for {len(texts)} texts")
-            out = []
-            for v in vectors:
-                arr = np.asarray(v, dtype=float)
-                if arr.shape != (self.dimension,):
-                    raise DimensionMismatchError(
-                        f"expected dimension {self.dimension}, got {arr.shape}"
-                    )
-                out.append(_normalize(arr))
-            return out
-        raise ServiceError(f"embedding service failed after {self.max_attempts} attempts: {last}")
+        (status, body), _ = net.call(
+            lambda: self._post({"texts": list(texts)}),
+            lambda reason: ServiceError(
+                f"embedding service failed after {net.ATTEMPTS} attempts: {reason}"))
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if status != 200 or not isinstance(vectors, list):
+            raise ServiceError(f"embedding service answered HTTP {status} without a 'vectors' list")
+        if len(vectors) != len(texts):
+            raise ServiceError(f"service returned {len(vectors)} vectors for {len(texts)} texts")
+        out = []
+        for v in vectors:
+            arr = np.asarray(v, dtype=float)
+            if arr.shape != (self.dimension,):
+                raise DimensionMismatchError(
+                    f"expected dimension {self.dimension}, got {arr.shape}")
+            out.append(_normalize(arr))
+        return out
 
     def embed(self, text: str, key: str | None = None) -> np.ndarray:
         return self._embed_chunk([text])[0]

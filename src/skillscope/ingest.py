@@ -18,14 +18,12 @@ import datetime as dt
 import hashlib
 import io
 import json
-import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-import requests
-
+from . import net
 from .cleanse import parse_date
 from .config import check_fields, from_json, read_json
 from .errors import (
@@ -135,8 +133,6 @@ def read_source(
     stats: ApiClientStats | None = None,
     date_order: str = "DMY",
     transport: Transport | None = None,
-    backoff_base: float = 0.5,
-    max_attempts: int = 3,
 ) -> Iterator[RawRecord]:
     """RawRecords of one source of any format, in source order.
 
@@ -150,8 +146,7 @@ def read_source(
     """
     counts = counts or SourceCounts()
     if spec.format == "api":
-        items = _api_items(spec, transport, stats or ApiClientStats(), backoff_base,
-                           max_attempts)
+        items = _api_items(spec, transport, stats or ApiClientStats())
     else:
         items = _FILE_READERS[spec.format](_read_text(spec.path_or_url), spec)
     date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
@@ -240,12 +235,7 @@ Transport = Callable[[str, dict, dict], tuple[int, object]]
 
 
 def http_transport(url: str, params: dict, headers: dict) -> tuple[int, object]:
-    resp = requests.get(url, params=params, headers=headers, timeout=30)
-    try:
-        body = resp.json()
-    except ValueError:
-        body = None
-    return resp.status_code, body
+    return net.send_json("GET", url, 30, params=params, headers=headers)
 
 
 class ReplayTransport:
@@ -291,15 +281,14 @@ class ApiClientStats:
     pages_skipped: int = 0
 
 
-def _api_items(spec, transport, stats, backoff_base, max_attempts):
+def _api_items(spec, transport, stats):
     """The items of each page in turn, until a page has none or fewer than
     ``api_page_size``.
 
-    Each page is requested up to ``max_attempts`` times with exponential
-    backoff on 5xx/429/transport errors; a page that still fails is fatal. A
-    page with another non-200 status, or whose body is not a JSON object
-    with a list under ``api_items_field``, is skipped and counted, and
-    ``max_attempts`` such pages in a row are fatal.
+    Each page is requested as ``net.call`` retries; a page that still fails
+    is fatal. A page with another non-200 status, or whose body is not a
+    JSON object with a list under ``api_items_field``, is skipped and
+    counted, and ``net.ATTEMPTS`` such pages in a row are fatal.
     """
     if transport is None:
         # local replay fixtures keep test/demo runs network-free
@@ -320,13 +309,17 @@ def _api_items(spec, transport, stats, backoff_base, max_attempts):
         if spec.api_date_range:
             params["date_from"], params["date_to"] = spec.api_date_range
 
-        status, body = _fetch_page(spec, transport, params, headers, stats, backoff_base,
-                                   max_attempts)
+        (status, body), tries = net.call(
+            lambda: transport(spec.path_or_url, params, headers),
+            lambda reason: EndpointUnreachableError(
+                f"{spec.path_or_url} page {page} failed after {net.ATTEMPTS} attempts: "
+                f"{reason}"))
+        stats.retries += tries - 1
         items = body.get(spec.api_items_field) if isinstance(body, dict) else None
         if status != 200 or not isinstance(items, list):
             stats.pages_skipped += 1
             bad_pages += 1
-            if bad_pages == max_attempts:
+            if bad_pages == net.ATTEMPTS:
                 raise EndpointUnreachableError(
                     f"{spec.path_or_url} page {page}: {bad_pages} unusable pages in a row, "
                     f"the last HTTP {status}"
@@ -341,28 +334,6 @@ def _api_items(spec, transport, stats, backoff_base, max_attempts):
         if spec.api_page_size and len(items) < spec.api_page_size:
             return
         page += 1
-
-
-def _fetch_page(spec, transport, params, headers, stats, backoff_base, max_attempts):
-    last_err: str = ""
-    for attempt in range(max_attempts):
-        if attempt > 0:
-            stats.retries += 1
-            if backoff_base > 0:
-                time.sleep(backoff_base * (2 ** (attempt - 1)))
-        try:
-            status, body = transport(spec.path_or_url, params, headers)
-        except (requests.RequestException, OSError) as e:
-            last_err = str(e)
-            continue
-        if status == 429 or status >= 500:
-            last_err = f"HTTP {status}"
-            continue
-        return status, body
-    raise EndpointUnreachableError(
-        f"{spec.path_or_url} page {params.get(spec.api_page_param)} failed after "
-        f"{max_attempts} attempts: {last_err}"
-    )
 
 
 # --- deduplication ----------------------------------------------------------

@@ -2,6 +2,7 @@ import datetime as dt
 
 import pytest
 
+from skillscope import net
 from skillscope.cleanse import Posting
 from skillscope.ingest import RawRecord
 
@@ -28,6 +29,12 @@ def record(text: str, date: str = "2022-03-04", source: str = "t", n: int = 0) -
 
 def posting(text: str, year: int = 2022, pid: str = "p0") -> Posting:
     return Posting(id=pid, date=dt.date(year, 6, 15), year=year, description=text)
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries of a web request go out at once."""
+    monkeypatch.setattr(net, "BACKOFF_S", 0.0)
 
 
 @pytest.fixture(scope="session")

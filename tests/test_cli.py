@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skillscope import cli, ingest, taxonomy, trends
+from skillscope import cli, taxonomy, trends
 from skillscope.cli import (
     CONFIG_FIELDS,
     EXIT_CONFIG,
@@ -67,10 +67,22 @@ def without_the_last_column(data: bytes) -> tuple[bytes, str]:
             f" line 1: no column {lines[0].rsplit(b',', 1)[1].decode()!r}")
 
 
+def rate_out_of_range(data: bytes) -> tuple[bytes, str]:
+    lines = data.split(b"\n")
+    category = lines[0].split(b",")[2].decode()
+    year, postings, _, *rest = lines[1].split(b",")
+    lines[1] = b",".join([year, postings, b"1500.0", *rest])
+    return (b"\n".join(lines),
+            f": series ({category!r},): rate 1500.0 at {year.decode()} out of [0,1000]")
+
+
 # each way to damage an artifact, and what the message then says after its path
 DAMAGE = {"cut": cut_inside_a_record, "word": word_in_the_last_column,
           "header-only": lambda data: (data[:data.index(b"\n") + 1], ": no data rows"),
-          "no-column": without_the_last_column}
+          "no-column": without_the_last_column, "rate-1500": rate_out_of_range,
+          # the rates of a corpus that spans two years
+          "two-years": lambda data: (b"".join(data.splitlines(keepends=True)[:3]),
+                                     ": need at least 3 shared time points")}
 # (stage, artifact it reads, damage)
 CORRUPT_ARTIFACTS = [
     *((stage, name, "cut") for stage, name in [
@@ -84,11 +96,13 @@ CORRUPT_ARTIFACTS = [
     *((stage, name, "word") for stage, name in [
         ("forecast", "skill_rates.csv"), ("correlate", "skill_rates.csv"),
         ("report", "framing_by_year.csv"), ("report", "forecast.csv"),
-        ("report", "correlation.csv")]),
+        ("report", "correlation.csv"), ("report", "skill_rates.csv")]),
     ("forecast", "skill_rates.csv", "header-only"),
     ("correlate", "skill_rates.csv", "header-only"),
     ("forecast", "skill_rates.csv", "no-column"), ("correlate", "skill_rates.csv", "no-column"),
     ("report", "skill_rates.csv", "no-column"), ("report", "forecast.csv", "no-column"),
+    ("forecast", "skill_rates.csv", "rate-1500"), ("correlate", "skill_rates.csv", "rate-1500"),
+    ("correlate", "skill_rates.csv", "two-years"),
 ]
 
 
@@ -369,6 +383,13 @@ class TestErrors:
         ("framing", "postings.ndjson", ("year", 1999, "year 1999 is not the year of date")),
         ("topics", "postings.ndjson", ("description", None,
                                        "description is NoneType, not a string")),
+        ("cleanse", "raw_records.ndjson", ("raw_text", None,
+                                           "raw_text is NoneType, not a string")),
+        ("cleanse", "raw_records.ndjson", ("source_id", 7, "source_id is int, not a string")),
+        ("sectors", "skill_flags.ndjson", ("AI_Data", "no", "AI_Data is str, not a bool")),
+        ("framing", "skill_flags.ndjson", ("Leadership", 0, "Leadership is int, not a bool")),
+        ("framing", "skill_flags.ndjson", ("sector", 5, "sector is int, not a string or null")),
+        ("sectors", "skill_flags.ndjson", ("sector", 5, "sector is int, not a string or null")),
     ], ids=lambda v: f"{v[0]}={v[1]}" if isinstance(v, tuple) else None)
     def test_ndjson_row_without_a_field_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys,
                                                             stage, name, field):
@@ -782,9 +803,7 @@ class TestReports:
         raw_lines = (results_dir(demo_dir) / "raw_records.ndjson").read_text().splitlines()
         assert counts["emitted"] - counts["duplicates_removed"] == len(raw_lines)
 
-    def test_ingest_report_carries_api_stats(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
-
+    def test_ingest_report_carries_api_stats(self, tmp_path):
         def page(n):
             return {"data": [{"date": "2022-01-01", "description": f"api posting {n}.{i}"}
                              for i in range(3)]}

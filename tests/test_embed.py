@@ -239,7 +239,7 @@ def fake_post_factory(dimension, fail_times=0, status=500):
 class TestHttpProvider:
     def test_batching_preserves_order(self):
         post, calls = fake_post_factory(4)
-        p = HttpProvider("http://svc", 4, post=post, backoff_base=0.0)
+        p = HttpProvider("http://svc", 4, post=post)
         texts = [f"t{'x' * i}" for i in range(150)]
         vecs = p.embed_batch(texts)
         assert len(vecs) == 150
@@ -250,20 +250,20 @@ class TestHttpProvider:
 
     def test_retry_then_success(self):
         post, calls = fake_post_factory(4, fail_times=2)
-        p = HttpProvider("http://svc", 4, post=post, backoff_base=0.0)
+        p = HttpProvider("http://svc", 4, post=post)
         p.embed("hello")
         assert calls["n"] == 3
 
     def test_service_error_after_three_attempts(self):
         post, _ = fake_post_factory(4, fail_times=99)
-        p = HttpProvider("http://svc", 4, post=post, backoff_base=0.0)
+        p = HttpProvider("http://svc", 4, post=post)
         with pytest.raises(ServiceError):
             p.embed("hello")
 
     def test_wrong_dimension_from_service(self):
         def post(body):
             return 200, {"vectors": [[1.0, 2.0] for _ in body["texts"]]}
-        p = HttpProvider("http://svc", 4, post=post, backoff_base=0.0)
+        p = HttpProvider("http://svc", 4, post=post)
         with pytest.raises(DimensionMismatchError):
             p.embed("hello")
 

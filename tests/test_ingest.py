@@ -217,14 +217,14 @@ class TestFetchApi:
                  {"status": 200, "body": pages[3]}]
         stats = ApiClientStats()
         records = list(read_source(self.api_spec(), transport=ReplayTransport({"calls": calls}),
-                                 stats=stats, backoff_base=0.0))
+                                 stats=stats))
         assert len(records) == 150
         assert stats.retries == 2
 
     def test_endpoint_unreachable_after_three_failures(self):
         transport = ReplayTransport({"calls": [{"status": 503}] * 3})
         with pytest.raises(EndpointUnreachableError):
-            list(read_source(self.api_spec(), transport=transport, backoff_base=0.0))
+            list(read_source(self.api_spec(), transport=transport))
 
     def test_date_range_excluding_everything(self):
         transport = ReplayTransport({"pages": [_page(_items(10, year="2010")), {"data": []}]})
@@ -252,7 +252,7 @@ class TestFetchApi:
                  {"status": 200, "body": {"data": []}}]
         stats = ApiClientStats()
         records = list(read_source(self.api_spec(), transport=ReplayTransport({"calls": calls}),
-                                 stats=stats, backoff_base=0.0))
+                                 stats=stats))
         assert len(records) == 10
         assert stats.pages_skipped == 1
 
@@ -262,8 +262,7 @@ class TestFetchApi:
         pages = [_page(_items(5)), body, _page(_items(5, 5)), {"data": []}]
         transport = ReplayTransport({"pages": pages})
         stats = ApiClientStats()
-        records = list(read_source(self.api_spec(), transport=transport, stats=stats,
-                                   backoff_base=0.0))
+        records = list(read_source(self.api_spec(), transport=transport, stats=stats))
         assert [r.raw_text for r in records] == [t for _, t in _items(10)]
         assert (stats.pages_fetched, stats.pages_skipped) == (2, 1)
         assert transport.call_count == 4
@@ -288,9 +287,8 @@ class TestFetchApi:
 
         stats = ApiClientStats()
         with pytest.raises(EndpointUnreachableError, match=f"page 4: .*HTTP {status}"):
-            list(read_source(self.api_spec(), transport=transport, stats=stats,
-                             backoff_base=0.0))
-        assert pages == [1, 2, 3, 4]  # max_attempts calls after the first failure
+            list(read_source(self.api_spec(), transport=transport, stats=stats))
+        assert pages == [1, 2, 3, 4]  # net.ATTEMPTS calls after the first failure
         assert stats.pages_skipped == 3
 
     def test_page_size_is_sent_as_limit_and_a_short_page_ends_the_paging(self):
@@ -327,8 +325,7 @@ class TestFetchApi:
             return 200, _page(_items(2)) if params["page"] == 1 else {"data": []}
 
         stats = ApiClientStats()
-        records = list(read_source(self.api_spec(), transport=transport, stats=stats,
-                                   backoff_base=0.0))
+        records = list(read_source(self.api_spec(), transport=transport, stats=stats))
         assert [r.raw_text for r in records] == [t for _, t in _items(2)]
         assert pages == [1, 1, 2] and stats.retries == 1
 
