@@ -519,6 +519,13 @@ def topic_entries(sizes: dict[int, int], terms: dict[int, list]) -> dict:
             for t, size in sizes.items()}
 
 
+def timed(fit: Callable, *args, **kwargs) -> tuple:
+    """fit's result and the seconds it took, in the process that ran it."""
+    started = time.monotonic()
+    result = fit(*args, **kwargs)
+    return result, round(time.monotonic() - started, 3)
+
+
 def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
     if not postings:
@@ -541,17 +548,19 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
     def clusters():
         emb = np.array(embed_postings(provider, postings))
-        km = kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
-        dm = density_topics(emb, min_cluster_size=mcs, k_reduced=k_reduced,
-                            seed=derive_seed(cfg.seed, "topics.density"))
-        return km, dm, cluster_terms(km.assignments, dtm), cluster_terms(dm.labels, dtm)
+        km, km_s = timed(kmeans_fit, emb, cfg.kmeans["K"],
+                         seed=derive_seed(cfg.seed, "topics.kmeans"))
+        dm, dm_s = timed(density_topics, emb, min_cluster_size=mcs, k_reduced=k_reduced,
+                         seed=derive_seed(cfg.seed, "topics.density"))
+        return (km, dm, cluster_terms(km.assignments, dtm), cluster_terms(dm.labels, dtm),
+                {"kmeans_fit": km_s, "density_topics": dm_s})
 
     def lda():  # only what the artifact needs comes back from a worker
-        model = lda_fit(dtm, lda_cfg)
-        return model.phi, model.theta, model.log_likelihood_trace
+        model, lda_s = timed(lda_fit, dtm, lda_cfg)
+        return model.phi, model.theta, model.log_likelihood_trace, lda_s
 
     # given the processes and postings, LDA fits in a worker meanwhile
-    (km, dm, km_terms, dm_terms), (phi, theta, trace) = workers.call_all(
+    (km, dm, km_terms, dm_terms, cluster_s), (phi, theta, trace, lda_s) = workers.call_all(
         [clusters, lda], len(postings))
 
     # written only once all three models are fitted, so a failed run leaves
@@ -575,7 +584,7 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
               [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]
                for year in matrix.years for topic in matrix.topics])
     return {"lda_topics": lda_cfg.K, "density_topics": len(dm.topic_sizes),
-            "vocab": dtm.n_terms}
+            "vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s}}
 
 
 def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -661,6 +670,17 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             endpoints.setdefault(r["label"], {})[r["spec"]] = r["value"]
 
     tables = {name: {"path": name, **describe(out / name)} for name in REPORT_TABLES}
+    # a table cut at a line end still parses; the row count its stage
+    # recorded in the manifest shows the cut
+    recorded = {}
+    if (out / "run_manifest.json").exists():
+        manifest = read_json(out / "run_manifest.json", "run manifest", DataError)
+        for entry in manifest["stages"].values():
+            recorded.update((name, output["rows"]) for name, output in entry["outputs"].items())
+    for name, table in tables.items():
+        if name in recorded and recorded[name] != table["rows"]:
+            raise DataError(f"{out / name} has {table['rows']} rows; "
+                            f"the manifest recorded {recorded[name]}")
     summary = {
         "tool_version": __version__,
         "tables": tables,

@@ -1,11 +1,22 @@
 """Latent Dirichlet Allocation by zero-order collapsed variational Bayes.
 
 CVB0 (Asuncion, Welling, Smyth & Teh, "On Smoothing and Inference for Topic
-Models", UAI 2009) keeps one topic responsibility row gamma per non-zero
-(document, term) cell. Each sweep gathers the expected counts from all rows,
-then updates every row at once (synchronously) with one token left out:
+Models", UAI 2009) keeps one topic responsibility per topic and non-zero
+(document, term) cell. Each sweep gathers the expected counts from all cells,
+then updates every cell at once (synchronously) with one token left out:
 gamma ∝ (n_dk - gamma + alpha)(n_wk - gamma + beta) / (n_k - gamma + V beta).
 phi and theta come from the final expected counts with Dirichlet smoothing.
+
+gamma is stored topic-major, K rows of N cells, in three K x N arrays made
+once, so each step of a sweep runs numpy's loops over N contiguous values,
+not N times over K. Every sum adds in the order numpy and scipy add the
+cell-major (N x K) layout, so the bytes are that layout's:
+- a cell's K responsibilities are summed in numpy's pairwise order
+  (``_cell_sums``);
+- n_k, the trace, phi and theta come from V x K and D x K contiguous
+  copies, by the same numpy calls;
+- n_dk and n_wk are one sparse product per topic, which adds each
+  document's or term's cells in cell order, as the K-column CSR product does.
 gamma is seeded from numpy's ``default_rng(seed)``: the same seed gives the
 same bytes under the same numpy and scipy build, not across builds.
 """
@@ -20,6 +31,10 @@ from scipy.special import gammaln
 
 from ..errors import ConfigError
 from .dtm import DocTermMatrix
+
+# cells per block of the seeded draw: no N x K copy of gamma is made, and
+# freeing a block leaves no large hole in the heap
+DRAW_CELLS = 1 << 12
 
 
 @dataclass
@@ -53,10 +68,40 @@ class LdaModel:
     log_likelihood_trace: list[float] = field(default_factory=list)
 
 
-def _log_joint_words(n_kt: np.ndarray, beta: float) -> float:
-    """log p(w | z) up to a constant, from (expected) topic-word counts."""
+def _log_joint_words(n_wk: np.ndarray, beta: float) -> float:
+    """log p(w | z) up to a constant, from (expected) V x K term-topic counts."""
+    n_kt = n_wk.T
     V = n_kt.shape[1]
     return float(gammaln(n_kt + beta).sum() - gammaln(n_kt.sum(axis=1) + V * beta).sum())
+
+
+def _cell_sums(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The column sums of a K x N array, each added as numpy's pairwise sum
+    adds a contiguous row of K: in turn below 8, in eight running sums up to
+    128, and above that in two halves cut at a multiple of 8. The sums are
+    made in ``scratch``, an array of g's shape, and returned as one of its rows."""
+    K = len(g)
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        total = _cell_sums(g[:half], scratch[:half])
+        total += _cell_sums(g[half:], scratch[half:])
+        return total
+    if K < 8:
+        total = scratch[0]
+        np.copyto(total, g[0])
+        rest = g[1:]
+    else:
+        r = scratch[:8]
+        np.copyto(r, g[:8])
+        for i in range(8, K - K % 8, 8):
+            r += g[i:i + 8]
+        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            r[::2 * step] += r[step::2 * step]
+        total = r[0]
+        rest = g[K - K % 8:]
+    for row in rest:
+        total += row
+    return total
 
 
 def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
@@ -71,25 +116,40 @@ def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
     doc = np.repeat(np.arange(D), lengths)
     term = np.concatenate(dtm.doc_indices)
     count = np.concatenate(dtm.doc_counts).astype(float)
-    cells = np.arange(len(count))
-    # count-weighted incidence: (D x N) @ gamma = n_dk, (V x N) @ gamma = n_wk
-    by_doc = sparse.csr_matrix((count, (doc, cells)), shape=(D, len(count)))
-    by_term = sparse.csr_matrix((count, (term, cells)), shape=(V, len(count)))
+    N = len(count)
+    # count-weighted incidence: (D x N) @ gamma[k] = n_dk[k], (V x N) @ gamma[k] = n_wk[k].
+    # Both read gamma[k] in order; the one-cell columns of by_term add each
+    # term's cells in cell order, as its rows would, without random reads.
+    by_doc = sparse.csr_matrix((count, (doc, np.arange(N))), shape=(D, N))
+    by_term = sparse.csc_matrix((count, term, np.arange(N + 1)), shape=(V, N))
 
-    gamma = np.random.default_rng(cfg.seed).random((len(count), K))
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+    def expected(gamma):  # K x D and K x V
+        return np.array([by_doc @ g for g in gamma]), np.array([by_term @ g for g in gamma])
+
+    rng = np.random.default_rng(cfg.seed)
+    gamma, new, other = np.empty((K, N)), np.empty((K, N)), np.empty((K, N))
+    for start in range(0, N, DRAW_CELLS):  # the stream of one (N, K) draw
+        gamma[:, start:start + DRAW_CELLS] = rng.random((min(DRAW_CELLS, N - start), K)).T
+    gamma /= _cell_sums(gamma, new)
+    n_dk, n_wk = expected(gamma)
     trace: list[float] = []
     for sweep in range(cfg.iterations):
-        n_k = n_wk.sum(axis=0)
-        gamma = (np.repeat(n_dk + alpha, lengths, axis=0) - gamma) \
-            * (np.take(n_wk + beta, term, axis=0) - gamma) / ((n_k + vbeta) - gamma)
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+        # every index is in range: "clip" lets take write into its out array
+        np.take(n_dk + alpha, doc, axis=1, out=new, mode="clip")
+        new -= gamma
+        np.take(n_wk + beta, term, axis=1, out=other, mode="clip")
+        other -= gamma
+        new *= other
+        n_k = np.ascontiguousarray(n_wk.T).sum(axis=0)
+        np.subtract((n_k + vbeta)[:, None], gamma, out=other)
+        new /= other
+        new /= _cell_sums(new, other)  # gamma and other are spent
+        gamma, new = new, gamma
+        n_dk, n_wk = expected(gamma)
         if sweep % 10 == 0 or sweep == cfg.iterations - 1:
-            trace.append(_log_joint_words(n_wk.T, beta))
+            trace.append(_log_joint_words(np.ascontiguousarray(n_wk.T), beta))
 
-    n_kt = n_wk.T
+    n_dk, n_kt = np.ascontiguousarray(n_dk.T), np.ascontiguousarray(n_wk.T).T
     phi = (n_kt + beta) / (n_kt.sum(axis=1, keepdims=True) + vbeta)
     theta = (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + K * alpha)
     return LdaModel(phi=phi, theta=theta, doc_topic_counts=n_dk, log_likelihood_trace=trace)

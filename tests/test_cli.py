@@ -343,6 +343,19 @@ class TestErrors:
                      f"{out / name}: ") in err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
+    def test_a_table_cut_at_a_line_end_is_exit_4(self, demo_dir, tmp_path, capsys):
+        # every line it keeps parses, so only the manifest's row count shows the cut
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE["report"].inputs, "run_manifest.json"})
+        lines = (out / "forecast.csv").read_bytes().splitlines(keepends=True)
+        (out / "forecast.csv").write_bytes(b"".join(lines[:len(lines) // 2]))
+        assert main(["report", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert (f"{out / 'forecast.csv'} has {len(lines) // 2 - 1} rows; "
+                f"the manifest recorded {len(lines) - 1}") in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
     def test_missing_embedding_file_stops_before_writing(self, tmp_path, capsys):
         run = write_demo_corpus(tmp_path, n=60)
         run.write_text(json.dumps({**json.loads(run.read_text()),

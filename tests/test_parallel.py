@@ -296,6 +296,31 @@ class TestSplitStages:
         assert stage_processes(out)["topics"] == (3, 2)
         assert_no_children()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_topics_records_each_fit_time_from_the_process_that_ran_it(
+            self, tmp_path, monkeypatch, jobs):
+        config, raw = ingested(tmp_path, 200)
+        out = tmp_path / "out"
+        run_split_stages(config, raw, out, 1, ("cleanse",))
+        monkeypatch.setattr(parallel, "MIN_CHUNK", len(cli.load_postings(out)) // 2)
+        fit = cli.lda_fit
+
+        def slow_fit(*args):  # runs in the worker at --jobs 2
+            time.sleep(0.3)
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "lda_fit", slow_fit)
+        assert main(["topics", "--config", str(config), "--out", str(out),
+                     "--jobs", str(jobs)]) == EXIT_OK
+        assert stage_processes(out)["topics"] == (jobs, jobs)
+        stage = json.loads((out / "run_manifest.json").read_text())["stages"]["topics"]
+        fit_s = stage["counts"]["fit_s"]
+        assert set(fit_s) == {"lda_fit", "kmeans_fit", "density_topics"}
+        assert fit_s["lda_fit"] >= 0.3
+        assert fit_s["lda_fit"] + fit_s["kmeans_fit"] + fit_s["density_topics"] \
+            <= stage["wall_clock_s"] * jobs
+        assert_no_children()
+
     @pytest.mark.parametrize("fails, code, message", [
         ("lda_fit", EXIT_CONFIG, "config error: empty document-term matrix\n"),
         ("kmeans_fit", EXIT_DATA, "data error: k-means failed here\n"),

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.special import gammaln
 
 from skillscope.errors import ConfigError, EmptyVocabularyError
 from skillscope.topics import (
@@ -26,6 +28,7 @@ from skillscope.topics import (
 )
 from skillscope.topics.density import _dbscan
 from skillscope.topics.kmeans import _sq_dists
+from skillscope.topics.lda import DRAW_CELLS, _cell_sums
 
 from .helpers import dense
 
@@ -223,6 +226,41 @@ def cvb0_reference(dtm, cfg):
     return counts(gamma)[0]
 
 
+def row_major_cvb0(dtm, cfg):
+    """The vectorised CVB0 sweep with gamma cell-major (N x K), from one
+    (N, K) seeded draw: (phi, theta, n_dk, trace), the bytes lda_fit must give."""
+    K, V, D = cfg.K, dtm.n_terms, dtm.n_docs
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    vbeta = V * beta
+    lengths = [len(idx) for idx in dtm.doc_indices]
+    doc = np.repeat(np.arange(D), lengths)
+    term = np.concatenate(dtm.doc_indices)
+    count = np.concatenate(dtm.doc_counts).astype(float)
+    cells = np.arange(len(count))
+    by_doc = sparse.csr_matrix((count, (doc, cells)), shape=(D, len(count)))
+    by_term = sparse.csr_matrix((count, (term, cells)), shape=(V, len(count)))
+
+    def log_joint_words(n_kt):
+        return float(gammaln(n_kt + beta).sum() - gammaln(n_kt.sum(axis=1) + vbeta).sum())
+
+    gamma = np.random.default_rng(cfg.seed).random((len(count), K))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+    trace = []
+    for sweep in range(cfg.iterations):
+        n_k = n_wk.sum(axis=0)
+        gamma = (np.repeat(n_dk + alpha, lengths, axis=0) - gamma) \
+            * (np.take(n_wk + beta, term, axis=0) - gamma) / ((n_k + vbeta) - gamma)
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        n_dk, n_wk = by_doc @ gamma, by_term @ gamma
+        if sweep % 10 == 0 or sweep == cfg.iterations - 1:
+            trace.append(log_joint_words(n_wk.T))
+    n_kt = n_wk.T
+    phi = (n_kt + beta) / (n_kt.sum(axis=1, keepdims=True) + vbeta)
+    theta = (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + K * alpha)
+    return phi, theta, n_dk, trace
+
+
 class TestLda:
     def test_matches_plain_loop_reference(self):
         dtm = build_dtm(["alpha beta beta gamma", "beta delta delta delta", "gamma alpha"])
@@ -298,6 +336,39 @@ class TestLda:
         expected = (n_dk + cfg.alpha) / (doc_lengths[:, None] + K * cfg.alpha)
         assert np.allclose(model.theta, expected, rtol=1e-12, atol=1e-12)
         assert len(model.log_likelihood_trace) == 2  # sweeps 0 and 6
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 8, 9, 16, 17, 128, 129, 130])
+    def test_bit_identical_to_row_major_sweep(self, K):
+        # K up to 7 sums a cell in turn, 8 to 128 in eight running sums, and
+        # above 128 in halves; beta 0.5 makes the term counts matter more
+        docs, _ = two_topic_corpus(n_docs=24, seed=K)
+        dtm = build_dtm(docs)
+        for beta in (0.01, 0.5):
+            cfg = LdaConfig(K=K, beta=beta, iterations=11, seed=K)
+            model = lda_fit(dtm, cfg)
+            phi, theta, n_dk, trace = row_major_cvb0(dtm, cfg)
+            assert np.array_equal(model.phi, phi)
+            assert np.array_equal(model.theta, theta)
+            assert np.array_equal(model.doc_topic_counts, n_dk)
+            assert model.log_likelihood_trace == trace
+
+    def test_seeded_start_drawn_in_blocks_is_one_draw(self):
+        # more cells than one block of the draw, so the start spans blocks
+        docs = [" ".join(f"w{(d * 7 + i) % 500}" for i in range(40)) for d in range(120)]
+        dtm = build_dtm(docs, min_df=1)
+        assert sum(len(idx) for idx in dtm.doc_indices) > DRAW_CELLS
+        cfg = LdaConfig(K=3, iterations=1, seed=9)
+        model = lda_fit(dtm, cfg)
+        assert np.array_equal(model.doc_topic_counts, row_major_cvb0(dtm, cfg)[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_cell_sums_add_in_numpys_order(self, K, n, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-8 to 1e8, either sign, so the order of adding shows
+        g = rng.choice([-1.0, 1.0], (K, n)) * 10.0 ** rng.uniform(-8, 8, (K, n))
+        assert np.array_equal(_cell_sums(g, np.empty_like(g)),
+                              np.ascontiguousarray(g.T).sum(axis=1))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
