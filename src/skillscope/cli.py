@@ -24,8 +24,9 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -219,35 +220,45 @@ def as_text(convert: Callable[[str], object]) -> Callable[[str], str]:
     return check
 
 
-def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
+def ndjson_lines(rows: Iterable[dict]) -> Iterator[str]:
     """One sorted-key JSON object per line."""
-    atomic_write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
+    atomic_write(path, ndjson_lines(rows))
+
+
+def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]], fields: Iterable[str] = (),
+                 make: Callable[[dict], object] | None = None) -> list:
+    """One value per non-blank line of the numbered ``lines`` of ``path``, or
+    what ``make`` makes of it; a line that does not parse, whose value is not
+    an object holding each of ``fields``, or whose value ``make`` rejects
+    with ValueError, raises DataError naming the file and the line."""
+    rows = []
+    # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
+    # each line is decoded on its own, so bad UTF-8 is caught on its line too
+    for number, line in lines:
+        if not line.isspace():  # a line read from a file is never empty
+            try:
+                row = json.loads(line.decode("utf-8"))
+                if fields:
+                    if not isinstance(row, dict):
+                        raise ValueError("not a JSON object")
+                    missing = [f for f in fields if f not in row]
+                    if missing:
+                        raise ValueError(f"missing field {missing[0]!r}")
+                rows.append(make(row) if make else row)
+            except ValueError as e:
+                raise DataError(f"{path} line {number}: {e}") from e
+    return rows
 
 
 def read_ndjson(path: Path, fields: Iterable[str] = (),
                 make: Callable[[dict], object] | None = None) -> list:
-    """One value per non-blank line, or what ``make`` makes of it; a line
-    that does not parse, whose value is not an object holding each of
-    ``fields``, or whose value ``make`` rejects with ValueError, raises
-    DataError naming the file and the line."""
-    rows = []
-    # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
-    # each line is decoded on its own, so bad UTF-8 is caught on its line too
+    """``parse_ndjson`` over every line of ``path``, read one at a time."""
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    row = json.loads(line.decode("utf-8"))
-                    if fields:
-                        if not isinstance(row, dict):
-                            raise ValueError("not a JSON object")
-                        missing = [f for f in fields if f not in row]
-                        if missing:
-                            raise ValueError(f"missing field {missing[0]!r}")
-                    rows.append(make(row) if make else row)
-                except ValueError as e:
-                    raise DataError(f"{path} line {number}: {e}") from e
-    return rows
+        return parse_ndjson(path, enumerate(fh, 1), fields, make)
 
 
 # the object whose entries are a JSON artifact's rows; any other JSON file is one row
@@ -261,8 +272,11 @@ def count_rows(path: Path) -> int:
     if path.suffix == ".json":
         key = JSON_ROWS.get(path.name)
         return len(read_json(path, "artifact", DataError)[key]) if key else 1
-    with open(path, encoding="utf-8") as fh:
-        lines = sum(1 for line in fh if line.strip())
+    # bytes, not text: counting decodes nothing, so a line of bad UTF-8 is
+    # left for the reader, which names it; a line read is never empty, so
+    # isspace() is strip()'s test without its copy
+    with open(path, "rb") as fh:
+        lines = sum(not line.isspace() for line in fh)
     return lines - 1 if path.suffix == ".csv" and lines else lines
 
 
@@ -301,6 +315,17 @@ class Manifest:
             "outputs": {p.name: describe(p) for p in outputs},
         }
         write_json(self.path, self.doc)
+
+    def check_rows(self, out: Path, names: Iterable[str]) -> None:
+        """DataError if an artifact of ``names`` in ``out`` holds other than
+        the rows the manifest recorded for it: a file cut at a line end
+        still parses, and only its row count shows the cut."""
+        recorded = {name: output["rows"] for entry in self.doc["stages"].values()
+                    for name, output in entry["outputs"].items()}
+        for name in names:
+            if name in recorded and (rows := count_rows(out / name)) != recorded[name]:
+                raise DataError(f"{out / name} has {rows} rows; "
+                                f"the manifest recorded {recorded[name]}")
 
 
 # --- shared loaders ---------------------------------------------------------
@@ -355,13 +380,13 @@ def load_postings(out: Path) -> list[Posting]:
     return read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)
 
 
-def read_flag_rows(out: Path, postings: list[Posting]) -> list[dict]:
-    """The rows ``extract`` wrote, one per posting in order, each with its
-    sector; rows of other postings or without a sector are stale."""
+def read_flag_rows(out: Path, ids: list[str]) -> list[dict]:
+    """The rows ``extract`` wrote, one per posting id of ``ids`` in order,
+    each with its sector; rows of other postings or without a sector are
+    stale."""
     rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES),
                        checked_flags)
-    if ([d["posting_id"] for d in rows] != [p.id for p in postings]
-            or any("sector" not in d for d in rows)):
+    if [d["posting_id"] for d in rows] != ids or any("sector" not in d for d in rows):
         raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
     return rows
 
@@ -383,16 +408,24 @@ def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
 RATE_COLUMNS = {"year": int, **dict.fromkeys(SKILL_CATEGORIES, float)}
 
 
-def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
-    path = out / "skill_rates.csv"
-    rows = read_csv(path, RATE_COLUMNS)
+def rate_series(path: Path, rows: list[dict]) -> dict[str, RateSeries]:
+    """Each category's series in the rows ``read_csv`` read from
+    skill_rates.csv at ``path``, with RATE_COLUMNS' cells converted or
+    checked; DataError if there are none or a series breaks RateSeries's
+    rules."""
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
-        return {cat: RateSeries(label=(cat,), points=tuple((r["year"], r[cat]) for r in rows))
+        return {cat: RateSeries(label=(cat,), points=tuple(
+                    (int(r["year"]), float(r[cat])) for r in rows))
                 for cat in SKILL_CATEGORIES}
     except ConfigError as e:  # the rule is the series', the fault the file's
         raise DataError(f"{path}: {e}") from e
+
+
+def rate_series_from_csv(out: Path) -> dict[str, RateSeries]:
+    path = out / "skill_rates.csv"
+    return rate_series(path, read_csv(path, RATE_COLUMNS))
 
 
 # --- stages -----------------------------------------------------------------
@@ -406,9 +439,31 @@ class Workers:
 
     def map_chunks(self, fn, items, floor: int | None = None) -> list:
         """``parallel.map_chunks`` within this budget."""
-        results = parallel.map_chunks(fn, items, self.jobs, floor)
-        self.processes = max(self.processes, len(results))
-        return results
+        self.processes = max(self.processes, parallel.chunk_count(len(items), self.jobs, floor))
+        return parallel.map_chunks(fn, items, self.jobs, floor)
+
+    def map_rows(self, path: Path, fields: Iterable[str], make: Callable[[dict], object],
+                 fn: Callable[[list], tuple[Iterable[dict], object]],
+                 split: bool = True) -> list[tuple[Iterable[str], object]]:
+        """For each piece of the rows of the ndjson file ``path``, in order,
+        ``fn``'s output rows, as ndjson lines, and its other result; the rows
+        are parsed with ``parse_ndjson``'s checks. Split (if ``split`` and
+        the budget allows), each piece parses its own lines, which this
+        process read as bytes, and sends back its output rows as one ndjson
+        text; in one process, the file is parsed line by line as it is
+        read and the output rows are serialised as they are written."""
+        if not split or self.jobs == 1:
+            rows, other = fn(read_ndjson(path, fields, make))
+            return [(ndjson_lines(rows), other)]
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+
+        def piece(numbers: range):
+            rows, other = fn(parse_ndjson(
+                path, zip(numbers, lines[numbers.start - 1:numbers.stop - 1]), fields, make))
+            return ["".join(ndjson_lines(rows))], other
+
+        return self.map_chunks(piece, range(1, len(lines) + 1))
 
     def call_all(self, calls, items: int) -> list:
         """``parallel.call_all`` if ``map_chunks`` would split ``items``, else each call here."""
@@ -424,7 +479,7 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         records = list(read_source(spec, counts, stats, cfg.cleanse.date_order))
         return records, counts, asdict(stats) if spec.format == "api" else {}
 
-    # each process reads a contiguous group of sources; duplicates go here, in source order
+    # each piece is one source; duplicates go here, in source order
     results = [r for group in workers.map_chunks(lambda specs: list(map(collect, specs)),
                                                  cfg.sources, floor=1) for r in group]
 
@@ -443,73 +498,78 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     return {"records": len(kept), "duplicates_removed": dedup.removed}
 
 
+# A split stage's pieces each return their output rows, which this process
+# writes in order, and only the numbers its tables need.
+
 def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    records = read_ndjson(out / "raw_records.ndjson", RAW_RECORD_FIELDS, record_from_row)
-    chunks = workers.map_chunks(lambda chunk: cleanse(chunk, cfg.cleanse), records)
+    def clean(records):
+        postings, report = cleanse(records, cfg.cleanse)
+        return ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
+                 "description": p.description} for p in postings), report
+
+    pieces = workers.map_rows(out / "raw_records.ndjson", RAW_RECORD_FIELDS, record_from_row,
+                              clean)
     report = CleanseReport()
-    for _, part in chunks:
+    for _, part in pieces:
         report.add(part)
-    write_ndjson(out / "postings.ndjson",
-                 ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
-                   "description": p.description} for postings, _ in chunks for p in postings))
+    atomic_write(out / "postings.ndjson", chain.from_iterable(lines for lines, _ in pieces))
     write_json(out / "cleanse_report.json", report.as_dict())
     return report.as_dict()
 
 
 def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    postings = load_postings(out)
     matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
 
-    def label(chunk):
+    def label(postings):
         flags = []
 
         def tokens_after_skills():
             # each description is tokenized once for both matchers, one at a time
-            for p in chunk:
+            for p in postings:
                 tokens = tokenize(p.description)
                 flags.append(detect_skills(p, matcher, tokens))
                 yield tokens
 
-        return flags, sector_totals(chunk, cfg.sectors, tokens_after_skills())
+        sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
+        return (({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
+                 for f in flags),
+                [((p.year,), per_mille(f.flags)) for p, f in zip(postings, flags)])
 
-    flags, sectors = [], {}
-    for chunk_flags, chunk_sectors in workers.map_chunks(label, postings):
-        flags += chunk_flags
-        sectors.update(chunk_sectors)
-    write_ndjson(out / "skill_flags.ndjson",
-                 ({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
-                  for f in flags))
-    yearly = rate_table(((p.year,), per_mille(f.flags)) for p, f in zip(postings, flags))
+    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, label)
+    atomic_write(out / "skill_flags.ndjson", chain.from_iterable(lines for lines, _ in pieces))
+    keyed = [pair for _, pairs in pieces for pair in pairs]
+    yearly = rate_table(keyed)
     write_csv(out / "skill_rates.csv", ["year", "postings"] + list(SKILL_CATEGORIES), yearly)
-    return {"postings": len(postings), "years": len(yearly)}
+    return {"postings": len(keyed), "years": len(yearly)}
 
 
 def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    postings = load_postings(out)
-    if not postings:
-        raise DataError("no postings to frame")
-    rows = read_flag_rows(out, postings)
     provider = embedding_provider(cfg)
     centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
 
-    def frame(chunk):
-        return [frame_document(v, centroids, posting_id=p.id)
-                for p, v in zip(chunk, embed_postings(provider, chunk))]
+    def frame(postings):
+        results = [frame_document(v, centroids, posting_id=p.id)
+                   for p, v in zip(postings, embed_postings(provider, postings))]
+        return map(vars, results), [
+            (p.id, p.year, (r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index))
+            for p, r in zip(postings, results)]
 
     # file lookups are cheap, and an http provider has its own concurrency
-    chunks = (workers.map_chunks(frame, postings) if isinstance(provider, HashedProvider)
-              else [frame(postings)])
-    results = [r for chunk in chunks for r in chunk]
-    write_ndjson(out / "framing.ndjson", map(vars, results))
+    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, frame,
+                              split=isinstance(provider, HashedProvider))
+    framed = [f for _, part in pieces for f in part]
+    if not framed:
+        raise DataError("no postings to frame")
+    rows = read_flag_rows(out, [posting_id for posting_id, _, _ in framed])
+    atomic_write(out / "framing.ndjson", chain.from_iterable(lines for lines, _ in pieces))
 
-    sims = [(r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index) for r in results]
     columns = ["n", "sim_ai", "sim_augment", "sim_automate", "fi"]
-    by_year = rate_table(((p.year,), v) for p, v in zip(postings, sims))
+    by_year = rate_table(((year,), v) for _, year, v in framed)
     write_csv(out / "framing_by_year.csv", ["year", *columns], by_year)
-    by_sector = rate_table(((p.year, row["sector"]), v) for p, row, v
-                           in zip(postings, rows, sims) if row["sector"] is not None)
+    by_sector = rate_table(((year, row["sector"]), v) for (_, year, v), row
+                           in zip(framed, rows) if row["sector"] is not None)
     write_csv(out / "framing_by_sector.csv", ["year", "sector", *columns], by_sector)
-    return {"documents": len(results), "year_rows": len(by_year),
+    return {"documents": len(framed), "year_rows": len(by_year),
             "sector_rows": len(by_sector)}
 
 
@@ -608,7 +668,7 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                              float(upper), 1])
         return rows
 
-    # one fit costs far more than one fork, so a group may hold a single fit
+    # one fit costs far more than handing out a piece, so a piece is one fit
     fits = [(cat, spec) for cat in SKILL_CATEGORIES for spec in specs]
     write_csv(out / "forecast.csv",
               ["label", "spec", "year", "value", "lower", "upper", "is_forecast"],
@@ -636,7 +696,7 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     postings = load_postings(out)
-    rows = sector_rates(postings, read_flag_rows(out, postings))
+    rows = sector_rates(postings, read_flag_rows(out, [p.id for p in postings]))
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
     return {"rows": len(rows)}
@@ -652,9 +712,11 @@ REPORT_TABLES = (
 def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     cleanse_report = read_json(out / "cleanse_report.json", "artifact", DataError)
     # the year rows as text, as the table holds them, once each cell converts
-    rates_by_year = {r["year"]: r for r in read_csv(out / "skill_rates.csv", {
-        column: as_text(convert) for column, convert in
-        {"postings": int, **RATE_COLUMNS}.items()})}
+    # and the series keep forecast's and correlate's rules
+    rate_rows = read_csv(out / "skill_rates.csv", {
+        column: as_text(convert) for column, convert in {"postings": int, **RATE_COLUMNS}.items()})
+    rate_series(out / "skill_rates.csv", rate_rows)
+    rates_by_year = {r["year"]: r for r in rate_rows}
     mean_fi = {r["year"]: r["fi"] for r in read_csv(out / "framing_by_year.csv",
                                                     {"year": str, "fi": float})}
     density = read_json(out / "density_topics.json", "artifact", DataError)
@@ -670,17 +732,6 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             endpoints.setdefault(r["label"], {})[r["spec"]] = r["value"]
 
     tables = {name: {"path": name, **describe(out / name)} for name in REPORT_TABLES}
-    # a table cut at a line end still parses; the row count its stage
-    # recorded in the manifest shows the cut
-    recorded = {}
-    if (out / "run_manifest.json").exists():
-        manifest = read_json(out / "run_manifest.json", "run manifest", DataError)
-        for entry in manifest["stages"].values():
-            recorded.update((name, output["rows"]) for name, output in entry["outputs"].items())
-    for name, table in tables.items():
-        if name in recorded and recorded[name] != table["rows"]:
-            raise DataError(f"{out / name} has {table['rows']} rows; "
-                            f"the manifest recorded {recorded[name]}")
     summary = {
         "tool_version": __version__,
         "tables": tables,
@@ -755,6 +806,7 @@ def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> dict:
             raise MissingUpstreamError(artifact)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg)
+    manifest.check_rows(out, stage.inputs)
     workers = Workers(jobs)
     started = time.monotonic()
     counts = stage.run(cfg, out, workers)

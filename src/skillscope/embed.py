@@ -32,7 +32,7 @@ from .errors import (
 from .text import tokenize
 
 DEFAULT_DIMENSION = 256
-# features HashedProvider.embed_batch keeps hashed; the memo is cleared when full
+# features a HashedProvider keeps hashed; its memo is cleared when full
 MEMO_CAP = 16_384
 
 
@@ -83,6 +83,10 @@ class HashedProvider:
         self.dimension = dimension
         self.seed = seed
         self._person = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        # each feature's slot, kept across calls: a stage that embeds its
+        # postings piece by piece hashes a common feature once per process,
+        # not once per piece; a forked worker starts from this process's memo
+        self._memo: dict[str, int] = {}
 
     def _signed_slot(self, feature: str) -> int:
         """The feature's slot, bit-inverted (``~slot``) when its sign is -1."""
@@ -92,8 +96,7 @@ class HashedProvider:
         return idx if h[8] & 1 else ~idx
 
     def _vectors(self, texts: Iterable[str]) -> list[np.ndarray]:
-        # each distinct feature is hashed once per call while the memo has room
-        memo: dict[str, int] = {}
+        memo = self._memo
         out = []
         for text in texts:
             tokens = tokenize(text)

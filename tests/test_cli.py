@@ -6,6 +6,7 @@ import re
 import shutil
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,7 @@ CORRUPT_ARTIFACTS = [
     ("forecast", "skill_rates.csv", "no-column"), ("correlate", "skill_rates.csv", "no-column"),
     ("report", "skill_rates.csv", "no-column"), ("report", "forecast.csv", "no-column"),
     ("forecast", "skill_rates.csv", "rate-1500"), ("correlate", "skill_rates.csv", "rate-1500"),
+    ("report", "skill_rates.csv", "rate-1500"),
     ("correlate", "skill_rates.csv", "two-years"),
 ]
 
@@ -355,6 +357,22 @@ class TestErrors:
         assert (f"{out / 'forecast.csv'} has {len(lines) // 2 - 1} rows; "
                 f"the manifest recorded {len(lines) - 1}") in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
+    @pytest.mark.parametrize("stage", [name for name, stage in PIPELINE.items()
+                                       if "postings.ndjson" in stage.inputs])
+    def test_an_input_cut_at_a_line_end_is_exit_4_before_the_stage_runs(
+            self, demo_dir, tmp_path, capsys, monkeypatch, stage):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE[stage].inputs, "run_manifest.json"})
+        lines = (out / "postings.ndjson").read_bytes().splitlines(keepends=True)
+        (out / "postings.ndjson").write_bytes(b"".join(lines[:len(lines) // 2]))
+        monkeypatch.setitem(PIPELINE, stage, replace(PIPELINE[stage], run=None))  # not reached
+        assert main([stage, "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert (f"{out / 'postings.ndjson'} has {len(lines) // 2} rows; "
+                f"the manifest recorded {len(lines)}") in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
     def test_missing_embedding_file_stops_before_writing(self, tmp_path, capsys):
         run = write_demo_corpus(tmp_path, n=60)
@@ -882,9 +900,9 @@ class TestReports:
                                                                    monkeypatch):
         run = write_three_sources(tmp_path)
         sources = json.loads((tmp_path / "sources.json").read_text())
-        # the last source, which a worker reads at --jobs 2 and 3
+        # the second source, the first piece of a worker at --jobs 2 and 3
         (tmp_path / "jobs_xml.xml").write_text("<postings><posting><description>cut")
-        sources[2] = {**sources[2], "path_or_url": "jobs_xml.xml", "format": "xml"}
+        sources[1] = {**sources[1], "path_or_url": "jobs_xml.xml", "format": "xml"}
         (tmp_path / "sources.json").write_text(json.dumps(sources))
         read_source = cli.read_source
 

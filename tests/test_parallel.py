@@ -106,19 +106,104 @@ class TestCallAll:
         assert_no_children()
 
 
+def slowed(fn, here: bool, seconds: float = 0.02):
+    """``fn`` that first sleeps ``seconds`` on each piece in this process
+    (``here``) or in a worker (not ``here``)."""
+    parent = os.getpid()
+
+    def call(piece):
+        if in_worker(parent) != here:
+            time.sleep(seconds)
+        return fn(piece)
+    return call
+
+
+def tripled(piece):
+    return os.getpid(), [x * 3 for x in piece]
+
+
 class TestMapChunks:
     @given(st.lists(st.integers(), max_size=50), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_equals_the_serial_result_in_order(self, items, jobs):
         parent = os.getpid()
         with mock.patch.object(parallel, "MIN_CHUNK", 1):
-            results = map_chunks(lambda chunk: (os.getpid(), [x * 3 for x in chunk]),
-                                 items, jobs)
+            results = map_chunks(tripled, items, jobs)
         assert [y for _, part in results for y in part] == [x * 3 for x in items]
-        assert len(results) == max(1, min(jobs, len(items)))
+        processes = max(1, min(jobs, len(items)))
+        # pieces of one item, the floor, once split
+        assert len(results) == (1 if processes == 1 else len(items))
         assert results[0][0] == parent
-        assert all(pid != parent for pid, _ in results[1:])
-        assert all(part for _, part in results[1:])  # no worker gets an empty chunk
+        # each process takes at least its first piece
+        assert len({pid for pid, _ in results}) == processes
+        assert_no_children()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_slow_worker_leaves_more_pieces_to_this_process(self, jobs):
+        parent = os.getpid()
+        items = list(range(40))
+        results = map_chunks(slowed(tripled, here=False), items, jobs, floor=1)
+        assert [y for _, part in results for y in part] == [x * 3 for x in items]
+        pids = [pid for pid, _ in results]
+        assert len(set(pids)) == jobs
+        here = pids.count(parent)
+        assert all(here > pids.count(pid) for pid in set(pids) - {parent})
+        assert_no_children()
+
+    @pytest.mark.parametrize("slow_here", [True, False])
+    def test_the_first_failing_piece_s_error_is_raised(self, slow_here):
+        def fn(piece):
+            if piece[0] == 2:
+                time.sleep(0.2)  # piece 5 fails first in time
+            if piece[0] in (2, 5):
+                raise DataError(f"piece {piece[0]} failed")
+            return piece
+
+        with pytest.raises(DataError, match="piece 2 failed"):
+            map_chunks(slowed(fn, slow_here), range(8), 2, floor=1)
+        assert_no_children()
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_are_shown_in_piece_order(self, action):
+        def fn(piece):
+            warnings.warn(f"piece {piece[0]}")
+            warnings.warn("every piece")
+            return piece
+
+        shown = {}
+        for jobs in (1, 2, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                if jobs == 1:
+                    [fn([x]) for x in range(12)]
+                else:
+                    map_chunks(slowed(fn, here=False), range(12), jobs, floor=1)
+            shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert shown[1] == shown[2] == shown[3]
+        assert [m for _, m, _, _ in shown[1]][:3] == ["piece 0", "every piece", "piece 1"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("items, jobs", [(10, 1), (10, 3), (3, 5), (1000, 4)])
+    def test_processes_are_at_most_jobs(self, items, jobs):
+        pids = {pid for pid, _ in map_chunks(tripled, range(items), jobs, floor=1)}
+        assert len(pids) == max(1, parallel.chunk_count(items, jobs, floor=1)) <= jobs
+        assert_no_children()
+
+    def test_a_worker_killed_mid_queue_fails_with_its_exit_code(self):
+        parent = os.getpid()
+        taken = []
+
+        def fn(piece):
+            if in_worker(parent):
+                taken.append(piece)  # in the worker's own memory
+                if len(taken) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            else:
+                time.sleep(0.05)  # the worker takes a second piece meanwhile
+            return piece
+
+        with pytest.raises(WorkerError, match=f"exited with code {-signal.SIGKILL} "):
+            map_chunks(fn, range(20), 2, floor=1)
         assert_no_children()
 
     def test_below_the_floor_runs_here(self):
@@ -129,12 +214,21 @@ class TestMapChunks:
 
     def test_at_the_floor_splits(self):
         items = list(range(2 * parallel.MIN_CHUNK))
-        assert map_chunks(len, items, 4) == [parallel.MIN_CHUNK] * 2
+        assert map_chunks(len, items, 4) == [parallel.PIECE] * (len(items) // parallel.PIECE)
 
     def test_a_floor_given_replaces_the_default(self):
-        assert map_chunks(len, range(5), 4, floor=1) == [1, 1, 1, 2]
-        assert map_chunks(len, range(5), 4, floor=2) == [2, 3]
+        # pieces of the floor's size, at most PIECE; one piece below two floors
+        assert map_chunks(len, range(5), 4, floor=1) == [1] * 5
+        assert map_chunks(len, range(5), 4, floor=2) == [2, 2, 1]
         assert map_chunks(len, range(5), 4, floor=3) == [5]
+        assert map_chunks(len, range(300), 2, floor=150) == [125, 125, 50]
+
+    def test_the_queue_holds_at_most_its_pipe_s_pieces(self):
+        # 1-item pieces would be 5,000 indices, more than a pipe is sure to hold
+        results = map_chunks(len, range(5000), 2, floor=1)
+        assert sum(results) == 5000
+        assert len(results) <= parallel._QUEUE_PIECES + 2
+        assert_no_children()
 
     @pytest.mark.parametrize("error", [
         MissingUpstreamError("postings.ndjson"),
@@ -378,7 +472,7 @@ class TestSplitStages:
         monkeypatch.setattr(parallel, "MIN_CHUNK", 1)
         config, raw = ingested(tmp_path, 200)
         serial = run_split_stages(config, raw, tmp_path / "jobs1", 1)
-        # 200-odd records and postings in three uneven chunks
+        # 200-odd records and postings, a line a piece, in three processes
         assert run_split_stages(config, raw, tmp_path / "jobs3", 3) == serial
         assert stage_processes(tmp_path / "jobs3") == {s: (3, 3) for s in SPLIT_STAGES}
 
@@ -390,6 +484,27 @@ class TestSplitStages:
         assert stage_processes(tmp_path / "few5") == {
             "cleanse": (5, 3), "extract": (5, n), "framing": (5, n)}
         assert_no_children()
+
+    @pytest.mark.parametrize("stage, name", [("cleanse", "raw_records.ndjson"),
+                                             ("extract", "postings.ndjson")])
+    def test_a_bad_line_in_the_last_piece_exits_4_as_at_jobs_1(
+            self, tmp_path, monkeypatch, capsys, stage, name):
+        monkeypatch.setattr(parallel, "MIN_CHUNK", 20)  # pieces of 20 lines
+        config, raw = ingested(tmp_path, 200)
+        out = tmp_path / "out"
+        run_split_stages(config, raw, out, 1, ("cleanse",))
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        assert len(lines) > 5 * 20
+        lines[-1] = lines[-1][:40] + b"\n"  # cut inside the record
+        (out / name).write_bytes(b"".join(lines))
+        errors = {}
+        for jobs in (1, 2, 3):
+            assert main([stage, "--config", str(config), "--out", str(out),
+                         "--jobs", str(jobs)]) == EXIT_DATA
+            errors[jobs] = capsys.readouterr().err
+            assert_no_children()
+        assert f"{out / name} line {len(lines)}: " in errors[1]
+        assert errors[1] == errors[2] == errors[3]
 
     def test_jobs_1_never_forks(self, tmp_path, monkeypatch):
         def no_fork():
