@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, parallel
 from .arima import ArimaSpec
 from .cleanse import CleanseConfig, CleanseReport, Posting, cleanse
-from .config import check_fields, check_utf8, read_json
+from .config import check_fields, check_utf8, conforms, read_json
 from .embed import HashedProvider, provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, frame_document
@@ -266,12 +266,22 @@ JSON_ROWS = {"lda_topics.json": "topics", "kmeans_clusters.json": "clusters",
              "density_topics.json": "topics"}
 
 
+def json_rows(path: Path) -> list | dict:
+    """The rows of a topic model's JSON artifact, the list or object under
+    its JSON_ROWS key; DataError naming the file if it holds none."""
+    key = JSON_ROWS[path.name]
+    doc = read_json(path, "artifact", DataError)
+    rows = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(rows, (list, dict)):
+        raise DataError(f"artifact {path}: not an object holding a list or object {key!r}")
+    return rows
+
+
 def count_rows(path: Path) -> int:
     """Records, not lines: CSV data rows, ndjson objects, and for JSON the
     topics or clusters of a topic model (else 1), however it is indented."""
     if path.suffix == ".json":
-        key = JSON_ROWS.get(path.name)
-        return len(read_json(path, "artifact", DataError)[key]) if key else 1
+        return len(json_rows(path)) if path.name in JSON_ROWS else 1
     # bytes, not text: counting decodes nothing, so a line of bad UTF-8 is
     # left for the reader, which names it; a line read is never empty, so
     # isspace() is strip()'s test without its copy
@@ -292,8 +302,17 @@ def describe(path: Path) -> dict:
 class Manifest:
     def __init__(self, out: Path, cfg: RunConfig):
         self.path = out / "run_manifest.json"
-        self.doc = (read_json(self.path, "run manifest", DataError)
-                    if self.path.exists() else {"stages": {}})
+        self.doc = {"stages": {}}
+        if self.path.exists():
+            self.doc = read_json(self.path, "run manifest", DataError)
+            stages = self.doc.get("stages") if isinstance(self.doc, dict) else None
+            if not isinstance(stages, dict) or not all(
+                    isinstance(entry, dict) and isinstance(entry.get("outputs"), dict)
+                    and all(isinstance(output, dict) and conforms(output.get("rows"), int)
+                            for output in entry["outputs"].values())
+                    for entry in stages.values()):
+                raise DataError(f"run manifest {self.path}: not an object whose 'stages' "
+                                "maps each stage to its 'outputs' and their 'rows'")
         self.doc.update(tool_version=__version__, config=cfg.raw)
 
     def record(self, stage: str, outputs: list[Path], wall_clock: float,
@@ -445,16 +464,10 @@ class Workers:
     def map_rows(self, path: Path, fields: Iterable[str], make: Callable[[dict], object],
                  fn: Callable[[list], tuple[Iterable[dict], object]],
                  split: bool = True) -> list[tuple[Iterable[str], object]]:
-        """For each piece of the rows of the ndjson file ``path``, in order,
-        ``fn``'s output rows, as ndjson lines, and its other result; the rows
-        are parsed with ``parse_ndjson``'s checks. Split (if ``split`` and
-        the budget allows), each piece parses its own lines, which this
-        process read as bytes, and sends back its output rows as one ndjson
-        text; in one process, the file is parsed line by line as it is
-        read and the output rows are serialised as they are written."""
-        if not split or self.jobs == 1:
-            rows, other = fn(read_ndjson(path, fields, make))
-            return [(ndjson_lines(rows), other)]
+        """For each piece of the lines of the ndjson file ``path``, in order,
+        ``fn``'s output rows, as one ndjson text, and its other result. This
+        process reads the lines as bytes; each piece parses its own with
+        ``parse_ndjson``'s checks. Unless ``split``, all lines are one piece."""
         with open(path, "rb") as fh:
             lines = fh.readlines()
 
@@ -463,14 +476,8 @@ class Workers:
                 path, zip(numbers, lines[numbers.start - 1:numbers.stop - 1]), fields, make))
             return ["".join(ndjson_lines(rows))], other
 
-        return self.map_chunks(piece, range(1, len(lines) + 1))
-
-    def call_all(self, calls, items: int) -> list:
-        """``parallel.call_all`` if ``map_chunks`` would split ``items``, else each call here."""
-        if parallel.chunk_count(items, self.jobs) <= 1:
-            return [call() for call in calls]
-        self.processes = max(self.processes, len(calls))
-        return parallel.call_all(calls)
+        numbers = range(1, len(lines) + 1)
+        return self.map_chunks(piece, numbers) if split else [piece(numbers)]
 
 
 def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -619,9 +626,13 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         model, lda_s = timed(lda_fit, dtm, lda_cfg)
         return model.phi, model.theta, model.log_likelihood_trace, lda_s
 
-    # given the processes and postings, LDA fits in a worker meanwhile
-    (km, dm, km_terms, dm_terms, cluster_s), (phi, theta, trace, lda_s) = workers.call_all(
-        [clusters, lda], len(postings))
+    # two pieces of one branch each, so LDA fits in a worker meanwhile, once
+    # the postings are enough to split; else one piece, both branches here
+    side_by_side = parallel.chunk_count(len(postings), workers.jobs) > 1
+    (km, dm, km_terms, dm_terms, cluster_s), (phi, theta, trace, lda_s) = [
+        result for part in workers.map_chunks(lambda branches: [run() for run in branches],
+                                              [clusters, lda], floor=1 if side_by_side else 2)
+        for result in part]
 
     # written only once all three models are fitted, so a failed run leaves
     # no topic file newer than the others
@@ -719,7 +730,12 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     rates_by_year = {r["year"]: r for r in rate_rows}
     mean_fi = {r["year"]: r["fi"] for r in read_csv(out / "framing_by_year.csv",
                                                     {"year": str, "fi": float})}
-    density = read_json(out / "density_topics.json", "artifact", DataError)
+    density = json_rows(out / "density_topics.json")
+    if not isinstance(density, dict) or not all(
+            isinstance(topic, dict) and conforms(topic.get("size"), int)
+            for topic in density.values()):
+        raise DataError(f"artifact {out / 'density_topics.json'}: "
+                        "a topic is not an object with an int 'size'")
     # each row's cells off the diagonal, which is the row's own category column
     correlations = read_csv(out / "correlation.csv", {"category": str, **dict.fromkeys(
         SKILL_CATEGORIES, lambda v: None if v == "undefined" else float(v))})
@@ -741,7 +757,7 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             "rejections": cleanse_report["rejected"],
             "rates_per_1000_by_year": rates_by_year,
             "mean_framing_index_by_year": mean_fi,
-            "density_topic_sizes": {k: v["size"] for k, v in density["topics"].items()},
+            "density_topic_sizes": {k: v["size"] for k, v in density.items()},
             "correlation_extremes": {
                 "min_off_diagonal": min(off_diag) if off_diag else None,
                 "max_off_diagonal": max(off_diag) if off_diag else None,

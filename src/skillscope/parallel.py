@@ -1,29 +1,25 @@
-"""Run independent calls side by side in forked worker processes.
-
-``call_all(calls)`` returns ``[call() for call in calls]``. This process makes
-the first call itself; each other call runs in a process forked from it just
-before, so whatever a call reads it finds in the memory it inherited and
-nothing is pickled on the way in; only each result comes back, pickled over a
-pipe.
+"""Run a stage's work as pieces taken from one queue by forked processes.
 
 ``map_chunks(fn, items, jobs)`` returns ``fn`` of each piece of ``items``, in
-order: contiguous pieces of at most ``PIECE`` items, taken from one shared
-queue by ``chunk_count`` processes, this one and forked workers. Process k
-starts with piece k; the queue, a pipe filled with the 4-byte index of each
-other piece before the fork, hands out the rest, so a process that finishes
-early takes more pieces and none waits on a slower one. A process takes no
-new piece after one fails and empties the queue, so the others stop too;
-every piece before the failed one was taken already, so the error raised
-here is that of the first failing piece, as in one process.
+order: contiguous pieces of at most ``PIECE`` items, the same at every
+``jobs``, taken from one shared queue by ``chunk_count`` processes, this one
+and forked workers; with one process it forks nothing. Process k starts with
+piece k; the queue, a pipe filled with the 4-byte index of each other piece
+before any fork, hands out the rest, so a process that finishes early takes
+more pieces and none waits on a slower one. A process takes no new piece
+after one fails and empties the queue, so the others stop too; every piece
+before the failed one was taken already, so the error raised here is that of
+the first failing piece, as in one process. A worker finds whatever a piece
+reads in the memory it inherited, so nothing is pickled on the way in; only
+each piece's result comes back, pickled over a pipe.
 
 skillscope runs on POSIX systems, so ``os.fork`` is there. A forked child
 holds only the thread that forked it, so no other thread may be running.
 
-A worker records the warnings each call or piece raises and sends them with
-its results; they are issued again here, in call or piece order, through the
+Each process records the warnings each of its pieces raises; a worker sends
+them with its results. They are issued here, in piece order, through the
 filters and the once-per-location registry of the module that raised each,
-so they show as they would had every call run here. ``map_chunks`` records
-the warnings of this process's pieces too, to issue them in piece order.
+so they show as they would had every piece run here in turn.
 
 Workers are forked with ``os.fork`` rather than through ``multiprocessing``:
 as fast, and on wide-10k's text stages (2 vCPUs, --jobs 2) the parent peaked
@@ -74,7 +70,7 @@ def _run(fn: Callable, *args) -> tuple:
     with warnings.catch_warnings(record=True) as caught:
         try:
             result, error = fn(*args), None
-        except Exception as e:  # raised again in call or piece order
+        except Exception as e:  # raised again in piece order
             result, error = None, e
     return [(str(w.message), w.category, w.filename, w.lineno) for w in caught], error, result
 
@@ -157,7 +153,7 @@ class _Workers:
 
 
 def _reissue(shown) -> None:
-    """Issue here each warning a call recorded, as its module would have."""
+    """Issue here each warning a piece recorded, as its module would have."""
     if not shown:
         return
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
@@ -182,26 +178,10 @@ def _outcome(shown, error, result):
     raise error
 
 
-def call_all(calls: Sequence[Callable[[], T]]) -> list[T]:
-    """Each of ``calls`` made once, the first here and each other in its own
-    forked worker, and their results in order; the first error, in call
-    order, is raised here, and no worker outlives the call."""
-    if len(calls) <= 1:
-        return [call() for call in calls]
-    with _Workers() as workers:
-        for index, call in enumerate(calls[1:], 1):
-            workers.fork(lambda index=index, call=call: [(index, *_run(call))])
-        results = [calls[0]()]
-        while workers.running:
-            [(_, *reply)] = workers.collect()  # one call's reply
-            results.append(_outcome(*reply))
-        return results
-
-
 def chunk_count(items: int, jobs: int, floor: int | None = None) -> int:
-    """How many processes ``map_chunks`` runs over ``items`` items, 0 meaning
-    1: at most ``jobs``, each of at least ``floor`` items (MIN_CHUNK by default)."""
-    return min(jobs, items // (MIN_CHUNK if floor is None else floor))
+    """How many processes ``map_chunks`` runs over ``items`` items: one, or
+    at most ``jobs``, each of at least ``floor`` items (MIN_CHUNK by default)."""
+    return max(1, min(jobs, items // (MIN_CHUNK if floor is None else floor)))
 
 
 def _take(queue: int) -> int | None:
@@ -229,13 +209,13 @@ def _serve(fn: Callable, items: Sequence, bounds: list[int], first: int,
 def map_chunks(fn: Callable[[Sequence], T], items: Sequence, jobs: int,
                floor: int | None = None) -> list[T]:
     """``fn`` over contiguous pieces of ``items``, in order, in
-    ``chunk_count`` processes; one piece, ``fn(items)``, when that is 1."""
+    ``chunk_count`` processes: pieces of ``min(PIECE, floor)`` items (floor
+    MIN_CHUNK by default), larger only to keep the queue within its pipe; no
+    items make one empty piece."""
     processes = chunk_count(len(items), jobs, floor)
-    if processes <= 1:
-        return [fn(items)]
     size = max(min(PIECE, MIN_CHUNK if floor is None else floor),
                -(-len(items) // (_QUEUE_PIECES + processes)))
-    bounds = [*range(0, len(items), size), len(items)]
+    bounds = [*range(0, max(len(items), 1), size), len(items)]
     pieces = len(bounds) - 1
     queue, fill = os.pipe()
     try:

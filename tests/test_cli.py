@@ -345,6 +345,37 @@ class TestErrors:
                      f"{out / name}: ") in err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
+    @pytest.mark.parametrize("name, text", [
+        ("lda_topics.json", "[1, 2]"), ("lda_topics.json", '{"K": 6}'),
+        ("density_topics.json", '{"topics": 5}'),
+        # density topics that are not objects with an int size
+        ("density_topics.json", '{"topics": {"0": 5}}'),
+        ("density_topics.json", '{"topics": {"0": {"size": "5"}}}')])
+    def test_a_topic_model_of_the_wrong_shape_is_exit_4(self, demo_dir, tmp_path, capsys,
+                                                         name, text):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE["report"].inputs, "run_manifest.json"})
+        (out / name).write_text(text)
+        assert main(["report", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert f"data error: artifact {out / name}: " in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", '{"stages": []}', '{"stages": {"extract": 1}}',
+        '{"stages": {"extract": {"outputs": {"skill_rates.csv": {"rows": "9"}}}}}'])
+    def test_a_run_manifest_of_the_wrong_shape_is_exit_4(self, demo_dir, tmp_path, capsys,
+                                                          text):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE["forecast"].inputs)
+        (out / "run_manifest.json").write_text(text)
+        assert main(["forecast", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert (f"data error: run manifest {out / 'run_manifest.json'}: "
+                in capsys.readouterr().err)
+        assert not (out / "forecast.csv").exists()
+
     def test_a_table_cut_at_a_line_end_is_exit_4(self, demo_dir, tmp_path, capsys):
         # every line it keeps parses, so only the manifest's row count shows the cut
         out = tmp_path / "out"
@@ -596,15 +627,19 @@ class TestSectorLabels:
         assert '"sector": null' in (out / "skill_flags.ndjson").read_text().splitlines()[-1]
 
     def test_one_run_classifies_once(self, tmp_path, monkeypatch):
-        calls = {"sector_totals": 0, "load_sectors": 0}
-        for name in calls:
+        calls, classified = Counter(), Counter()
+        for name in ("sector_totals", "load_sectors"):
             def counted(*args, _name=name, _fn=getattr(cli, name)):
                 calls[_name] += 1
+                if _name == "sector_totals":  # once per piece of postings
+                    classified.update(p.id for p in args[0])
                 return _fn(*args)
             monkeypatch.setattr(cli, name, counted)
         run_path = write_demo_corpus(tmp_path)
         assert main(["all", "--config", str(run_path)]) == EXIT_OK
-        assert calls == {"sector_totals": 1, "load_sectors": 1}
+        assert calls["load_sectors"] == 1
+        ids = [p.id for p in load_postings(results_dir(tmp_path))]
+        assert classified == Counter(ids) and set(classified.values()) == {1}
 
     def test_extract_tokenizes_each_posting_once(self, demo_dir, tmp_path, monkeypatch):
         seen = Counter()

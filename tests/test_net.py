@@ -145,7 +145,7 @@ def test_api_source_pages_over_http(server, tmp_path):
     assert [r["path"] for r in server.requests] == [
         "/jobs?page=1", "/jobs?page=2", "/jobs?page=2", "/jobs?page=3"]
     assert {r["headers"]["Authorization"] for r in server.requests} == {"Bearer s3cret"}
-    records = [json.loads(line) for line in (out / "raw_records.ndjson").open()]
+    records = [json.loads(line) for line in (out / "raw_records.ndjson").read_text().splitlines()]
     assert [r["raw_text"] for r in records] == [f"api posting {n}.{i}"
                                                 for n in (1, 2) for i in range(3)]
     assert json.loads((out / "ingest_report.json").read_text())["jobs"] == {

@@ -1,6 +1,6 @@
-"""``parallel.call_all`` and ``map_chunks``, and the stages that split their
-work over them: order, warnings, byte identity across ``--jobs``, and every
-way a worker can fail."""
+"""``parallel.map_chunks``, and the stages that run their work as its pieces:
+order, warnings, byte identity across ``--jobs``, and every way a worker can
+fail."""
 
 import json
 import os
@@ -22,7 +22,7 @@ from skillscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from skillscope.embed import HashedProvider
 from skillscope.errors import DataError, MissingUpstreamError, PatternCompileError
 from skillscope.fixtures import write_demo_corpus
-from skillscope.parallel import WorkerError, call_all, map_chunks
+from skillscope.parallel import WorkerError, map_chunks
 from skillscope.taxonomy import load_anchors
 from skillscope.topics import lda_fit
 
@@ -34,76 +34,6 @@ MODEL_STAGES = ("topics", "forecast")
 
 def in_worker(parent_pid: int) -> bool:
     return os.getpid() != parent_pid
-
-
-def warned(calls, action: str) -> list[tuple]:
-    """The warnings ``call_all(calls)`` shows under filter ``action``, as
-    (category, message, file, line)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter(action)
-        call_all(calls)
-    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-
-
-def warn_and_return(text: str):
-    def call():
-        warnings.warn(text)
-        return text
-    return call
-
-
-class TestCallAll:
-    def test_each_call_runs_once_the_first_here_and_results_keep_call_order(self):
-        parent = os.getpid()
-        results = call_all([lambda i=i: (i, os.getpid()) for i in range(4)])
-        assert [i for i, _ in results] == [0, 1, 2, 3]
-        assert results[0][1] == parent
-        assert len({pid for _, pid in results[1:]} - {parent}) == 3
-        assert_no_children()
-
-    def test_the_first_error_in_call_order_is_raised(self):
-        def fail(error):
-            def call():
-                raise error
-            return call
-
-        with pytest.raises(DataError, match="second call"):
-            call_all([lambda: 0, fail(DataError("second call")), fail(KeyError("third"))])
-        assert_no_children()
-
-    def test_worker_warnings_are_shown_here_in_call_order(self):
-        calls = [warn_and_return(f"from call {i}") for i in range(3)]
-        shown = warned(calls, "always")
-        assert [message for _, message, _, _ in shown] == [
-            "from call 0", "from call 1", "from call 2"]
-        # each where warnings.warn was called, as in one process
-        assert {(category, file) for category, _, file, _ in shown} == {
-            (UserWarning, __file__)}
-        assert_no_children()
-
-    def test_a_worker_warning_before_its_error_is_shown(self):
-        def warn_then_fail():
-            warnings.warn("before the error")
-            raise DataError("after the warning")
-
-        with pytest.warns(UserWarning, match="before the error"), \
-                pytest.raises(DataError, match="after the warning"):
-            call_all([lambda: 0, warn_then_fail])
-        assert_no_children()
-
-    @pytest.mark.parametrize("action", ["default", "once", "ignore", "always"])
-    def test_the_filters_of_this_process_apply_as_to_serial_calls(self, action):
-        calls = [warn_and_return("same place, same text")] * 3
-        serial = warned([lambda: [call() for call in calls]], action)
-        assert warned(calls, action) == serial
-        assert len(serial) == {"default": 1, "once": 1, "ignore": 0, "always": 3}[action]
-
-    def test_a_warning_filtered_as_error_is_raised(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(UserWarning, match="an error here"):
-                call_all([lambda: 0, warn_and_return("an error here")])
-        assert_no_children()
 
 
 def slowed(fn, here: bool, seconds: float = 0.02):
@@ -131,9 +61,9 @@ class TestMapChunks:
             results = map_chunks(tripled, items, jobs)
         assert [y for _, part in results for y in part] == [x * 3 for x in items]
         processes = max(1, min(jobs, len(items)))
-        # pieces of one item, the floor, once split
-        assert len(results) == (1 if processes == 1 else len(items))
-        assert results[0][0] == parent
+        # pieces of one item, the floor, at every process count; no items are one piece
+        assert len(results) == max(1, len(items))
+        assert results[0][0] == parent  # the first piece runs here
         # each process takes at least its first piece
         assert len({pid for pid, _ in results}) == processes
         assert_no_children()
@@ -155,33 +85,48 @@ class TestMapChunks:
         def fn(piece):
             if piece[0] == 2:
                 time.sleep(0.2)  # piece 5 fails first in time
-            if piece[0] in (2, 5):
-                raise DataError(f"piece {piece[0]} failed")
+                warnings.warn("before piece 2's error")
+                raise DataError("piece 2 failed")
+            if piece[0] == 5:
+                raise KeyError("piece 5 failed")
             return piece
 
-        with pytest.raises(DataError, match="piece 2 failed"):
-            map_chunks(slowed(fn, slow_here), range(8), 2, floor=1)
-        assert_no_children()
+        for jobs in (1, 2, 3):
+            # the warning a piece raised before its error is shown too
+            with pytest.warns(UserWarning, match="before piece 2's error"), \
+                    pytest.raises(DataError, match="piece 2 failed"):
+                map_chunks(slowed(fn, slow_here), range(8), jobs, floor=1)
+            assert_no_children()
 
-    @pytest.mark.parametrize("action", ["always", "default"])
+    @pytest.mark.parametrize("action", ["always", "default", "once", "ignore", "error"])
     def test_warnings_are_shown_in_piece_order(self, action):
         def fn(piece):
             warnings.warn(f"piece {piece[0]}")
             warnings.warn("every piece")
             return piece
 
-        shown = {}
-        for jobs in (1, 2, 3):
+        def shown(run) -> list[tuple]:
+            """The warnings ``run()`` shows under filter ``action``, as
+            (category, message, file, line), or the one raised as an error."""
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
-                if jobs == 1:
-                    [fn([x]) for x in range(12)]
-                else:
-                    map_chunks(slowed(fn, here=False), range(12), jobs, floor=1)
-            shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        assert shown[1] == shown[2] == shown[3]
-        assert [m for _, m, _, _ in shown[1]][:3] == ["piece 0", "every piece", "piece 1"]
-        assert_no_children()
+                try:
+                    run()
+                except UserWarning as error:
+                    return [(type(error), str(error), None, None)]
+            return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+        serial = shown(lambda: [fn([x]) for x in range(12)])
+        for jobs in (1, 2, 3):
+            assert shown(lambda: map_chunks(slowed(fn, here=False), range(12), jobs,
+                                            floor=1)) == serial
+            assert_no_children()
+        messages = [m for _, m, _, _ in serial]
+        assert len(messages) == {"always": 24, "default": 13, "once": 13, "ignore": 0,
+                                 "error": 1}[action]
+        assert messages[:3] == ["piece 0", "every piece", "piece 1"][:len(messages)]
+        # each where warnings.warn was called, as in one process
+        assert action == "error" or {(c, f) for c, _, f, _ in serial} <= {(UserWarning, __file__)}
 
     @pytest.mark.parametrize("items, jobs", [(10, 1), (10, 3), (3, 5), (1000, 4)])
     def test_processes_are_at_most_jobs(self, items, jobs):
@@ -209,18 +154,19 @@ class TestMapChunks:
     def test_below_the_floor_runs_here(self):
         parent = os.getpid()
         items = list(range(2 * parallel.MIN_CHUNK - 1))
+        whole, rest = divmod(len(items), parallel.PIECE)
         assert map_chunks(lambda chunk: (os.getpid(), len(chunk)), items, 4) == [
-            (parent, len(items))]
+            (parent, parallel.PIECE)] * whole + [(parent, rest)]
 
     def test_at_the_floor_splits(self):
         items = list(range(2 * parallel.MIN_CHUNK))
         assert map_chunks(len, items, 4) == [parallel.PIECE] * (len(items) // parallel.PIECE)
 
     def test_a_floor_given_replaces_the_default(self):
-        # pieces of the floor's size, at most PIECE; one piece below two floors
+        # pieces of the floor's size, at most PIECE, however many processes
         assert map_chunks(len, range(5), 4, floor=1) == [1] * 5
         assert map_chunks(len, range(5), 4, floor=2) == [2, 2, 1]
-        assert map_chunks(len, range(5), 4, floor=3) == [5]
+        assert map_chunks(len, range(5), 4, floor=3) == [3, 2]
         assert map_chunks(len, range(300), 2, floor=150) == [125, 125, 50]
 
     def test_the_queue_holds_at_most_its_pipe_s_pieces(self):
@@ -505,6 +451,24 @@ class TestSplitStages:
             assert_no_children()
         assert f"{out / name} line {len(lines)}: " in errors[1]
         assert errors[1] == errors[2] == errors[3]
+
+    def test_an_empty_source_runs_each_stage_as_one_empty_piece(self, tmp_path, capsys):
+        config = write_demo_corpus(tmp_path, 60)
+        source = tmp_path / "postings.csv"
+        source.write_text(source.read_text().splitlines(keepends=True)[0])  # the header
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            for stage in ("ingest", "cleanse", "extract"):
+                assert main([stage, "--config", str(config), "--out", str(out),
+                             "--jobs", jobs]) == EXIT_OK
+            assert main(["framing", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs]) == EXIT_DATA
+            assert capsys.readouterr().err == "data error: no postings to frame\n"
+            assert (out / "postings.ndjson").read_bytes() == b""
+            assert json.loads((out / "cleanse_report.json").read_text())["input"] == 0
+            assert stage_processes(out) == {
+                stage: (int(jobs), 1) for stage in ("ingest", "cleanse", "extract")}
+            assert_no_children()
 
     def test_jobs_1_never_forks(self, tmp_path, monkeypatch):
         def no_fork():
