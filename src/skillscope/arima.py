@@ -6,15 +6,22 @@ intercept at the mean of the differenced series), so fits are deterministic.
 Following the usual Box-Jenkins convention the intercept is only estimated
 when d = 0; a pure random walk therefore forecasts flat at the last
 observation. Full MLE is deliberately out of scope.
+
+The simplex search is this module's own (`_nelder_mead`): it takes the steps
+of scipy's non-adaptive, unbounded ``minimize(method="Nelder-Mead")`` on
+Python floats, and the objective adds its squares in numpy's order, so fits
+equal scipy's bit for bit without importing scipy.optimize. They rest on
+numpy's argsort, which orders the simplex each iteration: how it breaks ties
+between equal objective values can change a fit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, SeriesTooShortError
 
@@ -47,6 +54,25 @@ class ArimaModel:
     converged: bool = True
     stationary: bool = True
     objective: float = 0.0
+    iterations: int = 0           # simplex iterations of the CSS search
+
+
+def _residuals(w: list[float], phi: list[float], theta: list[float],
+               intercept: float) -> list[float]:
+    ar, ma = list(enumerate(phi, 1)), list(enumerate(theta, 1))
+    e: list[float] = []
+    for t, wt in enumerate(w):
+        pred = intercept
+        for lag, c in ar:
+            if lag > t:
+                break
+            pred += c * w[t - lag]
+        for lag, c in ma:
+            if lag > t:
+                break
+            pred += c * e[t - lag]
+        e.append(wt - pred)
+    return e
 
 
 def css_residuals(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
@@ -56,22 +82,116 @@ def css_residuals(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
     The recursion runs on Python floats, which round exactly as numpy
     float64 scalars do at a fraction of their cost per operation."""
     w, phi, theta = (np.asarray(v, dtype=float).tolist() for v in (w, phi, theta))
-    p, q = len(phi), len(theta)
-    e: list[float] = []
-    for t, wt in enumerate(w):
-        pred = float(intercept)
-        for i in range(1, min(p, t) + 1):
-            pred += phi[i - 1] * w[t - i]
-        for j in range(1, min(q, t) + 1):
-            pred += theta[j - 1] * e[t - j]
-        e.append(wt - pred)
-    return np.array(e)
+    return np.array(_residuals(w, phi, theta, float(intercept)))
 
 
-def _css(w: np.ndarray, phi: np.ndarray, theta: np.ndarray, intercept: float,
-         skip: int) -> float:
-    e = css_residuals(w, phi, theta, intercept)
-    return float((e[skip:] ** 2).sum())
+def _sum_squares(e: list[float]) -> float:
+    """The sum of the squares of ``e``, bit-equal to ``(np.asarray(e) ** 2).sum()``."""
+    return _pairwise_sum([v * v for v in e])
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """numpy's pairwise summation order: one term after another below 8
+    terms, eight running sums up to 128, and above that the sums of two
+    halves split at a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for v in a:
+            total += v
+        return total
+    if n <= 128:
+        r = a[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r = [s + v for s, v in zip(r, a[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[tail:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+class _Minimum(NamedTuple):
+    x: list[float]
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def _by_value(sim: list[list[float]], fsim: list[float]):
+    # numpy's argsort, as scipy's: a sort that kept ties in order would
+    # take other steps on series whose objective ties
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(fun: Callable[[list[float]], float], x0: list[float], xatol: float,
+                 fatol: float, maxiter: int) -> _Minimum:
+    """Minimize ``fun`` from ``x0`` by the Nelder-Mead simplex (Nelder and
+    Mead, Computer Journal 1965), taking the steps of scipy's
+    ``minimize(fun, x0, method="Nelder-Mead", options={"xatol": xatol,
+    "fatol": fatol, "maxiter": maxiter})``: the same simplex, the same
+    arithmetic on Python floats in the same order, the same reorderings,
+    so the same result. ``success`` is False when ``maxiter`` iterations ran."""
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [f(x) for x in sim]
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice before the loop
+    nit = 1
+    while nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        # all(), not max(): a NaN fails the test, as it fails scipy's
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - fx) <= fatol for fx in fsim[1:])):
+            break
+        xbar = [0.0] * n  # the centroid of all but the worst, added row by row
+        for x in sim[:-1]:
+            xbar = [c + v for c, v in zip(xbar, x)]
+        xbar = [c / n for c in xbar]
+        xr = [2.0 * c - v for c, v in zip(xbar, worst)]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [3.0 * c - 2.0 * v for c, v in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * c - 0.5 * v for c, v in zip(xbar, worst)]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [0.5 * c + 0.5 * v for c, v in zip(xbar, worst)]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                fsim[j] = f(sim[j])
+        nit += 1
+        sim, fsim = _by_value(sim, fsim)
+    return _Minimum(sim[0], float(np.min(fsim)), nit, nfev, nit < maxiter)
 
 
 def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
@@ -89,42 +209,30 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
 
     has_intercept = d == 0
     n_params = p + q + (1 if has_intercept else 0)
+    series = w.tolist()
 
-    def unpack(x):
-        phi = x[:p]
-        theta = x[p:p + q]
+    def css(x: list[float]) -> float:
         c = x[p + q] if has_intercept else 0.0
-        return phi, theta, c
+        return _sum_squares(_residuals(series, x[:p], x[p:p + q], c)[p:])
 
     converged = True
+    iterations = 0
     if n_params == 0:
-        phi = np.zeros(0)
-        theta = np.zeros(0)
-        intercept = 0.0
-        objective = _css(w, phi, theta, intercept, skip=p)
+        x = []
+        objective = css(x)
     else:
-        x0 = np.concatenate([
-            np.full(p + q, 0.1),
-            [float(np.mean(w))] if has_intercept else [],
-        ])
-
-        def objective_fn(x):
-            phi, theta, c = unpack(x)
-            return _css(w, phi, theta, c, skip=p)
-
-        result = minimize(objective_fn, x0, method="Nelder-Mead",
-                          options={"fatol": 1e-10, "xatol": 1e-8,
-                                   "maxiter": 500 * max(1, n_params)})
-        converged = bool(result.success)
-        phi, theta, intercept = unpack(result.x)
-        objective = float(result.fun)
+        x0 = [0.1] * (p + q) + ([float(np.mean(w))] if has_intercept else [])
+        result = _nelder_mead(css, x0, xatol=1e-8, fatol=1e-10,
+                              maxiter=500 * max(1, n_params))
+        x, objective = result.x, result.fun
+        converged, iterations = result.success, result.nit
         if not converged:
             warnings.warn(f"ARIMA{(p, d, q)} CSS search did not converge; "
                           "returning best point found")
+    phi, theta = np.array(x[:p], dtype=float), np.array(x[p:p + q], dtype=float)
+    intercept = x[p + q] if has_intercept else 0.0
 
-    e = css_residuals(w, phi, theta, intercept)
-    n_eff = max(1, len(w) - p)
-    residual_variance = float((e[p:] ** 2).sum()) / n_eff
+    residual_variance = css(x) / max(1, len(w) - p)
 
     stationary = True
     if p > 0 and np.any(np.abs(phi) > 0):
@@ -135,8 +243,8 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
 
     return ArimaModel(
         spec=spec,
-        ar_coeffs=np.asarray(phi, dtype=float),
-        ma_coeffs=np.asarray(theta, dtype=float),
+        ar_coeffs=phi,
+        ma_coeffs=theta,
         intercept=float(intercept),
         residual_variance=residual_variance,
         fitted_values=w,
@@ -144,6 +252,7 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
         converged=converged,
         stationary=stationary,
         objective=objective,
+        iterations=iterations,
     )
 
 

@@ -668,7 +668,7 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     ]
 
     def fit(group):
-        rows = []
+        rows, diagnostics = [], []
         for cat, (spec_name, spec) in group:
             s = series[cat]
             fc = forecast_series(s, spec, horizon=horizon)
@@ -677,14 +677,21 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             for year, point, lower, upper in fc.forecasts:
                 rows.append([cat, spec_name, year, float(point), float(lower),
                              float(upper), 1])
-        return rows
+            diagnostics.append({"category": cat, "spec": spec_name,
+                                "converged": fc.model.converged,
+                                "stationary": fc.model.stationary,
+                                "short_series": fc.short_series,
+                                "iterations": fc.model.iterations})
+        return rows, diagnostics
 
     # one fit costs far more than handing out a piece, so a piece is one fit
     fits = [(cat, spec) for cat in SKILL_CATEGORIES for spec in specs]
+    pieces = workers.map_chunks(fit, fits, floor=1)
     write_csv(out / "forecast.csv",
               ["label", "spec", "year", "value", "lower", "upper", "is_forecast"],
-              [row for rows in workers.map_chunks(fit, fits, floor=1) for row in rows])
-    return {"series": len(fits), "horizon": horizon}
+              [row for rows, _ in pieces for row in rows])
+    return {"series": len(fits), "horizon": horizon,
+            "fits": [entry for _, diagnostics in pieces for entry in diagnostics]}
 
 
 def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from skillscope.arima import (
     ArimaModel,
     ArimaSpec,
+    _nelder_mead,
+    _residuals,
+    _sum_squares,
     arima_fit,
     arima_forecast,
     css_residuals,
@@ -72,6 +76,72 @@ def reference_css_residuals(w, phi, theta, intercept):
                 pred += theta[j - 1] * e[t - j]
         e[t] = w[t] - pred
     return e
+
+
+class TestSumSquares:
+    # 300 terms reach numpy's split into halves above 128
+    @given(arrays(float, st.integers(0, 300), elements=st.floats(-1e6, 1e6)))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_numpy(self, e):
+        assert np.float64(_sum_squares(e.tolist())).tobytes() == \
+            (np.asarray(e) ** 2).sum().tobytes()
+
+
+def css_objective(w: list[float], p: int, q: int, has_intercept: bool):
+    """The CSS objective arima_fit searches, on a list or an array."""
+    def css(x) -> float:
+        x = [float(v) for v in x]
+        c = x[p + q] if has_intercept else 0.0
+        return _sum_squares(_residuals(w, x[:p], x[p:p + q], c)[p:])
+    return css
+
+
+class TestNelderMead:
+    SPECS = [(1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 2), (1, 1, 1), (2, 1, 0)]
+
+    def test_takes_scipy_s_steps(self):
+        """Seeded short series, a third of them integer-valued so that the
+        objective ties, some searches cut at a small ``maxiter``, and some
+        started with a zero coordinate: the same point, value, iteration
+        and call counts and outcome as scipy's Nelder-Mead."""
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for case in range(18):
+            n = int(rng.integers(7, 30))
+            if case % 3 == 0:
+                y = rng.integers(0, 4, size=n).astype(float)
+            else:
+                y = np.cumsum(rng.normal(size=n)) * float(rng.choice([1e-3, 1.0, 50.0]))
+            for p, d, q in self.SPECS:
+                w = np.diff(y, d)
+                has_intercept = d == 0
+                n_params = p + q + has_intercept
+                x0 = [0.1] * (p + q) + ([float(np.mean(w)) if case % 4 else 0.0]
+                                        if has_intercept else [])
+                maxiter = 500 * n_params if case % 5 else 10 + case
+                css = css_objective(w.tolist(), p, q, has_intercept)
+                ours = _nelder_mead(css, x0, xatol=1e-8, fatol=1e-10, maxiter=maxiter)
+                theirs = minimize(css, np.array(x0), method="Nelder-Mead",
+                                  options={"xatol": 1e-8, "fatol": 1e-10,
+                                           "maxiter": maxiter})
+                assert np.array(ours.x).tobytes() == theirs.x.tobytes()
+                assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+                assert (ours.nit, ours.nfev, ours.success) == \
+                    (theirs.nit, theirs.nfev, theirs.success)
+                outcomes.add((ours.success, maxiter == 500 * n_params))
+        # converged; cut at a small maxiter; ran out of 500 steps per parameter
+        assert outcomes >= {(True, True), (False, False), (False, True)}
+
+    def test_a_nan_objective_fails_the_tolerance_test(self):
+        # a NaN at every vertex is never within tolerance: scipy's max() test
+        # reads NaN, so the search runs to maxiter
+        result = _nelder_mead(lambda x: float("nan"), [1.0, 2.0], 1e-8, 1e-10, 40)
+        theirs = minimize(lambda x: float("nan"), np.array([1.0, 2.0]),
+                          method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 40})
+        assert (result.nit, result.nfev, result.success) == (40, theirs.nfev, False)
+        assert np.array(result.x).tobytes() == theirs.x.tobytes()
+        assert np.isnan(result.fun) and np.isnan(theirs.fun)
 
 
 def simulate_ar1(phi, n, seed, sigma=1.0):

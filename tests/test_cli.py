@@ -4,7 +4,10 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -135,6 +138,40 @@ class TestSmoke:
         # high-water marks over the run: they never fall from stage to stage
         peaks = [stages[name]["peak_rss_mb"] for name in PIPELINE]
         assert peaks == sorted(peaks)
+
+    def test_manifest_lists_each_forecast_fit(self, demo_dir):
+        out = results_dir(demo_dir)
+        fits = json.loads((out / "run_manifest.json").read_text()
+                          )["stages"]["forecast"]["counts"]["fits"]
+        series = cli.rate_series_from_csv(out)
+        specs = {"smoothed_arima(1,1,1)": cli.ArimaSpec(1, 1, 1, smoothing_alpha=0.5),
+                 "arima(2,0,2)": cli.ArimaSpec(2, 0, 2)}
+        assert [(f["category"], f["spec"]) for f in fits] == \
+            [(cat, spec) for cat in cli.SKILL_CATEGORIES for spec in specs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fits' own warnings
+            for entry in fits:
+                fc = trends.forecast_series(series[entry["category"]], specs[entry["spec"]])
+                assert entry == {"category": entry["category"], "spec": entry["spec"],
+                                 "converged": fc.model.converged,
+                                 "stationary": fc.model.stationary,
+                                 "short_series": fc.short_series,
+                                 "iterations": fc.model.iterations}
+        assert {f["converged"] for f in fits} == {True, False}
+        assert all(f["iterations"] > 0 for f in fits)
+
+    def test_forecast_leaves_scipy_optimize_unloaded(self, demo_dir, tmp_path):
+        copy_artifacts(results_dir(demo_dir), tmp_path, ["skill_rates.csv"])
+        code = ("import sys; from skillscope.cli import main; "
+                "print(main(['forecast', '--config', sys.argv[1], '--out', sys.argv[2]]), "
+                "'scipy.optimize' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, str(demo_dir / "run.json"),
+                               str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
+        assert (tmp_path / "forecast.csv").read_bytes() == \
+            (results_dir(demo_dir) / "forecast.csv").read_bytes()
 
     def test_exit_zero_via_main(self, demo_dir):
         assert main(["extract", "--config", str(demo_dir / "run.json")]) == EXIT_OK

@@ -313,6 +313,10 @@ class TestSplitStages:
             assert stage_processes(tmp_path / f"jobs{jobs}") == {
                 **{stage: (jobs, jobs) for stage in SPLIT_STAGES},
                 "topics": (jobs, min(jobs, 2)), "forecast": (jobs, min(jobs, 10))}
+        # each fit's diagnostics come back from the process that ran it, in order
+        fits = [json.loads((tmp_path / f"jobs{jobs}" / "run_manifest.json").read_text()
+                           )["stages"]["forecast"]["counts"]["fits"] for jobs in (1, 2, 3)]
+        assert len(fits[0]) == 10 and fits[0] == fits[1] == fits[2]
         assert_no_children()
 
     def test_topics_forks_only_for_two_chunks_of_postings(self, tmp_path, monkeypatch):
