@@ -21,12 +21,14 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
-from itertools import chain
+from itertools import pairwise
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -254,6 +256,26 @@ def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]], fields: Iterabl
     return rows
 
 
+def line_starts(fh: BinaryIO) -> np.ndarray:
+    """Where each line of the binary file ``fh`` starts, from one read in
+    64 KiB blocks, and the file's size last: line k (from 1) is the bytes
+    ``[starts[k - 1], starts[k])``, as reading ``fh`` by lines splits it."""
+    blocks, size = [np.zeros(1, dtype=np.int64)], 0
+    while block := fh.read(1 << 16):
+        blocks.append(np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10) + size + 1)
+        size += len(block)
+    starts = np.concatenate(blocks)
+    return starts if starts[-1] == size else np.append(starts, size)  # a last line without its end
+
+
+def concatenated(paths: Iterable[Path]) -> Iterator[str]:
+    """The text of each file of ``paths`` in turn, in blocks of at most 64 KiB."""
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            while block := fh.read(1 << 16):
+                yield block
+
+
 def read_ndjson(path: Path, fields: Iterable[str] = (),
                 make: Callable[[dict], object] | None = None) -> list:
     """``parse_ndjson`` over every line of ``path``, read one at a time."""
@@ -399,15 +421,30 @@ def load_postings(out: Path) -> list[Posting]:
     return read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)
 
 
-def read_flag_rows(out: Path, ids: list[str]) -> list[dict]:
-    """The rows ``extract`` wrote, one per posting id of ``ids`` in order,
-    each with its sector; rows of other postings or without a sector are
-    stale."""
+def posting_key(d: dict) -> tuple:
+    """The id and year of the Posting a postings.ndjson row holds."""
+    posting = posting_from_row(d)
+    return posting.id, posting.year
+
+
+def read_flag_rows(out: Path, ids: list) -> list[tuple[str | None, tuple[float, ...]]]:
+    """Each posting's sector and per-mille flags, from the rows ``extract``
+    wrote, one per posting id of ``ids`` in order; rows of other postings or
+    without a sector are stale."""
+    held: dict = {}  # each distinct sector and per-mille tuple, held once
+
+    def flag_values(d: dict) -> tuple:
+        checked_flags(d)
+        sector, values = d.get("sector"), tuple(per_mille(d))
+        return (d["posting_id"], "sector" in d, held.setdefault(sector, sector),
+                held.setdefault(values, values))
+
     rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES),
-                       checked_flags)
-    if [d["posting_id"] for d in rows] != ids or any("sector" not in d for d in rows):
+                       flag_values)
+    if [posting_id for posting_id, _, _, _ in rows] != ids or not all(
+            has_sector for _, has_sector, _, _ in rows):
         raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
-    return rows
+    return [(sector, values) for _, _, sector, values in rows]
 
 
 def embedding_provider(cfg: RunConfig):
@@ -462,22 +499,38 @@ class Workers:
         return parallel.map_chunks(fn, items, self.jobs, floor)
 
     def map_rows(self, path: Path, fields: Iterable[str], make: Callable[[dict], object],
-                 fn: Callable[[list], tuple[Iterable[dict], object]],
-                 split: bool = True) -> list[tuple[Iterable[str], object]]:
-        """For each piece of the lines of the ndjson file ``path``, in order,
-        ``fn``'s output rows, as one ndjson text, and its other result. This
-        process reads the lines as bytes; each piece parses its own with
-        ``parse_ndjson``'s checks. Unless ``split``, all lines are one piece."""
+                 fn: Callable[[list], tuple[Iterable[dict], object]], target: Path,
+                 split: bool = True, then: Callable[[list], object] = lambda others: others):
+        """``then`` of the list of ``fn``'s other results, one per piece of the
+        lines of the ndjson file ``path``, in order; ``fn``'s output rows go
+        to the ndjson artifact ``target``. This process keeps only where each
+        line starts; each piece reads its own lines and parses them with
+        ``parse_ndjson``'s checks, and writes its rows to a part file in a
+        temporary directory beside ``target``, which this process streams,
+        piece by piece, to ``target`` once ``then`` has returned, so an error
+        in a piece or in ``then`` leaves ``target`` as it was. No part file
+        outlives the call. Unless ``split``, all lines are one piece."""
         with open(path, "rb") as fh:
-            lines = fh.readlines()
+            starts = line_starts(fh)
+            parts = Path(tempfile.mkdtemp(prefix=f"{target.name}.parts-", dir=target.parent))
+            try:
+                def piece(numbers: range):
+                    bounds = starts[numbers.start - 1:numbers.stop].tolist()
+                    data = os.pread(fh.fileno(), bounds[-1] - bounds[0], bounds[0])
+                    lines = (data[a - bounds[0]:b - bounds[0]] for a, b in pairwise(bounds))
+                    rows, other = fn(parse_ndjson(path, zip(numbers, lines), fields, make))
+                    part = parts / str(numbers.start)
+                    with open(part, "w", encoding="utf-8") as out:
+                        out.writelines(ndjson_lines(rows))
+                    return part, other
 
-        def piece(numbers: range):
-            rows, other = fn(parse_ndjson(
-                path, zip(numbers, lines[numbers.start - 1:numbers.stop - 1]), fields, make))
-            return ["".join(ndjson_lines(rows))], other
-
-        numbers = range(1, len(lines) + 1)
-        return self.map_chunks(piece, numbers) if split else [piece(numbers)]
+                numbers = range(1, len(starts))
+                pieces = self.map_chunks(piece, numbers) if split else [piece(numbers)]
+                result = then([other for _, other in pieces])
+                atomic_write(target, concatenated(part for part, _ in pieces))
+                return result
+            finally:
+                shutil.rmtree(parts, ignore_errors=True)
 
 
 def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -505,8 +558,8 @@ def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     return {"records": len(kept), "duplicates_removed": dedup.removed}
 
 
-# A split stage's pieces each return their output rows, which this process
-# writes in order, and only the numbers its tables need.
+# A split stage's pieces each write their output rows to a part file and
+# return only the numbers its tables need, which this process keeps.
 
 def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     def clean(records):
@@ -514,12 +567,10 @@ def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         return ({"id": p.id, "date": p.date.isoformat(), "year": p.year,
                  "description": p.description} for p in postings), report
 
-    pieces = workers.map_rows(out / "raw_records.ndjson", RAW_RECORD_FIELDS, record_from_row,
-                              clean)
     report = CleanseReport()
-    for _, part in pieces:
+    for part in workers.map_rows(out / "raw_records.ndjson", RAW_RECORD_FIELDS,
+                                 record_from_row, clean, out / "postings.ndjson"):
         report.add(part)
-    atomic_write(out / "postings.ndjson", chain.from_iterable(lines for lines, _ in pieces))
     write_json(out / "cleanse_report.json", report.as_dict())
     return report.as_dict()
 
@@ -542,9 +593,9 @@ def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                  for f in flags),
                 [((p.year,), per_mille(f.flags)) for p, f in zip(postings, flags)])
 
-    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, label)
-    atomic_write(out / "skill_flags.ndjson", chain.from_iterable(lines for lines, _ in pieces))
-    keyed = [pair for _, pairs in pieces for pair in pairs]
+    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, label,
+                              out / "skill_flags.ndjson")
+    keyed = [pair for pairs in pieces for pair in pairs]
     yearly = rate_table(keyed)
     write_csv(out / "skill_rates.csv", ["year", "postings"] + list(SKILL_CATEGORIES), yearly)
     return {"postings": len(keyed), "years": len(yearly)}
@@ -561,20 +612,23 @@ def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             (p.id, p.year, (r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index))
             for p, r in zip(postings, results)]
 
+    def with_sectors(pieces):  # checked before framing.ndjson is written
+        framed = [f for part in pieces for f in part]
+        if not framed:
+            raise DataError("no postings to frame")
+        flags = read_flag_rows(out, [posting_id for posting_id, _, _ in framed])
+        return [(year, sector, v) for (_, year, v), (sector, _) in zip(framed, flags)]
+
     # file lookups are cheap, and an http provider has its own concurrency
-    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, frame,
-                              split=isinstance(provider, HashedProvider))
-    framed = [f for _, part in pieces for f in part]
-    if not framed:
-        raise DataError("no postings to frame")
-    rows = read_flag_rows(out, [posting_id for posting_id, _, _ in framed])
-    atomic_write(out / "framing.ndjson", chain.from_iterable(lines for lines, _ in pieces))
+    framed = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, frame,
+                              out / "framing.ndjson", split=isinstance(provider, HashedProvider),
+                              then=with_sectors)
 
     columns = ["n", "sim_ai", "sim_augment", "sim_automate", "fi"]
-    by_year = rate_table(((year,), v) for _, year, v in framed)
+    by_year = rate_table(((year,), v) for year, _, v in framed)
     write_csv(out / "framing_by_year.csv", ["year", *columns], by_year)
-    by_sector = rate_table(((year, row["sector"]), v) for (_, year, v), row
-                           in zip(framed, rows) if row["sector"] is not None)
+    by_sector = rate_table(((year, sector), v) for year, sector, v in framed
+                           if sector is not None)
     write_csv(out / "framing_by_sector.csv", ["year", "sector", *columns], by_sector)
     return {"documents": len(framed), "year_rows": len(by_year),
             "sector_rows": len(by_sector)}
@@ -713,8 +767,9 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 
 def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    postings = load_postings(out)
-    rows = sector_rates(postings, read_flag_rows(out, [p.id for p in postings]))
+    postings = read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_key)
+    flags = read_flag_rows(out, [posting_id for posting_id, _ in postings])
+    rows = sector_rates([year for _, year in postings], flags)
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
     return {"rows": len(rows)}

@@ -82,7 +82,10 @@ class HashedProvider:
             raise ConfigError("embedding dimension must be positive")
         self.dimension = dimension
         self.seed = seed
-        self._person = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        # each feature is hashed from a copy of this state: a copy costs less
+        # than keying a new hasher with the seed
+        self._hasher = hashlib.blake2b(
+            digest_size=9, person=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         # each feature's slot, kept across calls: a stage that embeds its
         # postings piece by piece hashes a common feature once per process,
         # not once per piece; a forked worker starts from this process's memo
@@ -90,8 +93,9 @@ class HashedProvider:
 
     def _signed_slot(self, feature: str) -> int:
         """The feature's slot, bit-inverted (``~slot``) when its sign is -1."""
-        h = hashlib.blake2b(feature.encode("utf-8"), digest_size=9,
-                            person=self._person).digest()
+        hasher = self._hasher.copy()
+        hasher.update(feature.encode("utf-8"))
+        h = hasher.digest()
         idx = int.from_bytes(h[:8], "little") % self.dimension
         return idx if h[8] & 1 else ~idx
 

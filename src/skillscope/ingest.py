@@ -150,6 +150,7 @@ def read_source(
     else:
         items = _FILE_READERS[spec.format](_read_text(spec.path_or_url), spec)
     date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
+    name = spec.name  # a property that builds a Path each time it is read
     for ordinal, item in enumerate(items):
         text = item.get(spec.text_field) if isinstance(item, dict) else None
         if not isinstance(text, str):
@@ -164,7 +165,7 @@ def read_source(
             counts.dropped_empty += 1
             continue
         counts.emitted += 1
-        yield RawRecord(f"{spec.name}:{ordinal}", raw_date, text, spec.format)
+        yield RawRecord(f"{name}:{ordinal}", raw_date, text, spec.format)
 
 
 # Each file reader yields its items in file order, None for one that does not parse.

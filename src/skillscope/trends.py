@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast
 from .cleanse import Posting
 from .errors import ConfigError
-from .skills import per_mille, rate_table
+from .skills import rate_table
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
 from .text import tokenize
 
@@ -161,13 +162,15 @@ def classify_sector(posting: Posting, lex: SectorLexicon,
     return best
 
 
-def sector_rates(postings: list[Posting], flag_rows: list[dict]) -> list[list]:
+def sector_rates(years: Iterable[int],
+                 flags: Iterable[tuple[str | None, Sequence[float]]]) -> list[list]:
     """``[sector, year, postings, rate per 1,000 by category]`` for each
-    sector-year present, ascending, from the ``skill_flags.ndjson`` rows, one
-    per posting in order. Postings with no sector are excluded.
+    sector-year present, ascending, from each posting's year and its
+    ``(sector, per-mille flags)``, in the same order. Postings with no sector
+    are excluded.
     """
-    return rate_table(((row["sector"], p.year), per_mille(row))
-                      for p, row in zip(postings, flag_rows) if row["sector"] is not None)
+    return rate_table(((sector, year), values)
+                      for year, (sector, values) in zip(years, flags) if sector is not None)
 
 
 def sector_totals(postings, lex: SectorLexicon, tokens=None) -> dict[str, str | None]:

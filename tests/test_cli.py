@@ -160,18 +160,32 @@ class TestSmoke:
         assert {f["converged"] for f in fits} == {True, False}
         assert all(f["iterations"] > 0 for f in fits)
 
-    def test_forecast_leaves_scipy_optimize_unloaded(self, demo_dir, tmp_path):
-        copy_artifacts(results_dir(demo_dir), tmp_path, ["skill_rates.csv"])
+    @pytest.mark.parametrize("stages, unloaded", [
+        ((), ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")),
+        (("ingest", "cleanse", "extract", "framing", "sectors"),
+         ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")),
+        (("forecast",), ("scipy.optimize",)),
+        # the density model loads scipy.spatial and scipy.sparse.csgraph
+        (("topics",), ("scipy.optimize",)),
+    ], ids=["import", "ingest-to-sectors", "forecast", "topics"])
+    def test_stages_leave_the_scipy_modules_they_do_not_use_unloaded(
+            self, demo_dir, tmp_path, stages, unloaded):
+        inputs = {name for stage in stages for name in PIPELINE[stage].inputs}
+        copy_artifacts(results_dir(demo_dir), tmp_path, inputs - {
+            name for stage in stages for name in PIPELINE[stage].outputs})
         code = ("import sys; from skillscope.cli import main; "
-                "print(main(['forecast', '--config', sys.argv[1], '--out', sys.argv[2]]), "
-                "'scipy.optimize' in sys.modules)")
+                "print(*[main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) "
+                "for stage in sys.argv[4:]], *[name in sys.modules "
+                "for name in sys.argv[3].split(',')])")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, str(demo_dir / "run.json"),
-                               str(tmp_path)], env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.stdout.split() == ["0", "False"], done.stderr
-        assert (tmp_path / "forecast.csv").read_bytes() == \
-            (results_dir(demo_dir) / "forecast.csv").read_bytes()
+                               str(tmp_path), ",".join(unloaded), *stages], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0"] * len(stages) + ["False"] * len(unloaded), \
+            done.stderr
+        for name in {name for stage in stages for name in PIPELINE[stage].outputs}:
+            assert (tmp_path / name).read_bytes() == \
+                (results_dir(demo_dir) / name).read_bytes(), name
 
     def test_exit_zero_via_main(self, demo_dir):
         assert main(["extract", "--config", str(demo_dir / "run.json")]) == EXIT_OK

@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -281,9 +282,12 @@ def run_split_stages(config, raw_records, out, jobs: int,
     artifact but the manifest, by name."""
     out.mkdir(parents=True)
     shutil.copyfile(raw_records, out / "raw_records.ndjson")
+    written = {"raw_records.ndjson", "run_manifest.json"}
     for stage in stages:
         assert main([stage, "--config", str(config), "--out", str(out),
                      "--jobs", str(jobs)]) == EXIT_OK
+        written.update(cli.PIPELINE[stage].outputs)
+        assert set(os.listdir(out)) == written  # no part file or directory is left
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
             if p.name != "run_manifest.json"}
 
@@ -447,14 +451,44 @@ class TestSplitStages:
         assert len(lines) > 5 * 20
         lines[-1] = lines[-1][:40] + b"\n"  # cut inside the record
         (out / name).write_bytes(b"".join(lines))
+        listing = sorted(os.listdir(out))
         errors = {}
         for jobs in (1, 2, 3):
             assert main([stage, "--config", str(config), "--out", str(out),
                          "--jobs", str(jobs)]) == EXIT_DATA
             errors[jobs] = capsys.readouterr().err
+            assert sorted(os.listdir(out)) == listing  # no part file or directory is left
             assert_no_children()
         assert f"{out / name} line {len(lines)}: " in errors[1]
         assert errors[1] == errors[2] == errors[3]
+
+    def test_a_stage_holds_one_piece_not_its_input_or_output(self, tmp_path):
+        def peaks(n: int) -> dict[str, tuple[int, int]]:
+            """Each stage's tracemalloc peak at --jobs 1 over n postings, and
+            the size of the ndjson file it reads."""
+            config, raw = ingested(tmp_path / str(n), n)
+            out = tmp_path / str(n) / "out"
+            run_split_stages(config, raw, out, 1, ())
+            found = {}
+            for stage in ("cleanse", "extract", "framing", "sectors"):
+                tracemalloc.start()
+                try:
+                    assert main([stage, "--config", str(config), "--out", str(out)]) == EXIT_OK
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                found[stage] = peak, (out / cli.PIPELINE[stage].inputs[0]).stat().st_size
+            return found
+
+        # the small run also loads what a first run loads once, such as the
+        # language profiles; the large corpus is about 2 MB of ndjson
+        small, large = peaks(250), peaks(3000)
+        # holding the lines read or the text written grows a stage's peak by
+        # more than its input's size; one piece, and the few numbers a
+        # posting adds to the stage's tables, by well under it
+        grown = {stage: round((large[stage][0] - small[stage][0]) / large[stage][1], 2)
+                 for stage in large}
+        assert all(ratio < 1 for ratio in grown.values()), grown
 
     def test_an_empty_source_runs_each_stage_as_one_empty_piece(self, tmp_path, capsys):
         config = write_demo_corpus(tmp_path, 60)
@@ -525,22 +559,30 @@ class TestSplitStages:
         assert not (out / "postings.ndjson").exists()
         assert_no_children()
 
-    def test_a_worker_that_dies_exits_5(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("killed", [False, True], ids=["exits", "killed-mid-queue"])
+    def test_a_worker_that_dies_exits_5(self, tmp_path, monkeypatch, capsys, killed):
         parent = os.getpid()
         frame_document = cli.frame_document
+        framed = []
 
         def dying(*args, **kwargs):
             if in_worker(parent):
-                os._exit(3)
+                framed.append(args)  # a piece is one posting
+                if not killed:
+                    os._exit(3)
+                if len(framed) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
             return frame_document(*args, **kwargs)
 
         monkeypatch.setattr(parallel, "MIN_CHUNK", 1)
-        monkeypatch.setattr(cli, "frame_document", dying)
         config, raw = ingested(tmp_path, 200)
         out = tmp_path / "out"
         run_split_stages(config, raw, out, 1)
+        listing = sorted(os.listdir(out))
+        monkeypatch.setattr(cli, "frame_document", dying)
         assert main(["framing", "--config", str(config), "--out", str(out),
                      "--jobs", "2"]) == EXIT_INTERNAL
-        assert "exited with code 3" in capsys.readouterr().err
+        code = -signal.SIGKILL if killed else 3
+        assert f"exited with code {code}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == listing  # no part file or directory is left
         assert_no_children()
-

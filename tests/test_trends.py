@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from skillscope.arima import ArimaSpec
 from skillscope.errors import ConfigError
-from skillscope.skills import detect_skills
+from skillscope.skills import detect_skills, per_mille
 from skillscope.taxonomy import SKILL_CATEGORIES, CompiledMatcher, load_sectors, load_taxonomy
 from skillscope.trends import (
     RateSeries,
@@ -233,7 +233,8 @@ class TestSectorRates:
 
     def rates(self, postings):
         """{(sector, year): (postings, rates)} from the ascending rows."""
-        rows = sector_rates(postings, self.flag_rows(postings))
+        rows = sector_rates([p.year for p in postings],
+                            [(row["sector"], per_mille(row)) for row in self.flag_rows(postings)])
         keys = [tuple(row[:2]) for row in rows]
         assert keys == sorted(keys)
         return {(sector, year): (n, dict(zip(SKILL_CATEGORIES, rates)))
