@@ -25,10 +25,12 @@ import shutil
 import sys
 import tempfile
 import time
+from array import array
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields as dataclass_fields
-from itertools import pairwise
+from itertools import compress, pairwise
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .ingest import (
     Deduplicator,
     RawRecord,
     SourceCounts,
+    dedup_key,
     load_manifest,
     read_source,
 )
@@ -227,10 +230,6 @@ def ndjson_lines(rows: Iterable[dict]) -> Iterator[str]:
     return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def write_ndjson(path: Path, rows: Iterable[dict]) -> None:
-    atomic_write(path, ndjson_lines(rows))
-
-
 def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]], fields: Iterable[str] = (),
                  make: Callable[[dict], object] | None = None) -> list:
     """One value per non-blank line of the numbered ``lines`` of ``path``, or
@@ -266,6 +265,51 @@ def line_starts(fh: BinaryIO) -> np.ndarray:
         size += len(block)
     starts = np.concatenate(blocks)
     return starts if starts[-1] == size else np.append(starts, size)  # a last line without its end
+
+
+class NdjsonLines:
+    """An ndjson file read by ranges of line numbers. This process keeps only
+    where each line starts (``line_starts``, 8 bytes a line); a range is read
+    with ``os.pread`` and parsed with ``parse_ndjson``'s checks, ``fields``
+    and ``make``, so its line numbers and messages are those of the whole
+    file."""
+
+    def __init__(self, fh: BinaryIO, path: Path, fields: Iterable[str] = (),
+                 make: Callable[[dict], object] | None = None):
+        self.fh, self.path, self.fields, self.make = fh, path, tuple(fields), make
+        self.starts = line_starts(fh)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def parse(self, numbers: range) -> list:
+        """The values of the lines ``numbers`` (from 1) that the file holds."""
+        numbers = range(numbers.start, min(numbers.stop, len(self) + 1))
+        if not numbers:
+            return []
+        bounds = self.starts[numbers.start - 1:numbers.stop].tolist()
+        data = os.pread(self.fh.fileno(), bounds[-1] - bounds[0], bounds[0])
+        lines = (data[a - bounds[0]:b - bounds[0]] for a, b in pairwise(bounds))
+        return parse_ndjson(self.path, zip(numbers, lines), self.fields, self.make)
+
+
+@contextmanager
+def part_files(target: Path) -> Iterator[Path]:
+    """A temporary directory ``<target>.parts-<random>`` beside the artifact
+    ``target``, for the part files its pieces write; removed on leaving the
+    ``with`` block, whether it returned or raised."""
+    parts = Path(tempfile.mkdtemp(prefix=f"{target.name}.parts-", dir=target.parent))
+    try:
+        yield parts
+    finally:
+        shutil.rmtree(parts, ignore_errors=True)
+
+
+def write_part(part: Path, rows: Iterable[dict]) -> Path:
+    """``rows`` as ndjson lines in the part file ``part``, one at a time."""
+    with open(part, "w", encoding="utf-8") as fh:
+        fh.writelines(ndjson_lines(rows))
+    return part
 
 
 def concatenated(paths: Iterable[Path]) -> Iterator[str]:
@@ -411,7 +455,7 @@ def checked_flags(d: dict) -> dict:
     for category in SKILL_CATEGORIES:
         if not isinstance(d[category], bool):
             raise wrong_type(category, d[category], "a bool")
-    sector = d.get("sector")  # a row without one is stale, which read_flag_rows says
+    sector = d.get("sector")  # a row without one is stale, which labels says
     if sector is not None and not isinstance(sector, str):
         raise wrong_type("sector", sector, "a string or null")
     return d
@@ -427,24 +471,35 @@ def posting_key(d: dict) -> tuple:
     return posting.id, posting.year
 
 
-def read_flag_rows(out: Path, ids: list) -> list[tuple[str | None, tuple[float, ...]]]:
-    """Each posting's sector and per-mille flags, from the rows ``extract``
-    wrote, one per posting id of ``ids`` in order; rows of other postings or
-    without a sector are stale."""
-    held: dict = {}  # each distinct sector and per-mille tuple, held once
+def interning() -> Callable:
+    """A function that returns the first value it was given equal to the one
+    it is given, so that equal values are held once, and a piece's result
+    pickles each once."""
+    held: dict = {}
+    return lambda value: held.setdefault(value, value)
+
+
+def flag_input(out: Path) -> tuple:
+    """skill_flags.ndjson as an input of ``Workers.map_lines``: each row as
+    its posting id, whether it has a sector, its sector and its per-mille
+    flags, each distinct sector and per-mille tuple held once per process."""
+    once = interning()
 
     def flag_values(d: dict) -> tuple:
         checked_flags(d)
-        sector, values = d.get("sector"), tuple(per_mille(d))
-        return (d["posting_id"], "sector" in d, held.setdefault(sector, sector),
-                held.setdefault(values, values))
+        return d["posting_id"], "sector" in d, once(d.get("sector")), once(tuple(per_mille(d)))
 
-    rows = read_ndjson(out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES),
-                       flag_values)
-    if [posting_id for posting_id, _, _, _ in rows] != ids or not all(
-            has_sector for _, has_sector, _, _ in rows):
+    return out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES), flag_values
+
+
+def labels(ids: list, flag_rows: list) -> list[tuple[str | None, tuple[float, ...]]]:
+    """The sector and per-mille flags of each posting id of ``ids``, from the
+    ``flag_input`` rows read on the same lines; rows of other postings or
+    without a sector are stale."""
+    if [posting_id for posting_id, _, _, _ in flag_rows] != ids or not all(
+            has_sector for _, has_sector, _, _ in flag_rows):
         raise DataError("skill_flags.ndjson does not label postings.ndjson; re-run extract")
-    return [(sector, values) for _, _, sector, values in rows]
+    return [(sector, values) for _, _, sector, values in flag_rows]
 
 
 def embedding_provider(cfg: RunConfig):
@@ -498,64 +553,85 @@ class Workers:
         self.processes = max(self.processes, parallel.chunk_count(len(items), self.jobs, floor))
         return parallel.map_chunks(fn, items, self.jobs, floor)
 
-    def map_rows(self, path: Path, fields: Iterable[str], make: Callable[[dict], object],
-                 fn: Callable[[list], tuple[Iterable[dict], object]], target: Path,
-                 split: bool = True, then: Callable[[list], object] = lambda others: others):
-        """``then`` of the list of ``fn``'s other results, one per piece of the
-        lines of the ndjson file ``path``, in order; ``fn``'s output rows go
-        to the ndjson artifact ``target``. This process keeps only where each
-        line starts; each piece reads its own lines and parses them with
-        ``parse_ndjson``'s checks, and writes its rows to a part file in a
-        temporary directory beside ``target``, which this process streams,
-        piece by piece, to ``target`` once ``then`` has returned, so an error
-        in a piece or in ``then`` leaves ``target`` as it was. No part file
-        outlives the call. Unless ``split``, all lines are one piece."""
-        with open(path, "rb") as fh:
-            starts = line_starts(fh)
-            parts = Path(tempfile.mkdtemp(prefix=f"{target.name}.parts-", dir=target.parent))
-            try:
-                def piece(numbers: range):
-                    bounds = starts[numbers.start - 1:numbers.stop].tolist()
-                    data = os.pread(fh.fileno(), bounds[-1] - bounds[0], bounds[0])
-                    lines = (data[a - bounds[0]:b - bounds[0]] for a, b in pairwise(bounds))
-                    rows, other = fn(parse_ndjson(path, zip(numbers, lines), fields, make))
-                    part = parts / str(numbers.start)
-                    with open(part, "w", encoding="utf-8") as out:
-                        out.writelines(ndjson_lines(rows))
-                    return part, other
+    def map_lines(self, inputs: Sequence[tuple[Path, Iterable[str], Callable[[dict], object]]],
+                  fn: Callable[..., object], split: bool = True) -> list:
+        """``fn(numbers, rows, ...)`` of each piece ``numbers`` of the line
+        numbers of the first of the ndjson ``inputs``, in order; each input
+        is ``(path, fields, make)``, read as ``NdjsonLines``, and ``rows``
+        holds the values of the lines ``numbers`` of each input in turn. The
+        last piece reads every input to its end, so a line past the end of
+        the first is read too. Unless ``split``, all lines are one piece."""
+        with ExitStack() as stack:
+            files = [NdjsonLines(stack.enter_context(open(path, "rb")), path, fields, make)
+                     for path, fields, make in inputs]
+            every = range(1, len(files[0]) + 1)
 
-                numbers = range(1, len(starts))
-                pieces = self.map_chunks(piece, numbers) if split else [piece(numbers)]
-                result = then([other for _, other in pieces])
-                atomic_write(target, concatenated(part for part, _ in pieces))
-                return result
-            finally:
-                shutil.rmtree(parts, ignore_errors=True)
+            def piece(numbers: range):
+                last = numbers.stop == every.stop
+                return fn(numbers, *(f.parse(range(numbers.start, max(numbers.stop, len(f) + 1)
+                                                   if last else numbers.stop)) for f in files))
+
+            return self.map_chunks(piece, every) if split else [piece(every)]
+
+    def map_rows(self, inputs: Sequence[tuple[Path, Iterable[str], Callable[[dict], object]]],
+                 fn: Callable[..., tuple[Iterable[dict], object]], target: Path,
+                 split: bool = True, then: Callable[[list], object] = lambda others: others):
+        """``then`` of the list of ``fn``'s other results, one per piece of
+        ``map_lines``, in order; ``fn``'s output rows go to the ndjson
+        artifact ``target``. Each piece writes its rows to a part file
+        (``part_files``), which this process streams, piece by piece, to
+        ``target`` once ``then`` has returned, so an error in a piece or in
+        ``then`` leaves ``target`` as it was."""
+        with part_files(target) as parts:
+            def piece(numbers: range, *rows):
+                out_rows, other = fn(*rows)
+                return write_part(parts / str(numbers.start), out_rows), other
+
+            pieces = self.map_lines(inputs, piece, split)
+            result = then([other for _, other in pieces])
+            atomic_write(target, concatenated(part for part, _ in pieces))
+            return result
 
 
 def stage_ingest(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    def collect(spec):
-        counts, stats = SourceCounts(), ApiClientStats()
-        records = list(read_source(spec, counts, stats, cfg.cleanse.date_order))
-        return records, counts, asdict(stats) if spec.format == "api" else {}
+    target = out / "raw_records.ndjson"
+    with part_files(target) as parts:
+        def collect(index: int) -> tuple:
+            """Source ``index``'s records, written to its part file, and
+            only their dedup keys and the source's counts sent back."""
+            spec, counts, stats, keys = cfg.sources[index], SourceCounts(), ApiClientStats(), []
 
-    # each piece is one source; duplicates go here, in source order
-    results = [r for group in workers.map_chunks(lambda specs: list(map(collect, specs)),
-                                                 cfg.sources, floor=1) for r in group]
+            def rows():
+                for rec in read_source(spec, counts, stats, cfg.cleanse.date_order):
+                    keys.append(dedup_key(rec.raw_text))
+                    # the row dataclasses are flat, so vars() is asdict() without its deep copy
+                    yield vars(rec)
 
-    dedup = Deduplicator()
-    kept: list[RawRecord] = []
-    for records, _, _ in results:
-        kept.extend(dedup.filter(records))
+            part = write_part(parts / str(index), rows())
+            return part, keys, counts, asdict(stats) if spec.format == "api" else {}
+
+        # each piece is one source
+        results = [r for group in workers.map_chunks(lambda indices: list(map(collect, indices)),
+                                                     range(len(cfg.sources)), floor=1)
+                   for r in group]
+        dedup = Deduplicator()
+
+        def kept_lines() -> Iterator[str]:
+            # duplicates go here, in source order, as the part files are copied
+            for spec, (part, keys, _, _) in zip(cfg.sources, results):
+                name = spec.name
+                with open(part, encoding="utf-8", newline="") as fh:
+                    yield from compress(fh, (dedup.first(key, name) for key in keys))
+
+        atomic_write(target, kept_lines())
+
     report = {}
-    for spec, (_, counts, api_stats) in zip(cfg.sources, results):
+    for spec, (_, _, counts, api_stats) in zip(cfg.sources, results):
         counts.duplicates_removed = dedup.removed_by_source.get(spec.name, 0)
         report[spec.name] = {**asdict(counts), **api_stats}
-
-    # the row dataclasses are flat, so vars() is asdict() without its deep copy
-    write_ndjson(out / "raw_records.ndjson", map(vars, kept))
     write_json(out / "ingest_report.json", report)
-    return {"records": len(kept), "duplicates_removed": dedup.removed}
+    return {"records": sum(len(keys) for _, keys, _, _ in results) - dedup.removed,
+            "duplicates_removed": dedup.removed}
 
 
 # A split stage's pieces each write their output rows to a part file and
@@ -568,8 +644,8 @@ def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                  "description": p.description} for p in postings), report
 
     report = CleanseReport()
-    for part in workers.map_rows(out / "raw_records.ndjson", RAW_RECORD_FIELDS,
-                                 record_from_row, clean, out / "postings.ndjson"):
+    for part in workers.map_rows([(out / "raw_records.ndjson", RAW_RECORD_FIELDS,
+                                   record_from_row)], clean, out / "postings.ndjson"):
         report.add(part)
     write_json(out / "cleanse_report.json", report.as_dict())
     return report.as_dict()
@@ -577,6 +653,7 @@ def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
+    once = interning()  # each year key and per-mille tuple
 
     def label(postings):
         flags = []
@@ -591,10 +668,11 @@ def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
         return (({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
                  for f in flags),
-                [((p.year,), per_mille(f.flags)) for p, f in zip(postings, flags)])
+                [(once((p.year,)), once(tuple(per_mille(f.flags))))
+                 for p, f in zip(postings, flags)])
 
-    pieces = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, label,
-                              out / "skill_flags.ndjson")
+    pieces = workers.map_rows([(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)],
+                              label, out / "skill_flags.ndjson")
     keyed = [pair for pairs in pieces for pair in pairs]
     yearly = rate_table(keyed)
     write_csv(out / "skill_rates.csv", ["year", "postings"] + list(SKILL_CATEGORIES), yearly)
@@ -605,32 +683,43 @@ def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     provider = embedding_provider(cfg)
     centroids = AnchorCentroids.from_anchors(cfg.anchors, provider)
 
-    def frame(postings):
+    once = interning()  # each (year, sector) key
+
+    def frame(postings, flag_rows):
+        sectors = labels([p.id for p in postings], flag_rows)  # before any posting is framed
         results = [frame_document(v, centroids, posting_id=p.id)
                    for p, v in zip(postings, embed_postings(provider, postings))]
-        return map(vars, results), [
-            (p.id, p.year, (r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index))
-            for p, r in zip(postings, results)]
+        # a posting's four values as 32 bytes, not four float objects
+        return map(vars, results), (
+            [once((p.year, sector)) for p, (sector, _) in zip(postings, sectors)],
+            array("d", [x for r in results
+                        for x in (r.sim_ai, r.sim_augment, r.sim_automate, r.framing_index)]))
 
-    def with_sectors(pieces):  # checked before framing.ndjson is written
-        framed = [f for part in pieces for f in part]
-        if not framed:
+    def joined(pieces):  # checked before framing.ndjson is written
+        keys, values = [], array("d")
+        for part_keys, part_values in pieces:
+            keys += part_keys
+            values += part_values
+        if not keys:
             raise DataError("no postings to frame")
-        flags = read_flag_rows(out, [posting_id for posting_id, _, _ in framed])
-        return [(year, sector, v) for (_, year, v), (sector, _) in zip(framed, flags)]
+        return keys, values
 
     # file lookups are cheap, and an http provider has its own concurrency
-    framed = workers.map_rows(out / "postings.ndjson", POSTING_FIELDS, posting_from_row, frame,
-                              out / "framing.ndjson", split=isinstance(provider, HashedProvider),
-                              then=with_sectors)
+    keys, values = workers.map_rows(
+        [(out / "postings.ndjson", POSTING_FIELDS, posting_from_row), flag_input(out)], frame,
+        out / "framing.ndjson", split=isinstance(provider, HashedProvider), then=joined)
+
+    def framed():  # each posting's year, sector and values, made as a table reads them
+        for i, (year, sector) in enumerate(keys):
+            yield year, sector, values[4 * i:4 * i + 4]
 
     columns = ["n", "sim_ai", "sim_augment", "sim_automate", "fi"]
-    by_year = rate_table(((year,), v) for year, _, v in framed)
+    by_year = rate_table(((year,), v) for year, _, v in framed())
     write_csv(out / "framing_by_year.csv", ["year", *columns], by_year)
-    by_sector = rate_table(((year, sector), v) for year, sector, v in framed
+    by_sector = rate_table(((year, sector), v) for year, sector, v in framed()
                            if sector is not None)
     write_csv(out / "framing_by_sector.csv", ["year", "sector", *columns], by_sector)
-    return {"documents": len(framed), "year_rows": len(by_year),
+    return {"documents": len(keys), "year_rows": len(by_year),
             "sector_rows": len(by_sector)}
 
 
@@ -700,16 +789,18 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         "K": cfg.kmeans["K"], "wcss": km.wcss,
         "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
                                   km_terms)})
+    noise = int((dm.labels == -1).sum())
     write_json(out / "density_topics.json", {
-        "min_cluster_size": mcs, "all_noise": dm.all_noise,
-        "noise_count": int((dm.labels == -1).sum()),
+        "min_cluster_size": mcs, "all_noise": dm.all_noise, "noise_count": noise,
         "topics": topic_entries(dm.topic_sizes, dm_terms)})
     matrix = temporal_weights(dm.labels.tolist(), years)
     write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"],
               [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]
                for year in matrix.years for topic in matrix.topics])
     return {"lda_topics": lda_cfg.K, "density_topics": len(dm.topic_sizes),
-            "vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s}}
+            "vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s},
+            "kmeans": {"iterations_run": km.iterations_run, "wcss_trace": km.wcss_trace},
+            "density": {"eps": dm.eps, "noise_count": noise}}
 
 
 def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -767,9 +858,14 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 
 def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    postings = read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_key)
-    flags = read_flag_rows(out, [posting_id for posting_id, _ in postings])
-    rows = sector_rates([year for _, year in postings], flags)
+    def label(numbers, keys, flag_rows):
+        return [(year, flags) for (_, year), flags
+                in zip(keys, labels([posting_id for posting_id, _ in keys], flag_rows))]
+
+    labelled = [pair for piece in workers.map_lines(
+        [(out / "postings.ndjson", POSTING_FIELDS, posting_key), flag_input(out)], label)
+        for pair in piece]
+    rows = sector_rates((year for year, _ in labelled), (flags for _, flags in labelled))
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
     return {"rows": len(rows)}
@@ -778,7 +874,7 @@ def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 REPORT_TABLES = (
     "skill_rates.csv", "framing_by_year.csv", "framing_by_sector.csv",
     "topic_over_time.csv", "forecast.csv", "correlation.csv", "sector_rates.csv",
-    "lda_topics.json", "density_topics.json",
+    "lda_topics.json", "kmeans_clusters.json", "density_topics.json",
 )
 
 
@@ -871,7 +967,7 @@ PIPELINE: dict[str, Stage] = {
     "sectors": Stage(stage_sectors, ("postings.ndjson", "skill_flags.ndjson"),
                      ("sector_rates.csv",)),
     "report": Stage(stage_report,
-                    REPORT_TABLES + ("cleanse_report.json", "kmeans_clusters.json"),
+                    REPORT_TABLES + ("cleanse_report.json",),
                     ("summary.json", "summary.md")),
 }
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import hashlib
-import io
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import net
 from .cleanse import parse_date
@@ -119,10 +118,11 @@ def load_manifest(path: str | Path) -> list[SourceSpec]:
     return specs
 
 
-def _read_text(path: str | Path) -> str:
-    # UTF-8 with replacement keeps maximal text from mixed-encoding dumps
+def _open_text(path: str | Path) -> TextIO:
+    # UTF-8 with replacement keeps maximal text from mixed-encoding dumps; a
+    # line ends at "\n" alone, any "\r" left in it for the csv reader to judge
     try:
-        return Path(path).read_bytes().decode("utf-8", errors="replace")
+        return open(path, encoding="utf-8", errors="replace", newline="\n")
     except OSError as e:
         raise FileUnreadableError(f"cannot read {path}: {e}") from e
 
@@ -148,7 +148,7 @@ def read_source(
     if spec.format == "api":
         items = _api_items(spec, transport, stats or ApiClientStats())
     else:
-        items = _FILE_READERS[spec.format](_read_text(spec.path_or_url), spec)
+        items = _file_items(spec)
     date_range = spec.api_date_range and tuple(map(dt.date.fromisoformat, spec.api_date_range))
     name = spec.name  # a property that builds a Path each time it is read
     for ordinal, item in enumerate(items):
@@ -168,10 +168,17 @@ def read_source(
         yield RawRecord(f"{name}:{ordinal}", raw_date, text, spec.format)
 
 
-# Each file reader yields its items in file order, None for one that does not parse.
+def _file_items(spec: SourceSpec):
+    with _open_text(spec.path_or_url) as fh:
+        yield from _FILE_READERS[spec.format](fh, spec)
 
-def _iter_csv(text: str, spec: SourceSpec):
-    reader = csv.DictReader(io.StringIO(text))
+
+# Each file reader yields the items of the text file ``fh`` in file order, None
+# for one that does not parse. The csv reader reads a row at a time; the others
+# parse the whole text.
+
+def _iter_csv(fh: TextIO, spec: SourceSpec):
+    reader = csv.DictReader(fh)
     if reader.fieldnames is None:
         raise FormatMismatchError(f"{spec.path_or_url}: empty CSV, header required")
     if spec.text_field not in reader.fieldnames or spec.date_field not in reader.fieldnames:
@@ -187,9 +194,9 @@ def _iter_csv(text: str, spec: SourceSpec):
             yield None
 
 
-def _iter_xml(text: str, spec: SourceSpec):
+def _iter_xml(fh: TextIO, spec: SourceSpec):
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(fh.read())
     except ET.ParseError as e:
         raise FormatMismatchError(f"{spec.path_or_url}: not well-formed XML: {e}") from e
     for elem in root.iter():
@@ -198,9 +205,9 @@ def _iter_xml(text: str, spec: SourceSpec):
                    for field in (spec.text_field, spec.date_field)}
 
 
-def _iter_json(text: str, spec: SourceSpec):
+def _iter_json(fh: TextIO, spec: SourceSpec):
     try:
-        doc = json.loads(text)
+        doc = json.loads(fh.read())
     except json.JSONDecodeError as e:
         raise FormatMismatchError(f"{spec.path_or_url}: not valid JSON: {e}") from e
     if isinstance(doc, list):
@@ -216,8 +223,8 @@ def _iter_json(text: str, spec: SourceSpec):
     raise FormatMismatchError(f"{spec.path_or_url}: top-level JSON must be array or object")
 
 
-def _iter_ldjson(text: str, spec: SourceSpec):
-    for line in text.splitlines():
+def _iter_ldjson(fh: TextIO, spec: SourceSpec):
+    for line in fh.read().splitlines():
         if not line.strip():
             continue
         try:
@@ -353,13 +360,18 @@ class Deduplicator:
         self.removed = 0
         self.removed_by_source: dict[str, int] = {}
 
+    def first(self, key: str, source: str) -> bool:
+        """Whether the record of ``source`` whose text has the dedup ``key``
+        is the first seen with it; a later one is counted as removed."""
+        if key in self._seen:
+            self.removed += 1
+            self.removed_by_source[source] = self.removed_by_source.get(source, 0) + 1
+            return False
+        self._seen.add(key)
+        return True
+
     def filter(self, records: Iterable[RawRecord]) -> Iterator[RawRecord]:
         for rec in records:
-            key = dedup_key(rec.raw_text)
-            if key in self._seen:
-                self.removed += 1
-                src = rec.source_id.rsplit(":", 1)[0]  # a name may hold ":"
-                self.removed_by_source[src] = self.removed_by_source.get(src, 0) + 1
-                continue
-            self._seen.add(key)
-            yield rec
+            # a source name may hold ":"
+            if self.first(dedup_key(rec.raw_text), rec.source_id.rsplit(":", 1)[0]):
+                yield rec

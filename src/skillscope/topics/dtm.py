@@ -48,34 +48,46 @@ class DocTermMatrix:
 
 def build_dtm(texts: Sequence[str], min_df: int = 1,
               max_df_fraction: float = 1.0) -> DocTermMatrix:
+    """Each document's non-stopword terms and counts over the terms found in
+    at least ``min_df`` documents and in at most ``max_df_fraction`` of them.
+    A term gets an integer id when first seen, and each document is held as
+    two arrays (ids, counts), not as a dict of strings, until the vocabulary
+    is known; each document's indices ascend."""
     if not texts:
         raise EmptyVocabularyError("empty corpus")
     stop = stopwords()
-    doc_term_counts: list[dict[str, int]] = []
-    df: dict[str, int] = {}
+    ids: dict[str, int] = {}  # each term's id, in order of first sight
+    seen: list = []  # each document's (first-sight ids, counts)
     for text in texts:
-        counts: dict[str, int] = {}
+        counts: dict[int, int] = {}
         for tok in tokenize(text):
-            if tok in stop:
-                continue
-            counts[tok] = counts.get(tok, 0) + 1
-        for term in counts:
-            df[term] = df.get(term, 0) + 1
-        doc_term_counts.append(counts)
+            if tok not in stop:
+                i = ids.setdefault(tok, len(ids))
+                counts[i] = counts.get(i, 0) + 1
+        seen.append((np.fromiter(counts, np.int64, len(counts)),
+                     np.fromiter(counts.values(), np.int64, len(counts))))
 
     n = len(texts)
-    kept = [t for t, d in df.items() if d >= min_df and d / n <= max_df_fraction]
+    df = np.bincount(np.concatenate([idx for idx, _ in seen]), minlength=len(ids))
+    kept = np.flatnonzero((df >= min_df) & (df / n <= max_df_fraction)).tolist()
     if not kept:
         raise EmptyVocabularyError("frequency thresholds eliminated every term")
-    vocab = sorted(kept, key=lambda t: (-df[t], t))
-    term_id = {t: i for i, t in enumerate(vocab)}
+    terms, df = list(ids), df.tolist()
+    order = sorted(kept, key=lambda i: (-df[i], terms[i]))
+    rank = np.full(len(terms), -1, dtype=np.int64)  # each id's vocabulary index, -1 if dropped
+    rank[order] = np.arange(len(order))
 
     doc_indices, doc_counts = [], []
-    for counts in doc_term_counts:
-        pairs = sorted((term_id[t], c) for t, c in counts.items() if t in term_id)
-        doc_indices.append(np.array([i for i, _ in pairs], dtype=np.int64))
-        doc_counts.append(np.array([c for _, c in pairs], dtype=np.int64))
-    return DocTermMatrix(vocab=vocab, doc_indices=doc_indices, doc_counts=doc_counts)
+    for d, (idx, cnt) in enumerate(seen):
+        index = rank[idx]
+        keep = index >= 0
+        index, cnt = index[keep], cnt[keep]
+        by_index = np.argsort(index)  # the indices are distinct, so any sort gives these
+        doc_indices.append(index[by_index])
+        doc_counts.append(cnt[by_index])
+        seen[d] = None  # each document's first-sight arrays go as its final ones come
+    return DocTermMatrix(vocab=[terms[i] for i in order], doc_indices=doc_indices,
+                         doc_counts=doc_counts)
 
 
 def top_terms(weights: np.ndarray, vocab: Sequence[str],

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skillscope import cli, taxonomy, trends
@@ -32,7 +33,7 @@ from skillscope.cli import (
     main,
     read_ndjson,
     run_stage,
-    write_ndjson,
+    write_part,
 )
 from skillscope.errors import DataError
 from skillscope.fixtures import write_demo_corpus
@@ -91,7 +92,8 @@ DAMAGE = {"cut": cut_inside_a_record, "word": word_in_the_last_column,
 CORRUPT_ARTIFACTS = [
     *((stage, name, "cut") for stage, name in [
         ("cleanse", "raw_records.ndjson"), ("extract", "postings.ndjson"),
-        ("framing", "skill_flags.ndjson"), ("report", "cleanse_report.json"),
+        ("framing", "skill_flags.ndjson"), ("sectors", "skill_flags.ndjson"),
+        ("sectors", "postings.ndjson"), ("report", "cleanse_report.json"),
         ("report", "density_topics.json"), ("report", "lda_topics.json"),
         ("report", "run_manifest.json"), ("forecast", "skill_rates.csv"),
         ("correlate", "skill_rates.csv"), ("report", "skill_rates.csv"),
@@ -197,11 +199,42 @@ class TestSmoke:
         assert len(lda["log_likelihood_trace"]) == 16
         assert lda["log_likelihood_trace"][-1] > lda["log_likelihood_trace"][0]
 
-    def test_summary_lists_nine_tables(self, demo_dir):
+    def test_manifest_records_the_cluster_models_diagnostics(self, demo_dir):
+        out = results_dir(demo_dir)
+        counts = json.loads((out / "run_manifest.json").read_text()
+                            )["stages"]["topics"]["counts"]
+        kmeans, density = counts["kmeans"], counts["density"]
+        trace = kmeans["wcss_trace"]
+        assert len(trace) == kmeans["iterations_run"] > 1
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        # the values of a fit made here on the same embeddings and seeds
+        cfg = RunConfig.load(demo_dir / "run.json")
+        postings = load_postings(out)
+        emb = np.array(cli.embed_postings(cli.embedding_provider(cfg), postings))
+        km = cli.kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
+        assert (kmeans["iterations_run"], trace) == (km.iterations_run, km.wcss_trace)
+        dm = cli.density_topics(
+            emb, min_cluster_size=cli.scaled_min_cluster_size(len(postings)),
+            k_reduced=cfg.density["k_reduced"], seed=derive_seed(cfg.seed, "topics.density"))
+        assert density == {"eps": dm.eps, "noise_count": int((dm.labels == -1).sum())}
+        assert density["noise_count"] == json.loads(
+            (out / "density_topics.json").read_text())["noise_count"]
+
+    def test_summary_lists_ten_tables(self, demo_dir):
         summary = json.loads((results_dir(demo_dir) / "summary.json").read_text())
-        assert len(summary["tables"]) == 9
+        assert len(summary["tables"]) == 10
         for meta in summary["tables"].values():
             assert meta["rows"] >= 0
+
+    def test_summary_lists_the_three_topic_files_with_the_manifest_s_rows(self, demo_dir):
+        out = results_dir(demo_dir)
+        tables = json.loads((out / "summary.json").read_text())["tables"]
+        outputs = json.loads((out / "run_manifest.json").read_text()
+                             )["stages"]["topics"]["outputs"]
+        md = (out / "summary.md").read_text()
+        for name in ("lda_topics.json", "kmeans_clusters.json", "density_topics.json"):
+            assert tables[name] == {"path": name, **outputs[name]}, name
+            assert f"- `{name}`: {outputs[name]['rows']} rows\n" in md, name
 
     def test_summary_counts_topics_not_lines(self, demo_dir):
         out = results_dir(demo_dir)
@@ -733,19 +766,50 @@ class TestSectorLabels:
 
 
     @pytest.mark.parametrize("stage", ["framing", "sectors"])
-    @pytest.mark.parametrize("stale", ["no sector field", "other postings"])
+    @pytest.mark.parametrize("stale", ["no sector field", "other postings", "a blank line",
+                                       "one row more"])
     def test_stale_flags_exit_4(self, demo_dir, tmp_path, capsys, stage, stale):
         out = tmp_path / "out"
         copy_artifacts(results_dir(demo_dir), out, PIPELINE[stage].inputs)
         rows = read_ndjson(out / "skill_flags.ndjson")
+        lines = [json.dumps(r) + "\n" for r in rows]
         if stale == "no sector field":
-            rows = [{k: v for k, v in r.items() if k != "sector"} for r in rows]
+            lines = [json.dumps({k: v for k, v in r.items() if k != "sector"}) + "\n"
+                     for r in rows]
+        elif stale == "other postings":
+            lines = lines[1:]
+        elif stale == "a blank line":
+            # each row labels its posting, but the rows are read by line, so
+            # the rows after it label the lines after their postings'
+            lines.insert(len(lines) // 2, "\n")
         else:
-            rows = rows[1:]
-        (out / "skill_flags.ndjson").write_text("".join(json.dumps(r) + "\n" for r in rows))
+            lines.append(lines[-1])
+        (out / "skill_flags.ndjson").write_text("".join(lines))
         code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
         assert code == EXIT_DATA
         assert "re-run extract" in capsys.readouterr().err
+        assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
+
+
+    @pytest.mark.parametrize("stage", ["framing", "sectors"])
+    @pytest.mark.parametrize("where", ["past the postings", "in the first piece"])
+    def test_a_bad_flags_line_is_named_before_stale_rows(self, demo_dir, tmp_path, capsys,
+                                                        stage, where):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE[stage].inputs)
+        lines = (out / "skill_flags.ndjson").read_text().splitlines(keepends=True)
+        assert len(lines) > 125  # pieces of 125 lines; the last reads to the file's end
+        if where == "past the postings":
+            lines += ["{not json\n"]
+            bad = len(lines)
+        else:  # the rows after a dropped one are stale, in every piece
+            del lines[100]
+            lines[2] = "{not json\n"
+            bad = 3
+        (out / "skill_flags.ndjson").write_text("".join(lines))
+        assert main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out),
+                     "--jobs", "2"]) == EXIT_DATA
+        assert f"{out / 'skill_flags.ndjson'} line {bad}: " in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
 
@@ -809,7 +873,7 @@ class TestArtifactWrites:
         rows = ({"id": f"p{i}", "description": "x" * 220} for i in range(20_000))
         tracemalloc.start()
         try:
-            write_ndjson(tmp_path / "rows.ndjson", rows)
+            write_part(tmp_path / "rows.ndjson", rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1006,6 +1070,26 @@ class TestReports:
             errors[jobs] = capsys.readouterr().err
             assert (int((tmp_path / "pid").read_text()) == os.getpid()) == (jobs == 1)
             assert not (out / "raw_records.ndjson").exists()
+            assert_no_children()
+        assert errors[1] == errors[2] == errors[3]
+        assert f"data error: {tmp_path / 'jobs_xml.xml'}: not well-formed XML" in errors[1]
+
+    def test_a_malformed_last_source_leaves_no_records_and_no_part_file(self, tmp_path,
+                                                                        capsys):
+        run = write_three_sources(tmp_path)
+        sources = json.loads((tmp_path / "sources.json").read_text())
+        # the first two sources are read, and their part files written, first
+        (tmp_path / "jobs_xml.xml").write_text("<postings><posting><description>cut")
+        sources[2] = {**sources[2], "path_or_url": "jobs_xml.xml", "format": "xml"}
+        (tmp_path / "sources.json").write_text(json.dumps(sources))
+        errors = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert main(["ingest", "--config", str(run), "--jobs", str(jobs),
+                         "--out", str(out)]) == EXIT_DATA
+            errors[jobs] = capsys.readouterr().err
+            assert os.listdir(out) == []  # no raw_records.ndjson, part file or directory
             assert_no_children()
         assert errors[1] == errors[2] == errors[3]
         assert f"data error: {tmp_path / 'jobs_xml.xml'}: not well-formed XML" in errors[1]

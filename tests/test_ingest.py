@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from xml.sax.saxutils import escape
@@ -21,6 +22,7 @@ from skillscope.ingest import (
     ReplayTransport,
     SourceCounts,
     SourceSpec,
+    _iter_csv,
     dedup_key,
     load_manifest,
     read_source,
@@ -86,6 +88,26 @@ class TestParseFile:
         p.write_text("not json at all")
         with pytest.raises(FormatMismatchError):
             list(read_source(spec_for(p, "json")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.sampled_from([b"a", b"b", b" ", b",", b'"', b"\n", b"\r", b"\r\n",
+                                          b"\xc3\xa9", b"\xe2\x82\xac", b"\xc3", b"\xff"]),
+                         max_size=40).map(b"".join),
+           chunk=st.integers(1, 9))
+    def test_csv_read_a_row_at_a_time_equals_the_whole_text_read(self, data, chunk):
+        # the rows, or the error, of the text decoded whole, as it was once
+        # read, whatever bytes a chunk of the stream ends on
+        def rows(fh):
+            try:
+                return list(_iter_csv(fh, spec_for("a.csv")))
+            except FormatMismatchError as e:
+                return str(e)
+
+        data = b"date,description\n" + data
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace",
+                                  newline="\n")
+        stream._CHUNK_SIZE = chunk
+        assert rows(stream) == rows(io.StringIO(data.decode("utf-8", errors="replace")))
 
     def test_missing_file_unreadable(self, tmp_path):
         with pytest.raises(FileUnreadableError):
@@ -374,6 +396,13 @@ class TestDeduplicate:
         out = list(d.filter(records))
         assert len(out) == 1
         assert d.removed_by_source == {"other": 1}
+
+    def test_keys_charged_to_the_source_given(self):
+        d = Deduplicator()
+        keys = [dedup_key(t) for t in ("one text", "One  text", "two", "one text")]
+        assert [d.first(key, "a") for key in keys[:3]] == [True, False, True]
+        assert d.first(keys[3], "b:c") is False
+        assert (d.removed, d.removed_by_source) == (2, {"a": 1, "b:c": 1})
 
     @given(st.lists(st.text(min_size=1, max_size=30), max_size=30))
     @settings(max_examples=60, deadline=None)

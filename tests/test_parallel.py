@@ -255,9 +255,9 @@ class TestMapChunks:
 # --- the stages ---------------------------------------------------------------
 
 @pytest.mark.parametrize("command, jobs, forks", [
-    # cleanse, extract, framing, topics and forecast fork one worker each
+    # cleanse, extract, framing, topics, forecast and sectors fork one worker each
     (lambda tmp_path: ["all", "--config", str(write_demo_corpus(tmp_path, 2000, seed=7))],
-     2, 5),
+     2, 6),
     # the second and third sources are read by a worker each
     (lambda tmp_path: ["ingest", "--config", str(write_three_sources(tmp_path))], 3, 2),
 ], ids=["all-2000", "ingest-three-sources"])
@@ -465,19 +465,20 @@ class TestSplitStages:
     def test_a_stage_holds_one_piece_not_its_input_or_output(self, tmp_path):
         def peaks(n: int) -> dict[str, tuple[int, int]]:
             """Each stage's tracemalloc peak at --jobs 1 over n postings, and
-            the size of the ndjson file it reads."""
+            the size of the ndjson file it reads (for ingest, writes)."""
             config, raw = ingested(tmp_path / str(n), n)
             out = tmp_path / str(n) / "out"
             run_split_stages(config, raw, out, 1, ())
             found = {}
-            for stage in ("cleanse", "extract", "framing", "sectors"):
+            for stage in ("ingest", "cleanse", "extract", "framing", "sectors"):
                 tracemalloc.start()
                 try:
                     assert main([stage, "--config", str(config), "--out", str(out)]) == EXIT_OK
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                found[stage] = peak, (out / cli.PIPELINE[stage].inputs[0]).stat().st_size
+                found[stage] = peak, (out / (cli.PIPELINE[stage].inputs or
+                                             cli.PIPELINE[stage].outputs)[0]).stat().st_size
             return found
 
         # the small run also loads what a first run loads once, such as the

@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.special import gammaln
 
 from skillscope.errors import ConfigError, EmptyVocabularyError
+from skillscope.text import tokenize
 from skillscope.topics import (
     NOISE,
     DocTermMatrix,
@@ -27,10 +28,45 @@ from skillscope.topics import (
     wcss_of,
 )
 from skillscope.topics.density import _dbscan
+from skillscope.topics.dtm import stopwords
 from skillscope.topics.kmeans import _sq_dists
 from skillscope.topics.lda import DRAW_CELLS, _cell_sums
 
 from .helpers import dense
+
+
+# words of the DTM property test: terms, stopwords, and forms the tokenizer splits or folds
+DTM_WORDS = ["alpha", "beta", "gamma", "delta", "Beta", "the", "and", "of", "x2",
+             "data-driven", "café", "ÉCLAIR", "zeta", "eta"]
+
+
+def dict_dtm(texts, min_df=1, max_df_fraction=1.0):
+    """build_dtm as first written, one {term: count} dict per document: the
+    reference the id-array builder must equal, array for array."""
+    if not texts:
+        raise EmptyVocabularyError("empty corpus")
+    stop = stopwords()
+    doc_term_counts, df = [], {}
+    for text in texts:
+        counts = {}
+        for tok in tokenize(text):
+            if tok not in stop:
+                counts[tok] = counts.get(tok, 0) + 1
+        for term in counts:
+            df[term] = df.get(term, 0) + 1
+        doc_term_counts.append(counts)
+    n = len(texts)
+    kept = [t for t, d in df.items() if d >= min_df and d / n <= max_df_fraction]
+    if not kept:
+        raise EmptyVocabularyError("frequency thresholds eliminated every term")
+    vocab = sorted(kept, key=lambda t: (-df[t], t))
+    term_id = {t: i for i, t in enumerate(vocab)}
+    doc_indices, doc_counts = [], []
+    for counts in doc_term_counts:
+        pairs = sorted((term_id[t], c) for t, c in counts.items() if t in term_id)
+        doc_indices.append(np.array([i for i, _ in pairs], dtype=np.int64))
+        doc_counts.append(np.array([c for _, c in pairs], dtype=np.int64))
+    return DocTermMatrix(vocab=vocab, doc_indices=doc_indices, doc_counts=doc_counts)
 
 
 class TestBuildDtm:
@@ -62,6 +98,25 @@ class TestBuildDtm:
         dtm = build_dtm(["alpha beta beta"])
         counts = {dtm.vocab[i]: int(c) for i, c in zip(dtm.doc_indices[0], dtm.doc_counts[0])}
         assert counts == {"alpha": 1, "beta": 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(DTM_WORDS), max_size=12).map(" ".join),
+                          min_size=1, max_size=10),
+           min_df=st.integers(1, 4), max_df_fraction=st.floats(0.05, 1.0))
+    def test_equals_the_dict_builder(self, texts, min_df, max_df_fraction):
+        try:
+            expected = dict_dtm(texts, min_df, max_df_fraction)
+        except EmptyVocabularyError:
+            with pytest.raises(EmptyVocabularyError):
+                build_dtm(texts, min_df, max_df_fraction)
+            return
+        dtm = build_dtm(texts, min_df, max_df_fraction)
+        assert dtm.vocab == expected.vocab
+        assert len(dtm.doc_indices) == len(dtm.doc_counts) == len(texts)
+        for got, want in zip(dtm.doc_indices + dtm.doc_counts,
+                             expected.doc_indices + expected.doc_counts):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 def dense_tfidf(dtm):
@@ -483,6 +538,31 @@ class TestKMeans:
         centroids = rng.normal(size=(k, d))
         dense = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(_sq_dists(points, centroids), dense)
+
+    @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (17, 3, 4), (50, 8, 6), (40, 9, 3),
+                                         (300, 256, 6), (64, 17, 9)])
+    def test_wcss_of_bit_equal_to_the_expression(self, n, d, k):
+        rng = np.random.default_rng(n * d + k)
+        points = rng.normal(scale=10.0, size=(n, d))
+        centroids = rng.normal(size=(k, d))
+        assignments = rng.integers(k, size=n)
+        expected = float(((points - centroids[assignments]) ** 2).sum())
+        assert wcss_of(points, centroids, assignments) == expected
+        # the buffer kmeans_fit passes in, whatever it held before
+        buffer = rng.normal(size=(n, d))
+        assert wcss_of(points, centroids, assignments, buffer) == expected
+
+    def test_a_fit_holds_one_array_the_size_of_its_points(self):
+        points = np.random.default_rng(9).normal(size=(1000, 256))
+        tracemalloc.start()
+        try:
+            kmeans_fit(points, 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a D x d buffer, one cluster's members and D x K distances; a
+        # subtraction and a square for each distance pass would make it two
+        assert peak < 1.5 * points.nbytes
 
 
 def blobs(n_per=300, seed=0, d=12, sep=8.0):
