@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SeriesTooShortError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
         levels.append(np.diff(levels[-1]))
     w = levels[-1]
     if len(w) < max(p, q) + 3:
-        raise SeriesTooShortError(
+        raise DataError(
             f"need >= {max(p, q) + 3} points after differencing, got {len(w)}"
         )
 

@@ -666,10 +666,9 @@ def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                 yield tokens
 
         sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
-        return (({"posting_id": f.posting_id, **f.flags, "sector": sectors[f.posting_id]}
-                 for f in flags),
-                [(once((p.year,)), once(tuple(per_mille(f.flags))))
-                 for p, f in zip(postings, flags)])
+        return (({"posting_id": p.id, **f, "sector": sectors[p.id]}
+                 for p, f in zip(postings, flags)),
+                [(once((p.year,)), once(tuple(per_mille(f)))) for p, f in zip(postings, flags)])
 
     pieces = workers.map_rows([(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)],
                               label, out / "skill_flags.ndjson")

@@ -21,14 +21,7 @@ import numpy as np
 
 from . import net
 from .config import REQUIRED, check_fields
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatchError,
-    MissingEmbeddingError,
-    ServiceError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, DataError
 from .text import tokenize
 
 DEFAULT_DIMENSION = 256
@@ -39,7 +32,7 @@ MEMO_CAP = 16_384
 def _normalize(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not np.isfinite(norm):
-        raise ZeroVectorError("embedding has zero or non-finite norm")
+        raise DataError("embedding has zero or non-finite norm")
     return vec / norm
 
 
@@ -62,14 +55,14 @@ def _norm(x: np.ndarray) -> float:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of two real float vectors, clipped to [-1, 1]; NaN stays NaN."""
     if a.shape != b.shape:
-        raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
+        raise DataError(f"{a.shape} vs {b.shape}")
     na, nb = _norm(a), _norm(b)
     lo, hi = _NORM_RANGE
     if not (lo <= na <= hi and lo <= nb <= hi):
         a, b = _unit_scaled(a), _unit_scaled(b)
         na, nb = _norm(a), _norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine of a zero vector is undefined")
+        raise DataError("cosine of a zero vector is undefined")
     c = float(a.dot(b)) / (na * nb)
     return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
@@ -144,7 +137,7 @@ class FileProvider:
                 continue
             parts = line.split(",")
             if len(parts) != self.dimension + 1:
-                raise DimensionMismatchError(
+                raise DataError(
                     f"{path}:{ln}: expected {self.dimension} values, got {len(parts) - 1}"
                 )
             try:
@@ -158,7 +151,7 @@ class FileProvider:
         try:
             return self._table[lookup]
         except KeyError:
-            raise MissingEmbeddingError(f"no embedding for id {lookup!r}") from None
+            raise DataError(f"no embedding for id {lookup!r}") from None
 
     def embed_batch(self, texts: Sequence[str], keys: Sequence[str] | None = None):
         keys = keys if keys is not None else texts
@@ -187,18 +180,18 @@ class HttpProvider:
     def _embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
         (status, body), _ = net.call(
             lambda: self._post({"texts": list(texts)}),
-            lambda reason: ServiceError(
+            lambda reason: DataError(
                 f"embedding service failed after {net.ATTEMPTS} attempts: {reason}"))
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if status != 200 or not isinstance(vectors, list):
-            raise ServiceError(f"embedding service answered HTTP {status} without a 'vectors' list")
+            raise DataError(f"embedding service answered HTTP {status} without a 'vectors' list")
         if len(vectors) != len(texts):
-            raise ServiceError(f"service returned {len(vectors)} vectors for {len(texts)} texts")
+            raise DataError(f"service returned {len(vectors)} vectors for {len(texts)} texts")
         out = []
         for v in vectors:
             arr = np.asarray(v, dtype=float)
             if arr.shape != (self.dimension,):
-                raise DimensionMismatchError(
+                raise DataError(
                     f"expected dimension {self.dimension}, got {arr.shape}")
             out.append(_normalize(arr))
         return out

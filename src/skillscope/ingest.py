@@ -2,13 +2,14 @@
 
 Each format only yields its items in source order: CSV rows, XML elements
 that have the text child, the objects of a JSON array, the non-blank lines of
-LDJSON, the items of each API page in turn. ``read_source`` applies one rule
-to all five: an item that does not parse, is not an object, or whose text
-field is missing or not a string (null, an object, an array, a number or a
-bool) is skipped, as is an API item dated outside ``api_date_range``; one
-whose text is blank is dropped; the rest become RawRecords. So for every
-source emitted + skipped + dropped_empty equals the number of items. An API
-that keeps failing ends the run with EndpointUnreachableError.
+LDJSON (each ended by "\n" alone), the items of each API page in turn.
+``read_source`` applies one rule to all five: an item that does not parse, is
+not an object, or whose text field is missing or not a string (null, an
+object, an array, a number or a bool) is skipped, as is an API item dated
+outside ``api_date_range``; one whose text is blank is dropped; the rest
+become RawRecords. So for every source emitted + skipped + dropped_empty
+equals the number of items. A file that cannot be read, or does not parse in
+its format, and an API that keeps failing end the run with a DataError.
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import net
 from .cleanse import parse_date
 from .config import check_fields, from_json, read_json
-from .errors import (
-    ConfigError,
-    EndpointUnreachableError,
-    FileUnreadableError,
-    FormatMismatchError,
-)
+from .errors import ConfigError, DataError
 
 SOURCE_FORMATS = ("csv", "xml", "json", "ldjson", "api")
 
@@ -118,15 +114,6 @@ def load_manifest(path: str | Path) -> list[SourceSpec]:
     return specs
 
 
-def _open_text(path: str | Path) -> TextIO:
-    # UTF-8 with replacement keeps maximal text from mixed-encoding dumps; a
-    # line ends at "\n" alone, any "\r" left in it for the csv reader to judge
-    try:
-        return open(path, encoding="utf-8", errors="replace", newline="\n")
-    except OSError as e:
-        raise FileUnreadableError(f"cannot read {path}: {e}") from e
-
-
 def read_source(
     spec: SourceSpec,
     counts: SourceCounts | None = None,
@@ -169,20 +156,26 @@ def read_source(
 
 
 def _file_items(spec: SourceSpec):
-    with _open_text(spec.path_or_url) as fh:
-        yield from _FILE_READERS[spec.format](fh, spec)
+    path = spec.path_or_url
+    try:
+        # UTF-8 with replacement keeps maximal text from mixed-encoding dumps; a
+        # line ends at "\n" alone, any "\r" left in it for the csv reader to judge
+        with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
+            yield from _FILE_READERS[spec.format](fh, spec)
+    except OSError as e:  # on opening, or partway through the file
+        raise DataError(f"cannot read {path}: {e}") from e
 
 
 # Each file reader yields the items of the text file ``fh`` in file order, None
-# for one that does not parse. The csv reader reads a row at a time; the others
-# parse the whole text.
+# for one that does not parse. The csv and ldjson readers read a row or a line
+# at a time; the xml and json readers parse the whole text.
 
 def _iter_csv(fh: TextIO, spec: SourceSpec):
     reader = csv.DictReader(fh)
     if reader.fieldnames is None:
-        raise FormatMismatchError(f"{spec.path_or_url}: empty CSV, header required")
+        raise DataError(f"{spec.path_or_url}: empty CSV, header required")
     if spec.text_field not in reader.fieldnames or spec.date_field not in reader.fieldnames:
-        raise FormatMismatchError(
+        raise DataError(
             f"{spec.path_or_url}: header lacks {spec.date_field!r}/{spec.text_field!r}"
         )
     while True:
@@ -198,7 +191,7 @@ def _iter_xml(fh: TextIO, spec: SourceSpec):
     try:
         root = ET.fromstring(fh.read())
     except ET.ParseError as e:
-        raise FormatMismatchError(f"{spec.path_or_url}: not well-formed XML: {e}") from e
+        raise DataError(f"{spec.path_or_url}: not well-formed XML: {e}") from e
     for elem in root.iter():
         if elem.find(spec.text_field) is not None:
             yield {field: elem.findtext(field) or ""
@@ -209,22 +202,24 @@ def _iter_json(fh: TextIO, spec: SourceSpec):
     try:
         doc = json.loads(fh.read())
     except json.JSONDecodeError as e:
-        raise FormatMismatchError(f"{spec.path_or_url}: not valid JSON: {e}") from e
+        raise DataError(f"{spec.path_or_url}: not valid JSON: {e}") from e
     if isinstance(doc, list):
         return doc
     if isinstance(doc, dict):
         # auto-detect an object wrapping a single array field
         arrays = [v for v in doc.values() if isinstance(v, list)]
         if len(arrays) != 1:
-            raise FormatMismatchError(
+            raise DataError(
                 f"{spec.path_or_url}: expected a JSON array or an object with one array field"
             )
         return arrays[0]
-    raise FormatMismatchError(f"{spec.path_or_url}: top-level JSON must be array or object")
+    raise DataError(f"{spec.path_or_url}: top-level JSON must be array or object")
 
 
 def _iter_ldjson(fh: TextIO, spec: SourceSpec):
-    for line in fh.read().splitlines():
+    # JSON allows U+0085, U+2028 and U+2029 raw inside a string, so a line
+    # ends at "\n" only, not wherever str.splitlines would cut it
+    for line in fh:
         if not line.strip():
             continue
         try:
@@ -266,9 +261,9 @@ class ReplayTransport:
 
     @classmethod
     def from_file(cls, path: str | Path, items_field: str = "data") -> "ReplayTransport":
-        fixture = read_json(path, "API replay file", FormatMismatchError)
-        return cls(check_fields(fixture, cls.FIELDS, f"API replay file {path}",
-                                FormatMismatchError), items_field)
+        fixture = read_json(path, "API replay file", DataError)
+        return cls(check_fields(fixture, cls.FIELDS, f"API replay file {path}", DataError),
+                   items_field)
 
     def __call__(self, url: str, params: dict, headers: dict) -> tuple[int, object]:
         self.call_count += 1
@@ -319,7 +314,7 @@ def _api_items(spec, transport, stats):
 
         (status, body), tries = net.call(
             lambda: transport(spec.path_or_url, params, headers),
-            lambda reason: EndpointUnreachableError(
+            lambda reason: DataError(
                 f"{spec.path_or_url} page {page} failed after {net.ATTEMPTS} attempts: "
                 f"{reason}"))
         stats.retries += tries - 1
@@ -328,7 +323,7 @@ def _api_items(spec, transport, stats):
             stats.pages_skipped += 1
             bad_pages += 1
             if bad_pages == net.ATTEMPTS:
-                raise EndpointUnreachableError(
+                raise DataError(
                     f"{spec.path_or_url} page {page}: {bad_pages} unusable pages in a row, "
                     f"the last HTTP {status}"
                     + (f" without a {spec.api_items_field!r} list" if status == 200 else ""))
@@ -369,9 +364,3 @@ class Deduplicator:
             return False
         self._seen.add(key)
         return True
-
-    def filter(self, records: Iterable[RawRecord]) -> Iterator[RawRecord]:
-        for rec in records:
-            # a source name may hold ":"
-            if self.first(dedup_key(rec.raw_text), rec.source_id.rsplit(":", 1)[0]):
-                yield rec

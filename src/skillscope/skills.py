@@ -9,27 +9,18 @@ contributes 1000.0 or 0.0 to each category and the group mean is the rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cleanse import Posting
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher
 
 
-@dataclass(frozen=True)
-class SkillFlags:
-    posting_id: str
-    flags: dict[str, bool]
-
-
 def detect_skills(posting: Posting, matcher: CompiledMatcher,
-                  tokens: list[str] | None = None) -> SkillFlags:
-    """``tokens``, when given, is the tokenized description."""
+                  tokens: list[str] | None = None) -> dict[str, bool]:
+    """Whether each category matches the posting's description, in
+    category order; ``tokens``, when given, is the tokenized description."""
     labels = matcher.match_labels(posting.description, tokens)
-    return SkillFlags(
-        posting_id=posting.id,
-        flags={cat: cat in labels for cat in SKILL_CATEGORIES},
-    )
+    return {cat: cat in labels for cat in SKILL_CATEGORIES}
 
 
 def per_mille(flags: Mapping[str, bool]) -> list[float]:

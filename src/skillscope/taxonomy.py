@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import REQUIRED, check_fields, read_json
-from .errors import DuplicatePatternError, EmptyCategoryError, PatternCompileError, SchemaError
+from .errors import ConfigError
 from .text import tokenize
 
 SKILL_CATEGORIES = ("AI_Data", "Routine", "Soft_Meta", "Domain_Specific", "Leadership")
@@ -71,23 +71,24 @@ class SectorLexicon:
 def phrase_tokens(phrase: str, where: str = "pattern") -> tuple[str, ...]:
     toks = tuple(tokenize(phrase))
     if not toks:
-        raise PatternCompileError(phrase, f"{where} has no tokens after tokenization")
+        raise ConfigError(
+            f"cannot compile pattern {phrase!r}: {where} has no tokens after tokenization")
     return toks
 
 
 def _skill(entry, where: str) -> tuple[SkillPattern, tuple[str, ...]]:
-    e = check_fields(entry, SKILL_FIELDS, where, SchemaError)
+    e = check_fields(entry, SKILL_FIELDS, where)
     if e["surface"] in e["variants"]:
-        raise SchemaError(f"{where}: variant equals surface")
+        raise ConfigError(f"{where}: variant equals surface")
     pattern = SkillPattern(e["surface"], tuple(e["variants"]))
     return pattern, pattern.phrases()
 
 
 def _phrase(entry, where: str) -> tuple[str, tuple[str, ...]]:
     if isinstance(entry, dict):
-        entry = check_fields(entry, PHRASE_FIELDS, where, SchemaError)["phrase"]
+        entry = check_fields(entry, PHRASE_FIELDS, where)["phrase"]
     elif not isinstance(entry, str):
-        raise SchemaError(f"{where} must be a phrase string or a JSON object, got {entry!r}")
+        raise ConfigError(f"{where} must be a phrase string or a JSON object, got {entry!r}")
     return entry, (entry,)
 
 
@@ -95,23 +96,22 @@ def _groups(obj, names: tuple[str, ...], entry, where: str) -> dict[str, list]:
     """Each group named in ``names`` of JSON object ``obj``, as the list of
     the values ``entry(item, where)`` returns for its items; ``entry`` also
     returns each item's phrases, which are checked here."""
-    groups = check_fields(obj, {name: (list, REQUIRED, None) for name in names},
-                          where, SchemaError)
+    groups = check_fields(obj, {name: (list, REQUIRED, None) for name in names}, where)
     seen: dict[str, str] = {}
     parsed = {}
     for name in names:
         if not groups[name]:
-            raise EmptyCategoryError(f"{where}: {name!r} is empty")
+            raise ConfigError(f"{where}: {name!r} is empty")
         parsed[name] = []
         for i, item in enumerate(groups[name]):
             at = f"{where}: {name}[{i}]"
             value, phrases = entry(item, at)
             for phrase in phrases:
                 if not phrase:
-                    raise SchemaError(f"{at}: empty phrase")
+                    raise ConfigError(f"{at}: empty phrase")
                 phrase_tokens(phrase, at)
                 if seen.setdefault(phrase, name) != name:
-                    raise DuplicatePatternError(
+                    raise ConfigError(
                         f"{where}: {phrase!r} appears in both {seen[phrase]} and {name}")
             parsed[name].append(value)
     return parsed
@@ -119,24 +119,21 @@ def _groups(obj, names: tuple[str, ...], entry, where: str) -> dict[str, list]:
 
 def load_taxonomy(path: str | Path | None = None) -> SkillTaxonomy:
     path = path or default_path("taxonomy")
-    doc = check_fields(read_json(path, "lexicon", SchemaError), TAXONOMY_FIELDS, str(path),
-                       SchemaError)
+    doc = check_fields(read_json(path, "lexicon"), TAXONOMY_FIELDS, str(path))
     return SkillTaxonomy(_groups(doc["categories"], SKILL_CATEGORIES, _skill,
                                  f"{path}: categories"))
 
 
 def load_anchors(path: str | Path | None = None) -> AnchorSet:
     path = path or default_path("anchors")
-    return AnchorSet(**_groups(read_json(path, "lexicon", SchemaError), ANCHOR_GROUPS, _phrase,
-                               str(path)))
+    return AnchorSet(**_groups(read_json(path, "lexicon"), ANCHOR_GROUPS, _phrase, str(path)))
 
 
 def load_sectors(path: str | Path | None = None) -> SectorLexicon:
     path = path or default_path("sectors")
-    doc = check_fields(read_json(path, "lexicon", SchemaError), SECTOR_FIELDS, str(path),
-                       SchemaError)
+    doc = check_fields(read_json(path, "lexicon"), SECTOR_FIELDS, str(path))
     if sorted(doc["priority"]) != sorted(SECTOR_NAMES):
-        raise SchemaError(f"{path}: priority must be a total order over the nine sectors")
+        raise ConfigError(f"{path}: priority must be a total order over the nine sectors")
     return SectorLexicon(_groups(doc["sectors"], SECTOR_NAMES, _phrase, f"{path}: sectors"),
                          doc["priority"])
 

@@ -28,21 +28,22 @@ from scipy.sparse import coo_matrix
 
 NOISE = -1
 _CHUNK = 1 << 16   # pairs per distance batch
+# scaled_min_cluster_size: this share of the documents, and never below the floor
+MIN_CLUSTER_SHARE = 0.002
+MIN_CLUSTER_FLOOR = 5
 
 
 @dataclass
 class DensityTopicModel:
-    projected: np.ndarray          # D x k
     labels: np.ndarray             # topic id per document, NOISE = -1
-    min_cluster_size: int
     eps: float
     all_noise: bool
     topic_sizes: dict[int, int] = field(default_factory=dict)
 
 
-def scaled_min_cluster_size(n_docs: int, fraction: float = 0.002, floor: int = 5) -> int:
+def scaled_min_cluster_size(n_docs: int) -> int:
     """Desk-scale analogue of the fixed min topic size used at corpus scale."""
-    return max(floor, int(np.ceil(fraction * n_docs)))
+    return max(MIN_CLUSTER_FLOOR, int(np.ceil(MIN_CLUSTER_SHARE * n_docs)))
 
 
 def random_projection(embeddings: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -154,9 +155,7 @@ def density_topics(
     new_id[keep] = np.arange(keep.size)
     topic_sizes = {t: int(sizes[c]) for t, c in enumerate(keep)}
     return DensityTopicModel(
-        projected=projected,
         labels=new_id[raw],
-        min_cluster_size=min_cluster_size,
         eps=float(eps),
         all_noise=not topic_sizes,
         topic_sizes=topic_sizes,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EmptyVocabularyError
+from ..errors import DataError
 from ..text import tokenize
 from .density import NOISE
 
@@ -54,7 +54,7 @@ def build_dtm(texts: Sequence[str], min_df: int = 1,
     two arrays (ids, counts), not as a dict of strings, until the vocabulary
     is known; each document's indices ascend."""
     if not texts:
-        raise EmptyVocabularyError("empty corpus")
+        raise DataError("empty corpus")
     stop = stopwords()
     ids: dict[str, int] = {}  # each term's id, in order of first sight
     seen: list = []  # each document's (first-sight ids, counts)
@@ -71,7 +71,7 @@ def build_dtm(texts: Sequence[str], min_df: int = 1,
     df = np.bincount(np.concatenate([idx for idx, _ in seen]), minlength=len(ids))
     kept = np.flatnonzero((df >= min_df) & (df / n <= max_df_fraction)).tolist()
     if not kept:
-        raise EmptyVocabularyError("frequency thresholds eliminated every term")
+        raise DataError("frequency thresholds eliminated every term")
     terms, df = list(ids), df.tolist()
     order = sorted(kept, key=lambda i: (-df[i], terms[i]))
     rank = np.full(len(terms), -1, dtype=np.int64)  # each id's vocabulary index, -1 if dropped

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_ITERATIONS = 300
+
 
 @dataclass
 class KMeansModel:
@@ -17,7 +19,6 @@ class KMeansModel:
     assignments: np.ndarray       # D, nearest-centroid ids
     wcss: float
     iterations_run: int
-    seed: int
     wcss_trace: list[float] = field(default_factory=list)
     degenerate: bool = False
 
@@ -63,8 +64,7 @@ def wcss_of(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
     return float(buffer.sum())
 
 
-def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
-               max_iterations: int = 300) -> KMeansModel:
+def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (1 <= k <= n):
@@ -77,14 +77,14 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
         centroids = np.repeat(points[:1], k, axis=0)
         assignments = np.zeros(n, dtype=np.int64)
         return KMeansModel(centroids=centroids, assignments=assignments, wcss=0.0,
-                           iterations_run=0, seed=seed, wcss_trace=[0.0], degenerate=True)
+                           iterations_run=0, wcss_trace=[0.0], degenerate=True)
 
     buffer = np.empty(points.shape)  # the one D x d array each distance pass reuses
     centroids = _kmeanspp_init(points, k, rng, buffer)
     assignments = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         new_assignments = _sq_dists(points, centroids, buffer).argmin(axis=1)
         for cluster in range(k):
             members = np.flatnonzero(new_assignments == cluster)
@@ -107,6 +107,5 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
         assignments=assignments,
         wcss=wcss_of(points, centroids, assignments, buffer),
         iterations_run=iterations,
-        seed=seed,
         wcss_trace=trace,
     )

@@ -50,13 +50,9 @@ class RateSeries:
 
 @dataclass
 class ForecastSeries:
-    label: tuple
-    spec: ArimaSpec
-    history: RateSeries
-    horizon: int
     forecasts: list[tuple[int, float, float, float]]  # (year, point, lower, upper)
-    model: ArimaModel | None = None
-    short_series: bool = False
+    model: ArimaModel
+    short_series: bool
 
 
 @dataclass
@@ -102,15 +98,7 @@ def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2) -> Fo
         )
     model = arima_fit(fit_on.values, spec)
     fc = arima_forecast(model, horizon, last_year=series.years[-1])
-    return ForecastSeries(
-        label=series.label,
-        spec=spec,
-        history=series,
-        horizon=horizon,
-        forecasts=list(zip(fc.years, fc.point, fc.lower, fc.upper)),
-        model=model,
-        short_series=short,
-    )
+    return ForecastSeries(list(zip(fc.years, fc.point, fc.lower, fc.upper)), model, short)
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:

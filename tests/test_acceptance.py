@@ -17,7 +17,7 @@ from skillscope.cleanse import cleanse
 from skillscope.embed import HashedProvider
 from skillscope.fixtures import YEARS, _prevalence, generate_rows, write_demo_corpus
 from skillscope.framing import AnchorCentroids, frame_document
-from skillscope.ingest import Deduplicator, RawRecord
+from skillscope.ingest import Deduplicator, RawRecord, dedup_key
 from skillscope.skills import detect_skills, per_mille, rate_table
 from skillscope.taxonomy import (
     SECTOR_NAMES,
@@ -111,10 +111,11 @@ def test_03_skill_extraction_oracle_equivalence(report):
 def test_04_trend_recovery(report):
     rows = generate_rows(n=2000, seed=42)
     records = [RawRecord(f"g:{i}", d, t, "csv") for i, (d, t) in enumerate(rows)]
-    postings, _ = cleanse(list(Deduplicator().filter(records)))
+    dedup = Deduplicator()
+    postings, _ = cleanse([r for r in records if dedup.first(dedup_key(r.raw_text), "g")])
     matcher = CompiledMatcher.from_taxonomy(load_taxonomy())
     yearly = [(n, dict(zip(SKILL_CATEGORIES, rates))) for _, n, *rates in
-              rate_table(((p.year,), per_mille(detect_skills(p, matcher).flags))
+              rate_table(((p.year,), per_mille(detect_skills(p, matcher)))
                          for p in postings)]
     ai = [rate["AI_Data"] for _, rate in yearly]
     routine = [rate["Routine"] for _, rate in yearly]

@@ -16,7 +16,7 @@ from skillscope.arima import (
     css_residuals,
     psi_weights,
 )
-from skillscope.errors import ConfigError, SeriesTooShortError
+from skillscope.errors import ConfigError, DataError
 
 
 class TestSpec:
@@ -172,7 +172,7 @@ class TestArimaFit:
         assert np.allclose(fc.point, 7.0, atol=1e-8)
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
+        with pytest.raises(DataError, match="need >= 5 points after differencing, got 4"):
             arima_fit(np.arange(4.0), ArimaSpec(2, 0, 2))
 
     def test_objective_matches_independent_recomputation(self):

@@ -1,7 +1,10 @@
 import csv
+import errno
 import io
+import itertools
 import json
 import re
+from unittest import mock
 from xml.sax.saxutils import escape
 
 import pytest
@@ -9,12 +12,9 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillscope.errors import (
-    ConfigError,
-    EndpointUnreachableError,
-    FileUnreadableError,
-    FormatMismatchError,
-)
+from skillscope import ingest
+from skillscope.cli import EXIT_DATA, main
+from skillscope.errors import ConfigError, DataError
 from skillscope.ingest import (
     ApiClientStats,
     Deduplicator,
@@ -27,6 +27,8 @@ from skillscope.ingest import (
     load_manifest,
     read_source,
 )
+
+from .helpers import assert_no_children, write_three_sources
 
 
 def spec_for(path, fmt="csv", **kw):
@@ -46,7 +48,7 @@ class TestParseFile:
     def test_csv_missing_column_is_format_mismatch(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("when,text\n2022-01-01,hello\n")
-        with pytest.raises(FormatMismatchError):
+        with pytest.raises(DataError, match="header lacks 'date'/'description'"):
             list(read_source(spec_for(p)))
 
     def test_ldjson_bad_line_skipped_and_counted(self, tmp_path):
@@ -86,7 +88,7 @@ class TestParseFile:
     def test_json_garbage_is_format_mismatch(self, tmp_path):
         p = tmp_path / "a.json"
         p.write_text("not json at all")
-        with pytest.raises(FormatMismatchError):
+        with pytest.raises(DataError, match="a.json: not valid JSON"):
             list(read_source(spec_for(p, "json")))
 
     @settings(max_examples=300, deadline=None)
@@ -100,7 +102,7 @@ class TestParseFile:
         def rows(fh):
             try:
                 return list(_iter_csv(fh, spec_for("a.csv")))
-            except FormatMismatchError as e:
+            except DataError as e:
                 return str(e)
 
         data = b"date,description\n" + data
@@ -110,8 +112,23 @@ class TestParseFile:
         assert rows(stream) == rows(io.StringIO(data.decode("utf-8", errors="replace")))
 
     def test_missing_file_unreadable(self, tmp_path):
-        with pytest.raises(FileUnreadableError):
+        with pytest.raises(DataError, match="cannot read .*nope.csv"):
             list(read_source(spec_for(tmp_path / "nope.csv")))
+
+    def test_ldjson_lines_end_at_newline_only(self, tmp_path):
+        # JSON allows U+0085, U+2028 and U+2029 raw inside a string, where
+        # str.splitlines would cut the line
+        texts = ["plain text", "line\u2028and\u2029paragraph", "next\u0085line"]
+        lines = [json.dumps({"date": "2022-01-01", "description": t}, ensure_ascii=False)
+                 for t in texts]
+        p = tmp_path / "a.ldjson"
+        p.write_text("\n".join([lines[0], "", "{not json", lines[1], "  ", lines[2]]) + "\n",
+                     encoding="utf-8")
+        counts = SourceCounts()
+        records = list(read_source(spec_for(p, "ldjson"), counts=counts))
+        assert [(r.source_id, r.raw_text) for r in records] == [
+            ("a:0", texts[0]), ("a:2", texts[1]), ("a:3", texts[2])]
+        assert (counts.emitted, counts.skipped, counts.dropped_empty) == (3, 1, 0)
 
     def test_conservation_emitted_skipped_empty(self, tmp_path):
         p = tmp_path / "a.ldjson"
@@ -245,7 +262,7 @@ class TestFetchApi:
 
     def test_endpoint_unreachable_after_three_failures(self):
         transport = ReplayTransport({"calls": [{"status": 503}] * 3})
-        with pytest.raises(EndpointUnreachableError):
+        with pytest.raises(DataError, match="page 1 failed after 3 attempts: HTTP 503"):
             list(read_source(self.api_spec(), transport=transport))
 
     def test_date_range_excluding_everything(self):
@@ -308,7 +325,7 @@ class TestFetchApi:
             return (200, _page(_items(5))) if params["page"] == 1 else (status, body)
 
         stats = ApiClientStats()
-        with pytest.raises(EndpointUnreachableError, match=f"page 4: .*HTTP {status}"):
+        with pytest.raises(DataError, match=f"page 4: .*HTTP {status}"):
             list(read_source(self.api_spec(), transport=transport, stats=stats))
         assert pages == [1, 2, 3, 4]  # net.ATTEMPTS calls after the first failure
         assert stats.pages_skipped == 3
@@ -363,15 +380,23 @@ def rec(text, n):
                      raw_text=text, source_format="csv")
 
 
+def kept(records, dedup=None):
+    """The records ``dedup.first`` keeps, in order, each charged to the
+    source named in its id (a source name may hold ":")."""
+    dedup = dedup or Deduplicator()
+    return [r for r in records
+            if dedup.first(dedup_key(r.raw_text), r.source_id.rsplit(":", 1)[0])]
+
+
 class TestDeduplicate:
     def test_casing_and_spacing_variant_removed_first_kept(self):
         records = [rec("Data  Entry Role", 0), rec("data entry role", 1)]
-        out = list(Deduplicator().filter(records))
+        out = kept(records)
         assert len(out) == 1 and out[0].source_id == "s:0"
 
     def test_distinct_texts_all_survive(self):
         records = [rec(f"unique text {i}", i) for i in range(100)]
-        assert len(list(Deduplicator().filter(records))) == 100
+        assert len(kept(records)) == 100
 
     def test_five_planted_pairs_leave_fifteen(self):
         texts = [f"base text variant {i}" for i in range(15)]
@@ -379,7 +404,7 @@ class TestDeduplicate:
         for i in range(5):  # plant a duplicate of the first five
             stream.append(texts[i].upper())
         records = [rec(t, i) for i, t in enumerate(stream)]
-        survivors = list(Deduplicator().filter(records))
+        survivors = kept(records)
         # oracle: brute-force pairwise comparison of normalized texts
         expected = []
         for r in records:
@@ -393,7 +418,7 @@ class TestDeduplicate:
         d = Deduplicator()
         records = [rec("same text here", 0),
                    RawRecord("other:0", "2022-01-01", "same  TEXT here", "csv")]
-        out = list(d.filter(records))
+        out = kept(records, d)
         assert len(out) == 1
         assert d.removed_by_source == {"other": 1}
 
@@ -408,10 +433,27 @@ class TestDeduplicate:
     @settings(max_examples=60, deadline=None)
     def test_dedup_is_idempotent_and_matches_key_count(self, texts):
         records = [rec(t, i) for i, t in enumerate(texts)]
-        once = list(Deduplicator().filter(records))
-        twice = list(Deduplicator().filter(once))
+        once = kept(records)
+        twice = kept(once)
         assert once == twice
         assert len(once) == len({dedup_key(t) for t in texts})
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_read_error_partway_through_a_source_is_exit_4(tmp_path, capsys, jobs):
+    run = write_three_sources(tmp_path)
+    read_csv = ingest._FILE_READERS["csv"]
+
+    def failing(fh, spec):  # one row, then the disk fails
+        yield from itertools.islice(read_csv(fh, spec), 1)
+        raise OSError(errno.EIO, "Input/output error")
+
+    with mock.patch.dict(ingest._FILE_READERS, csv=failing):
+        assert main(["ingest", "--config", str(run), "--jobs", jobs]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot read {tmp_path / 'postings.csv'}: [Errno 5] Input/output error" in err
+    assert list((tmp_path / "results").glob("raw_records.ndjson*")) == []  # nor its parts
+    assert_no_children()
 
 
 _xml_safe_text = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Cn"))

@@ -16,7 +16,7 @@ import skillscope
 from skillscope import net
 from skillscope.cli import EXIT_OK, main
 from skillscope.embed import HttpProvider
-from skillscope.errors import EndpointUnreachableError, ServiceError
+from skillscope.errors import DataError
 
 
 class ScriptedServer(ThreadingHTTPServer):
@@ -102,8 +102,8 @@ class TestCall:
 
     def test_the_last_reason_is_raised_after_the_last_try(self):
         send, sent = self.replies(OSError("refused"), (502, None), (503, None))
-        with pytest.raises(EndpointUnreachableError, match="^gave up: HTTP 503$"):
-            net.call(send, lambda reason: EndpointUnreachableError(f"gave up: {reason}"))
+        with pytest.raises(DataError, match="^gave up: HTTP 503$"):
+            net.call(send, lambda reason: DataError(f"gave up: {reason}"))
         assert len(sent) == net.ATTEMPTS
 
     def test_waits_double_between_tries(self, monkeypatch):
@@ -111,8 +111,8 @@ class TestCall:
         monkeypatch.setattr(net, "BACKOFF_S", 0.5)
         monkeypatch.setattr(net.time, "sleep", waits.append)
         send, _ = self.replies((500, None), (500, None), (500, None))
-        with pytest.raises(ServiceError):
-            net.call(send, ServiceError)
+        with pytest.raises(DataError, match="^HTTP 500$"):
+            net.call(send, DataError)
         assert waits == [0.5, 1.0]
 
     def test_a_refused_connection_is_an_oserror_tried_again(self):
@@ -125,8 +125,8 @@ class TestCall:
                 tries.append(1)
                 return net.send_json("GET", url, 5)
 
-            with pytest.raises(ServiceError, match="refused"):
-                net.call(send, ServiceError)
+            with pytest.raises(DataError, match="refused"):
+                net.call(send, DataError)
         assert len(tries) == net.ATTEMPTS
 
 
@@ -167,7 +167,7 @@ class TestHttpProvider:
                                        (200, {"vectors": {"a": [1.0, 0.0]}})])
     def test_a_reply_without_a_vector_list_fails_at_once(self, server, reply):
         server.replies = [reply]
-        with pytest.raises(ServiceError, match=f"HTTP {reply[0]} without a 'vectors' list"):
+        with pytest.raises(DataError, match=f"HTTP {reply[0]} without a 'vectors' list"):
             HttpProvider(server.url, 2).embed("a")
         assert len(server.requests) == 1
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from skillscope import cli, parallel
 from skillscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from skillscope.embed import HashedProvider
-from skillscope.errors import DataError, MissingUpstreamError, PatternCompileError
+from skillscope.errors import DataError, MissingUpstreamError
 from skillscope.fixtures import write_demo_corpus
 from skillscope.parallel import WorkerError, map_chunks
 from skillscope.taxonomy import load_anchors
@@ -31,6 +31,14 @@ from .helpers import assert_no_children, write_three_sources
 
 SPLIT_STAGES = ("cleanse", "extract", "framing")
 MODEL_STAGES = ("topics", "forecast")
+
+
+class TwoArgumentError(Exception):
+    """An error whose __init__ builds its message from two arguments."""
+
+    def __init__(self, phrase: str, reason: str):
+        super().__init__(f"cannot compile pattern {phrase!r}: {reason}")
+        self.phrase = phrase
 
 
 def in_worker(parent_pid: int) -> bool:
@@ -179,7 +187,7 @@ class TestMapChunks:
 
     @pytest.mark.parametrize("error", [
         MissingUpstreamError("postings.ndjson"),
-        PatternCompileError("data (", "missing ), unterminated subpattern"),
+        TwoArgumentError("data (", "missing ), unterminated subpattern"),
         DataError("no postings to frame"),
         KeyError("sector"),
     ], ids=type)

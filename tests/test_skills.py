@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillscope.skills import SkillFlags, detect_skills, per_mille, rate_table
+from skillscope.skills import detect_skills, per_mille, rate_table
 from skillscope.taxonomy import SKILL_CATEGORIES, CompiledMatcher, load_taxonomy
 
 from .conftest import posting
@@ -18,36 +18,35 @@ def flags_for(text):
 class TestDetectSkills:
     def test_ai_terms_set_single_flag(self):
         f = flags_for("requires prompt engineering and fine-tuning experience")
-        assert f.flags["AI_Data"] is True
-        assert f.flags["Routine"] is False
+        assert f["AI_Data"] is True
+        assert f["Routine"] is False
 
     def test_routine_only(self):
         f = flags_for("daily data entry duties")
-        assert f.flags["Routine"] is True
-        assert f.flags["AI_Data"] is False
+        assert f["Routine"] is True
+        assert f["AI_Data"] is False
 
     def test_filler_has_no_flags(self):
         f = flags_for("join our welcoming office in the city centre")
-        assert not any(f.flags.values())
+        assert not any(f.values())
 
     def test_presence_not_count(self):
         once = flags_for("python role")
         thrice = flags_for("python python gpt mlops")
-        assert once.flags["AI_Data"] is thrice.flags["AI_Data"] is True
+        assert once["AI_Data"] is thrice["AI_Data"] is True
 
 
 def yearly(flagged):
     """{year: (postings, {category: rate})} from the rows ``extract`` writes
-    for ``(SkillFlags, year)`` pairs, checking that years come out ascending."""
-    rows = rate_table(((year,), per_mille(f.flags)) for f, year in flagged)
+    for ``(flags, year)`` pairs, checking that years come out ascending."""
+    rows = rate_table(((year,), per_mille(f)) for f, year in flagged)
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     return {year: (n, dict(zip(SKILL_CATEGORIES, rates))) for year, n, *rates in rows}
 
 
 def make_flagged(spec):
     """spec: list of (year, set-of-true-categories)."""
-    return [(SkillFlags(posting_id=f"p{i}", flags={c: c in cats for c in SKILL_CATEGORIES}),
-             year) for i, (year, cats) in enumerate(spec)]
+    return [({c: c in cats for c in SKILL_CATEGORIES}, year) for year, cats in spec]
 
 
 class TestAggregateYearly:

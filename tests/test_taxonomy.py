@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillscope.errors import (
-    DuplicatePatternError,
-    EmptyCategoryError,
-    PatternCompileError,
-    SchemaError,
-)
+from skillscope.errors import ConfigError
 from skillscope.taxonomy import (
     SECTOR_NAMES,
     SKILL_CATEGORIES,
@@ -70,7 +65,7 @@ class TestLoaders:
         del doc["categories"]["Leadership"]
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="Leadership"):
+        with pytest.raises(ConfigError, match="categories: Leadership is required"):
             load_taxonomy(f)
 
     def test_cross_category_duplicate_rejected(self, tmp_path):
@@ -78,7 +73,7 @@ class TestLoaders:
         doc["categories"]["Routine"].append({"surface": "python"})  # also in AI_Data
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(DuplicatePatternError, match="python"):
+        with pytest.raises(ConfigError, match="'python' appears in both AI_Data and Routine"):
             load_taxonomy(f)
 
     def test_empty_category_rejected(self, tmp_path):
@@ -86,7 +81,7 @@ class TestLoaders:
         doc["categories"]["Routine"] = []
         f = tmp_path / "t.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(EmptyCategoryError):
+        with pytest.raises(ConfigError, match="categories: 'Routine' is empty"):
             load_taxonomy(f)
 
     def test_anchor_group_overlap_rejected(self, tmp_path):
@@ -94,7 +89,7 @@ class TestLoaders:
         doc["augment_anchors"].append("automation")  # already in automate
         f = tmp_path / "a.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(DuplicatePatternError, match="automation"):
+        with pytest.raises(ConfigError, match="'automation' appears in both"):
             load_anchors(f)
 
     @pytest.mark.parametrize("loader,group", [(load_anchors, "augment_anchors"),
@@ -105,7 +100,7 @@ class TestLoaders:
         phrases.append({"phrase": "", "extended": True})
         f = tmp_path / "lexicon.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="empty phrase"):
+        with pytest.raises(ConfigError, match="empty phrase"):
             loader(f)
 
     @pytest.mark.parametrize("loader,key", [(load_anchors, "domain_subsets"),
@@ -117,14 +112,14 @@ class TestLoaders:
                key: {"Legal": ["contract review"]}}
         f = tmp_path / "lexicon.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=key):
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
             loader(f)
 
     @pytest.mark.parametrize("loader", [load_taxonomy, load_anchors, load_sectors])
     def test_not_an_object_rejected(self, tmp_path, loader):
         f = tmp_path / "lexicon.json"
         f.write_text("[1]")
-        with pytest.raises(SchemaError, match="must be a JSON object"):
+        with pytest.raises(ConfigError, match="lexicon.json must be a JSON object"):
             loader(f)
 
     def test_sector_priority_must_be_permutation(self, tmp_path):
@@ -132,7 +127,7 @@ class TestLoaders:
         doc["priority"] = doc["priority"][:-1]
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="priority must be a total order"):
             load_sectors(f)
 
 
@@ -152,7 +147,7 @@ class TestCompiledMatcher:
         assert m.match_labels("MACHINE Learning expert") == {"AI_Data"}
 
     def test_untokenizable_phrase_fails_compilation(self):
-        with pytest.raises(PatternCompileError):
+        with pytest.raises(ConfigError, match="cannot compile pattern '!!!'"):
             CompiledMatcher({"X": ["!!!"]})
 
     def test_fifty_planted_phrases_match_exactly(self):

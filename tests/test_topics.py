@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import gammaln
 
-from skillscope.errors import ConfigError, EmptyVocabularyError
+from skillscope.errors import ConfigError, DataError
 from skillscope.text import tokenize
 from skillscope.topics import (
     NOISE,
@@ -44,7 +44,7 @@ def dict_dtm(texts, min_df=1, max_df_fraction=1.0):
     """build_dtm as first written, one {term: count} dict per document: the
     reference the id-array builder must equal, array for array."""
     if not texts:
-        raise EmptyVocabularyError("empty corpus")
+        raise DataError("empty corpus")
     stop = stopwords()
     doc_term_counts, df = [], {}
     for text in texts:
@@ -58,7 +58,7 @@ def dict_dtm(texts, min_df=1, max_df_fraction=1.0):
     n = len(texts)
     kept = [t for t, d in df.items() if d >= min_df and d / n <= max_df_fraction]
     if not kept:
-        raise EmptyVocabularyError("frequency thresholds eliminated every term")
+        raise DataError("frequency thresholds eliminated every term")
     vocab = sorted(kept, key=lambda t: (-df[t], t))
     term_id = {t: i for i, t in enumerate(vocab)}
     doc_indices, doc_counts = [], []
@@ -89,9 +89,9 @@ class TestBuildDtm:
         assert "the" not in dtm.vocab and "and" not in dtm.vocab
 
     def test_empty_vocabulary(self):
-        with pytest.raises(EmptyVocabularyError):
+        with pytest.raises(DataError, match="^frequency thresholds eliminated every term$"):
             build_dtm(["the and of"])
-        with pytest.raises(EmptyVocabularyError):
+        with pytest.raises(DataError, match="^empty corpus$"):
             build_dtm([])
 
     def test_doc_tokens_multiplicity(self):
@@ -106,8 +106,8 @@ class TestBuildDtm:
     def test_equals_the_dict_builder(self, texts, min_df, max_df_fraction):
         try:
             expected = dict_dtm(texts, min_df, max_df_fraction)
-        except EmptyVocabularyError:
-            with pytest.raises(EmptyVocabularyError):
+        except DataError as e:
+            with pytest.raises(DataError, match=f"^{e}$"):
                 build_dtm(texts, min_df, max_df_fraction)
             return
         dtm = build_dtm(texts, min_df, max_df_fraction)

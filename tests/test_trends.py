@@ -228,7 +228,7 @@ class TestSectorRates:
     def flag_rows(self, postings):
         """The ``skill_flags.ndjson`` rows ``extract`` writes for ``postings``."""
         sectors = sector_totals(postings, SECTORS)
-        return [{"posting_id": p.id, **detect_skills(p, MATCHER).flags, "sector": sectors[p.id]}
+        return [{"posting_id": p.id, **detect_skills(p, MATCHER), "sector": sectors[p.id]}
                 for p in postings]
 
     def rates(self, postings):
