@@ -6,11 +6,11 @@ five sources, one per format, laid out as that module lays out wide-10k
 (each source N/5 rows plus the planted noise and two duplicates of the
 previous source), into DIR (a temporary directory by default). It then runs
 ``ingest``, ``cleanse``, ``extract``, ``framing`` and ``sectors`` at
-``--jobs 2``, all in one fresh interpreter, so that the rows generated here
-do not count, and prints each stage's ``wall_clock_s`` and ``peak_rss_mb``
-from ``run_manifest.json``, then one JSON line of the same. ``peak_rss_mb``
-is that interpreter's high-water mark so far, so a stage's reading is the
-most any stage up to it held.
+``--jobs 2``, all in one fresh interpreter, and prints each stage's
+``wall_clock_s`` and ``peak_rss_mb`` from ``run_manifest.json``, then one JSON
+line of the same. ``peak_rss_mb`` is that interpreter's own high-water mark
+so far (``VmHWM``, so the rows generated here do not count), and a stage's
+reading is the most any stage up to it held.
 """
 
 import json

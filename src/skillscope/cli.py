@@ -388,13 +388,25 @@ class Manifest:
         def peak_mb(who) -> float:  # ru_maxrss is in KiB
             return round(resource.getrusage(who).ru_maxrss / 1024, 1)
 
+        def own_peak_mb() -> float:
+            # VmHWM, in KiB too: on Linux RUSAGE_SELF's ru_maxrss keeps the
+            # peak of the process that started this one across exec
+            try:
+                with open("/proc/self/status") as fh:
+                    for line in fh:
+                        if line.startswith("VmHWM:"):
+                            return round(int(line.split()[1]) / 1024, 1)
+            except OSError:
+                pass
+            return peak_mb(resource.RUSAGE_SELF)  # no procfs: the launcher's peak counts too
+
         self.doc["stages"][stage] = {
             "wall_clock_s": round(wall_clock, 3),
             "jobs": jobs,
             "processes": processes,
             # high-water marks since this process started: its own, and that
             # of the largest worker it has waited for
-            "peak_rss_mb": peak_mb(resource.RUSAGE_SELF),
+            "peak_rss_mb": own_peak_mb(),
             "workers_peak_rss_mb": peak_mb(resource.RUSAGE_CHILDREN),
             "counts": counts or {},
             "outputs": {p.name: describe(p) for p in outputs},

@@ -19,6 +19,10 @@ cell-major (N x K) layout, so the bytes are that layout's:
   document's or term's cells in cell order, as the K-column CSR product does.
 gamma is seeded from numpy's ``default_rng(seed)``: the same seed gives the
 same bytes under the same numpy and scipy build, not across builds.
+
+``scipy.sparse`` and ``scipy.special`` are imported inside the functions that
+use them, so a process that never fits LDA never loads scipy for it; the
+first fit in a process pays that import.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
 
 from ..errors import ConfigError
 from .dtm import DocTermMatrix
@@ -70,6 +72,8 @@ class LdaModel:
 
 def _log_joint_words(n_wk: np.ndarray, beta: float) -> float:
     """log p(w | z) up to a constant, from (expected) V x K term-topic counts."""
+    from scipy.special import gammaln
+
     n_kt = n_wk.T
     V = n_kt.shape[1]
     return float(gammaln(n_kt + beta).sum() - gammaln(n_kt.sum(axis=1) + V * beta).sum())
@@ -105,6 +109,8 @@ def _cell_sums(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
+    from scipy import sparse
+
     if dtm.n_docs == 0 or dtm.n_terms == 0:
         raise ConfigError("empty document-term matrix")
     K, V, D = cfg.K, dtm.n_terms, dtm.n_docs

@@ -141,6 +141,20 @@ class TestSmoke:
         peaks = [stages[name]["peak_rss_mb"] for name in PIPELINE]
         assert peaks == sorted(peaks)
 
+    def test_manifest_peak_is_the_stage_process_s_own(self, demo_dir, tmp_path):
+        # on Linux, ru_maxrss keeps the peak of the process that started this
+        # one across exec: here a launcher that holds 200 MB
+        copy_artifacts(results_dir(demo_dir), tmp_path, PIPELINE["correlate"].inputs)
+        ballast = b"\x01" * (200 << 20)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "skillscope.cli", "correlate",
+                               "--config", str(demo_dir / "run.json"), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        del ballast
+        assert done.returncode == EXIT_OK, done.stderr
+        entry = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]["correlate"]
+        assert 0 < entry["peak_rss_mb"] < 100
+
     def test_manifest_lists_each_forecast_fit(self, demo_dir):
         out = results_dir(demo_dir)
         fits = json.loads((out / "run_manifest.json").read_text()
@@ -163,22 +177,24 @@ class TestSmoke:
         assert all(f["iterations"] > 0 for f in fits)
 
     @pytest.mark.parametrize("stages, unloaded", [
-        ((), ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")),
-        (("ingest", "cleanse", "extract", "framing", "sectors"),
-         ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")),
-        (("forecast",), ("scipy.optimize",)),
-        # the density model loads scipy.spatial and scipy.sparse.csgraph
+        ((), ("scipy",)),
+        (("ingest", "cleanse", "extract", "framing", "sectors"), ("scipy",)),
+        (("forecast",), ("scipy",)),
+        (("correlate", "report"), ("scipy",)),
+        # LDA and the density model load scipy.sparse, scipy.special,
+        # scipy.spatial and scipy.sparse.csgraph
         (("topics",), ("scipy.optimize",)),
-    ], ids=["import", "ingest-to-sectors", "forecast", "topics"])
+    ], ids=["import", "ingest-to-sectors", "forecast", "correlate-and-report", "topics"])
     def test_stages_leave_the_scipy_modules_they_do_not_use_unloaded(
             self, demo_dir, tmp_path, stages, unloaded):
         inputs = {name for stage in stages for name in PIPELINE[stage].inputs}
         copy_artifacts(results_dir(demo_dir), tmp_path, inputs - {
             name for stage in stages for name in PIPELINE[stage].outputs})
+        # a name counts as loaded if it or any of its submodules is
         code = ("import sys; from skillscope.cli import main; "
                 "print(*[main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) "
-                "for stage in sys.argv[4:]], *[name in sys.modules "
-                "for name in sys.argv[3].split(',')])")
+                "for stage in sys.argv[4:]], *[any(m == name or m.startswith(name + '.') "
+                "for m in sys.modules) for name in sys.argv[3].split(',')])")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, str(demo_dir / "run.json"),
                                str(tmp_path), ",".join(unloaded), *stages], env=env,
