@@ -28,18 +28,16 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class ArimaSpec:
+    """The order (p, d, q) of an ARIMA model."""
     p: int
     d: int
     q: int
-    smoothing_alpha: float | None = None
 
     def __post_init__(self):
         if min(self.p, self.d, self.q) < 0:
             raise ConfigError("p, d, q must be non-negative")
         if self.p + self.q < 1 and self.d < 1:
             raise ConfigError("need p+q >= 1 or d >= 1")
-        if self.smoothing_alpha is not None and not (0 < self.smoothing_alpha <= 1):
-            raise ConfigError("smoothing_alpha must be in (0,1]")
 
 
 @dataclass

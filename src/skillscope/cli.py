@@ -20,6 +20,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -36,8 +37,8 @@ import numpy as np
 
 from . import __version__, parallel
 from .arima import ArimaSpec
-from .cleanse import CleanseConfig, CleanseReport, Posting, cleanse
-from .config import check_fields, check_utf8, conforms, read_json
+from .cleanse import REJECT_REASONS, CleanseConfig, CleanseReport, Posting, cleanse
+from .config import REQUIRED, check_fields, check_utf8, conforms, read_json
 from .embed import HashedProvider, provider_from_spec, spec_arguments
 from .errors import ConfigError, DataError, MissingUpstreamError, SkillscopeError
 from .framing import AnchorCentroids, frame_document
@@ -60,6 +61,7 @@ from .taxonomy import (
 )
 from .text import tokenize
 from .topics import (
+    NOISE,
     LdaConfig,
     build_dtm,
     cluster_terms,
@@ -72,6 +74,7 @@ from .topics import (
 )
 from .trends import (
     RateSeries,
+    check_alpha,
     forecast_series,
     pearson_matrix,
     sector_rates,
@@ -91,7 +94,7 @@ def derive_seed(seed: int, stage: str) -> int:
 
 
 # Each key of the four model objects: (type, default, lowest value). LdaConfig
-# holds the LDA defaults and checks the LDA bounds, ArimaSpec smoothing_alpha's
+# holds the LDA defaults and checks the LDA bounds, check_alpha smoothing_alpha's
 # and HashedProvider the embedding dimension; RunConfig calls them at load.
 MODEL_FIELDS = {
     "lda": {"K": (int, LdaConfig.K, None), "alpha": (float, LdaConfig.alpha, None),
@@ -144,7 +147,7 @@ class RunConfig:
         self.cleanse = (CleanseConfig.from_file(files["cleanse_config"])
                         if "cleanse_config" in files else CleanseConfig())
         LdaConfig(**self.lda)
-        ArimaSpec(1, 1, 1, self.forecast["smoothing_alpha"])
+        check_alpha(self.forecast["smoothing_alpha"], "config 'forecast': smoothing_alpha")
         self.output_dir = (path.parent / top["output_dir"] if top["output_dir"]
                            else Path(os.environ.get("SKILLSCOPE_OUT") or "out"))
         self.seed = top["seed"]
@@ -215,6 +218,14 @@ def read_csv(path: Path, columns: dict[str, Callable[[str], object]]) -> list[di
     except (ValueError, csv.Error) as e:
         raise DataError(f"{path} line {reader.line_num}: {e}") from e
     return rows
+
+
+def finite(cell: str) -> float:
+    """A ``read_csv`` converter: the number in a cell, which must be finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
 
 
 def as_text(convert: Callable[[str], object]) -> Callable[[str], str]:
@@ -528,7 +539,7 @@ def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
 
 
 # the cells of skill_rates.csv that are read, and how
-RATE_COLUMNS = {"year": int, **dict.fromkeys(SKILL_CATEGORIES, float)}
+RATE_COLUMNS = {"year": int, **dict.fromkeys(SKILL_CATEGORIES, finite)}
 
 
 def rate_series(path: Path, rows: list[dict]) -> dict[str, RateSeries]:
@@ -668,16 +679,9 @@ def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     once = interning()  # each year key and per-mille tuple
 
     def label(postings):
-        flags = []
-
-        def tokens_after_skills():
-            # each description is tokenized once for both matchers, one at a time
-            for p in postings:
-                tokens = tokenize(p.description)
-                flags.append(detect_skills(p, matcher, tokens))
-                yield tokens
-
-        sectors = sector_totals(postings, cfg.sectors, tokens_after_skills())
+        tokens = [tokenize(p.description) for p in postings]  # once for both matchers
+        flags = [detect_skills(p, matcher, toks) for p, toks in zip(postings, tokens)]
+        sectors = sector_totals(postings, cfg.sectors, tokens)
         return (({"posting_id": p.id, **f, "sector": sectors[p.id]}
                  for p, f in zip(postings, flags)),
                 [(once((p.year,)), once(tuple(per_mille(f)))) for p, f in zip(postings, flags)])
@@ -800,7 +804,7 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         "K": cfg.kmeans["K"], "wcss": km.wcss,
         "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
                                   km_terms)})
-    noise = int((dm.labels == -1).sum())
+    noise = int((dm.labels == NOISE).sum())
     write_json(out / "density_topics.json", {
         "min_cluster_size": mcs, "all_noise": dm.all_noise, "noise_count": noise,
         "topics": topic_entries(dm.topic_sizes, dm_terms)})
@@ -817,17 +821,15 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     series = rate_series_from_csv(out)
     horizon = cfg.forecast["horizon"]
-    specs = [
-        ("smoothed_arima(1,1,1)",
-         ArimaSpec(1, 1, 1, smoothing_alpha=cfg.forecast["smoothing_alpha"])),
-        ("arima(2,0,2)", ArimaSpec(2, 0, 2)),
-    ]
+    # (name, ARIMA order, smoothing alpha) of each spec
+    specs = [("smoothed_arima(1,1,1)", ArimaSpec(1, 1, 1), cfg.forecast["smoothing_alpha"]),
+             ("arima(2,0,2)", ArimaSpec(2, 0, 2), None)]
 
     def fit(group):
         rows, diagnostics = [], []
-        for cat, (spec_name, spec) in group:
+        for cat, (spec_name, spec, alpha) in group:
             s = series[cat]
-            fc = forecast_series(s, spec, horizon=horizon)
+            fc = forecast_series(s, spec, horizon, alpha)
             for year, rate in s.points:
                 rows.append([cat, spec_name, year, float(rate), float(rate), float(rate), 0])
             for year, point, lower, upper in fc.forecasts:
@@ -842,12 +844,14 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
     # one fit costs far more than handing out a piece, so a piece is one fit
     fits = [(cat, spec) for cat in SKILL_CATEGORIES for spec in specs]
-    pieces = workers.map_chunks(fit, fits, floor=1)
+    try:
+        pieces = workers.map_chunks(fit, fits, floor=1)
+    except DataError as e:  # a series the file holds cannot be fitted
+        raise DataError(f"{out / 'skill_rates.csv'}: {e}") from e
     write_csv(out / "forecast.csv",
               ["label", "spec", "year", "value", "lower", "upper", "is_forecast"],
               [row for rows, _ in pieces for row in rows])
-    return {"series": len(fits), "horizon": horizon,
-            "fits": [entry for _, diagnostics in pieces for entry in diagnostics]}
+    return {"fits": [entry for _, diagnostics in pieces for entry in diagnostics]}
 
 
 def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -864,8 +868,7 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             row.append("undefined" if np.isnan(v) else float(v))
         rows.append(row)
     write_csv(out / "correlation.csv", ["category"] + list(matrix.labels), rows)
-    lo, hi = matrix.off_diagonal_extremes()
-    return {"min_off_diagonal": lo, "max_off_diagonal": hi}
+    return {}  # report takes the extremes from correlation.csv
 
 
 def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -890,7 +893,12 @@ REPORT_TABLES = (
 
 
 def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    cleanse_report = read_json(out / "cleanse_report.json", "artifact", DataError)
+    counts_path = out / "cleanse_report.json"
+    cleanse_report = check_fields(read_json(counts_path, "artifact", DataError), {
+        "input": (int, REQUIRED, 0), "retained": (int, REQUIRED, 0),
+        "rejected": (dict, REQUIRED, None)}, f"artifact {counts_path}", DataError)
+    check_fields(cleanse_report["rejected"], dict.fromkeys(REJECT_REASONS, (int, REQUIRED, 0)),
+                 f"artifact {counts_path}: rejected", DataError)
     # the year rows as text, as the table holds them, once each cell converts
     # and the series keep forecast's and correlate's rules
     rate_rows = read_csv(out / "skill_rates.csv", {
@@ -898,7 +906,7 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     rate_series(out / "skill_rates.csv", rate_rows)
     rates_by_year = {r["year"]: r for r in rate_rows}
     mean_fi = {r["year"]: r["fi"] for r in read_csv(out / "framing_by_year.csv",
-                                                    {"year": str, "fi": float})}
+                                                    {"year": str, "fi": finite})}
     density = json_rows(out / "density_topics.json")
     if not isinstance(density, dict) or not all(
             isinstance(topic, dict) and conforms(topic.get("size"), int)
@@ -907,12 +915,12 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                         "a topic is not an object with an int 'size'")
     # each row's cells off the diagonal, which is the row's own category column
     correlations = read_csv(out / "correlation.csv", {"category": str, **dict.fromkeys(
-        SKILL_CATEGORIES, lambda v: None if v == "undefined" else float(v))})
+        SKILL_CATEGORIES, lambda v: None if v == "undefined" else finite(v))})
     off_diag = [v for r in correlations for col, v in r.items()
                 if col not in ("category", r["category"]) and v is not None]
     endpoints: dict[str, dict[str, float]] = {}
     for r in read_csv(out / "forecast.csv",
-                      {"label": str, "spec": str, "value": float, "is_forecast": int}):
+                      {"label": str, "spec": str, "value": finite, "is_forecast": int}):
         if r["is_forecast"] == 1:
             endpoints.setdefault(r["label"], {})[r["spec"]] = r["value"]
 

@@ -2,8 +2,8 @@
 the inter-category Pearson matrix, sector classification and the (sector,
 year) rate table, which ``skills.rate_table`` builds.
 
-The smoothed ARIMA(1,1,1) path smooths the series before fitting; the
-ARIMA(2,0,2) path fits the raw series. Annual series of eight points are
+``forecast_series`` fits an ARIMA order to a series, smoothed first by
+``exp_smooth`` when it is given an alpha. Annual series of eight points are
 statistically fragile for (2,0,2); a short-series warning is attached.
 """
 
@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast
 from .cleanse import Posting
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .skills import rate_table
 from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
 from .text import tokenize
@@ -60,17 +61,16 @@ class CorrelationMatrix:
     labels: tuple[str, ...]
     entries: np.ndarray  # NaN marks undefined (zero-variance) pairs
 
-    def off_diagonal_extremes(self) -> tuple[float, float]:
-        n = len(self.labels)
-        vals = [self.entries[i, j] for i in range(n) for j in range(n)
-                if i != j and not math.isnan(self.entries[i, j])]
-        return (min(vals), max(vals)) if vals else (math.nan, math.nan)
+
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """ConfigError naming ``name`` unless the smoothing alpha is in (0, 1]."""
+    if not (0 < alpha <= 1):
+        raise ConfigError(f"{name} must be in (0,1], got {alpha!r}")
 
 
 def exp_smooth(values, alpha: float):
     """s1 = x1; s_t = alpha*x_t + (1-alpha)*s_{t-1}."""
-    if not (0 < alpha <= 1):
-        raise ConfigError("alpha must be in (0,1]")
+    check_alpha(alpha)
     values = list(values)
     if not values:
         raise ConfigError("cannot smooth an empty series")
@@ -80,23 +80,24 @@ def exp_smooth(values, alpha: float):
     return out
 
 
-def smooth_series(series: RateSeries, alpha: float) -> RateSeries:
-    smoothed = exp_smooth([r for _, r in series.points], alpha)
-    return RateSeries(label=series.label,
-                      points=tuple(zip(series.years, smoothed)))
-
-
-def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2) -> ForecastSeries:
-    """Fit and forecast one rate series, smoothing first when the spec
-    carries a smoothing alpha."""
-    fit_on = series if spec.smoothing_alpha is None else smooth_series(series, spec.smoothing_alpha)
+def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2,
+                    smoothing_alpha: float | None = None) -> ForecastSeries:
+    """Fit and forecast one rate series, first smoothed with ``exp_smooth``
+    when ``smoothing_alpha`` is given; DataError if its years are not
+    consecutive, since the fit takes each point as the next step."""
+    for year, following in pairwise(series.years):
+        if following != year + 1:
+            raise DataError(f"series {series.label}: years {year} and {following} "
+                            "are not consecutive")
+    values = (series.values if smoothing_alpha is None
+              else exp_smooth(series.values, smoothing_alpha))
     short = len(series.points) < SHORT_SERIES_THRESHOLD and (spec.p + spec.q) >= 3
     if short:
         warnings.warn(
             f"series {series.label} has only {len(series.points)} points; "
             f"ARIMA({spec.p},{spec.d},{spec.q}) estimates will be fragile"
         )
-    model = arima_fit(fit_on.values, spec)
+    model = arima_fit(values, spec)
     fc = arima_forecast(model, horizon, last_year=series.years[-1])
     return ForecastSeries(list(zip(fc.years, fc.point, fc.lower, fc.upper)), model, short)
 
@@ -163,9 +164,8 @@ def sector_rates(years: Iterable[int],
 
 def sector_totals(postings, lex: SectorLexicon, tokens=None) -> dict[str, str | None]:
     """Sector of each posting id, ``None`` where no trigger matches.
-    ``tokens``, when given, yields each posting's tokenized description in
-    turn, so a caller can tokenize each posting once for several matchers
-    without holding every token list at once."""
+    ``tokens``, when given, holds each posting's tokenized description, so a
+    caller can tokenize each posting once for several matchers."""
     matcher = CompiledMatcher.from_sectors(lex)
     if tokens is None:
         tokens = (tokenize(p.description) for p in postings)

@@ -23,16 +23,12 @@ class TestSpec:
     def test_valid(self):
         ArimaSpec(1, 1, 1)
         ArimaSpec(0, 1, 0)
-        ArimaSpec(2, 0, 2, smoothing_alpha=0.5)
+        ArimaSpec(2, 0, 2)
 
     @pytest.mark.parametrize("pdq", [(-1, 0, 0), (0, 0, 0)])
     def test_invalid(self, pdq):
         with pytest.raises(ConfigError):
             ArimaSpec(*pdq)
-
-    def test_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            ArimaSpec(1, 0, 0, smoothing_alpha=1.5)
 
 
 class TestCssResiduals:

@@ -117,6 +117,13 @@ def results_dir(demo_dir: Path) -> Path:
     return demo_dir / "results"
 
 
+def strict_json(path: Path):
+    """The JSON value in ``path`` as RFC 8259 reads it: NaN and Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def copy_artifacts(src: Path, dst: Path, names) -> None:
     dst.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -160,14 +167,17 @@ class TestSmoke:
         fits = json.loads((out / "run_manifest.json").read_text()
                           )["stages"]["forecast"]["counts"]["fits"]
         series = cli.rate_series_from_csv(out)
-        specs = {"smoothed_arima(1,1,1)": cli.ArimaSpec(1, 1, 1, smoothing_alpha=0.5),
-                 "arima(2,0,2)": cli.ArimaSpec(2, 0, 2)}
+        # each spec's ARIMA order and smoothing alpha
+        specs = {"smoothed_arima(1,1,1)": (cli.ArimaSpec(1, 1, 1), 0.5),
+                 "arima(2,0,2)": (cli.ArimaSpec(2, 0, 2), None)}
         assert [(f["category"], f["spec"]) for f in fits] == \
             [(cat, spec) for cat in cli.SKILL_CATEGORIES for spec in specs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the fits' own warnings
             for entry in fits:
-                fc = trends.forecast_series(series[entry["category"]], specs[entry["spec"]])
+                order, alpha = specs[entry["spec"]]
+                fc = trends.forecast_series(series[entry["category"]], order,
+                                            smoothing_alpha=alpha)
                 assert entry == {"category": entry["category"], "spec": entry["spec"],
                                  "converged": fc.model.converged,
                                  "stationary": fc.model.stationary,
@@ -288,6 +298,22 @@ class TestSmoke:
         ex = summary["headline"]["correlation_extremes"]
         assert ex["min_off_diagonal"] == pytest.approx(min(vals))
         assert ex["max_off_diagonal"] == pytest.approx(max(vals))
+
+    def test_correlate_on_constant_series_leaves_a_strict_json_manifest(self, demo_dir,
+                                                                        tmp_path):
+        # every pair is undefined, so there are no extremes to record
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out, PIPELINE["correlate"].inputs)
+        header, *rows = (out / "skill_rates.csv").read_text().splitlines()
+        constant = [",".join(row.split(",")[:2] + ["100.0"] * 5) for row in rows]
+        (out / "skill_rates.csv").write_text("\n".join([header, *constant]) + "\n")
+        assert main(["correlate", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_OK
+        assert strict_json(out / "run_manifest.json")["stages"]["correlate"]["counts"] == {}
+        with open(out / "correlation.csv", newline="") as fh:
+            cells = [(i, j, v) for i, r in enumerate(list(csv.reader(fh))[1:])
+                     for j, v in enumerate(r[1:])]
+        assert {v for i, j, v in cells if i != j} == {"undefined"}
 
 
 class TestErrors:
@@ -461,6 +487,63 @@ class TestErrors:
                      "--out", str(out)]) == EXIT_DATA
         assert f"data error: artifact {out / name}: " in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
+    @pytest.mark.parametrize("name, column, value", [
+        ("framing_by_year.csv", "fi", "nan"), ("forecast.csv", "value", "inf"),
+        ("correlation.csv", "AI_Data", "nan")])
+    def test_a_number_that_is_not_finite_is_exit_4(self, demo_dir, tmp_path, capsys, name,
+                                                    column, value):
+        # the last row: a forecast's in forecast.csv, a cell off the diagonal in
+        # correlation.csv
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE["report"].inputs, "run_manifest.json"})
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows[-1][header.index(column)] = value
+        with open(out / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert main(["report", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert (f"{out / name} line {len(rows) + 1}: {value!r} is not a finite number"
+                in capsys.readouterr().err)
+        assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[]", " must be a JSON object"), ('{"input": 5}', ": retained is required"),
+        ('{"input": "x", "retained": null, "rejected": 3}', ": input must be int >= 0"),
+        ('{"input": 5, "retained": -1, "rejected": {}}', ": retained must be int >= 0"),
+        ('{"input": 5, "retained": 5, "rejected": {"bad_date": 0}}',
+         ": rejected: non_english is required"),
+        ('{"input": 5, "retained": 5, "rejected": {"bad_date": 0, "non_english": 0, '
+         '"out_of_range": 0, "too_short": 0.5}}', ": rejected: too_short must be int >= 0")])
+    def test_a_cleanse_report_of_the_wrong_shape_is_exit_4(self, demo_dir, tmp_path, capsys,
+                                                           text, named):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE["report"].inputs, "run_manifest.json"})
+        (out / "cleanse_report.json").write_text(text)
+        assert main(["report", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert (f"data error: artifact {out / 'cleanse_report.json'}{named}"
+                in capsys.readouterr().err)
+        assert not any((out / artifact).exists() for artifact in PIPELINE["report"].outputs)
+
+    def test_a_year_missing_from_the_rates_is_exit_4_in_forecast(self, tmp_path, capsys):
+        run = write_demo_corpus(tmp_path, n=400)
+        with open(tmp_path / "postings.csv", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if not row[0].startswith("2020")]
+        with open(tmp_path / "postings.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        for stage in ("ingest", "cleanse", "extract"):
+            assert main([stage, "--config", str(run)]) == EXIT_OK
+        out = tmp_path / "results"
+        assert main(["forecast", "--config", str(run)]) == EXIT_DATA
+        assert (f"data error: {out / 'skill_rates.csv'}: series ('AI_Data',): "
+                "years 2019 and 2021 are not consecutive") in capsys.readouterr().err
+        assert not (out / "forecast.csv").exists()
+        # correlate pairs the series' points by year, so a gap is no fault there
+        assert main(["correlate", "--config", str(run)]) == EXIT_OK
 
     @pytest.mark.parametrize("text", [
         "[]", "{}", '{"stages": []}', '{"stages": {"extract": 1}}',

@@ -19,7 +19,6 @@ from skillscope.trends import (
     pearson_r,
     sector_rates,
     sector_totals,
-    smooth_series,
 )
 
 from .conftest import posting
@@ -56,9 +55,10 @@ class TestExpSmooth:
     def test_hand_recursion(self):
         assert exp_smooth([0, 10, 0, 10], 0.5) == [0.0, 5.0, 2.5, 6.25]
 
-    def test_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            exp_smooth([1.0], 0.0)
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+    def test_alpha_outside_zero_to_one_rejected(self, alpha):
+        with pytest.raises(ConfigError, match=r"alpha must be in \(0,1\]"):
+            exp_smooth([1.0], alpha)
 
     @given(st.lists(st.floats(0, 1000), min_size=1, max_size=20),
            st.floats(0.01, 1.0))
@@ -76,12 +76,6 @@ class TestRateSeries:
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
             RateSeries(label=("x",), points=((2020, 1200.0),))
-
-    def test_smooth_series_keeps_years(self):
-        s = series([0, 10, 0, 10])
-        sm = smooth_series(s, 0.5)
-        assert sm.years == s.years
-        assert list(sm.values) == [0.0, 5.0, 2.5, 6.25]
 
 
 class TestPearson:
@@ -167,11 +161,18 @@ class TestPearson:
 class TestForecastSeries:
     def test_smoothing_applied_before_fit(self):
         s = series([100, 300, 100, 300, 100, 300, 100, 300])
-        spec = ArimaSpec(1, 1, 1, smoothing_alpha=0.5)
-        fc = forecast_series(s, spec, horizon=2)
-        assert fc.model is not None
+        fc = forecast_series(s, ArimaSpec(1, 1, 1), horizon=2, smoothing_alpha=0.5)
         smoothed = exp_smooth(list(s.values), 0.5)
+        assert fc.model.last_observations[0].tolist() == smoothed
         assert np.allclose(np.diff(smoothed), fc.model.last_observations[1])
+        # unsmoothed, the same order fits the raw values
+        raw = forecast_series(s, ArimaSpec(1, 1, 1), horizon=2)
+        assert raw.model.last_observations[0].tolist() == list(s.values)
+
+    def test_smoothing_alpha_outside_zero_to_one_rejected(self):
+        s = series([100, 150, 130, 180, 170, 210, 200, 260])
+        with pytest.raises(ConfigError, match=r"alpha must be in \(0,1\], got 1.5"):
+            forecast_series(s, ArimaSpec(1, 0, 0), smoothing_alpha=1.5)
 
     def test_short_series_warning_for_202(self):
         s = series([100, 150, 130, 180, 170, 210, 200, 260])
@@ -181,7 +182,7 @@ class TestForecastSeries:
 
     def test_forecast_years_continue_history(self):
         s = series([100, 150, 130, 180, 170, 210, 200, 260])
-        fc = forecast_series(s, ArimaSpec(1, 1, 1, smoothing_alpha=0.5), horizon=3)
+        fc = forecast_series(s, ArimaSpec(1, 1, 1), horizon=3, smoothing_alpha=0.5)
         assert [y for y, *_ in fc.forecasts] == [2026, 2027, 2028]
 
     def test_monthly_granularity_dense_series(self):
