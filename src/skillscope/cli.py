@@ -148,8 +148,7 @@ class RunConfig:
                         if "cleanse_config" in files else CleanseConfig())
         LdaConfig(**self.lda)
         check_alpha(self.forecast["smoothing_alpha"], "config 'forecast': smoothing_alpha")
-        self.output_dir = (path.parent / top["output_dir"] if top["output_dir"]
-                           else Path(os.environ.get("SKILLSCOPE_OUT") or "out"))
+        self.output_dir = path.parent / top["output_dir"] if top["output_dir"] else Path("out")
         self.seed = top["seed"]
 
     @classmethod
@@ -241,12 +240,25 @@ def ndjson_lines(rows: Iterable[dict]) -> Iterator[str]:
     return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]], fields: Iterable[str] = (),
+# each field of an ndjson artifact's rows and the JSON type its value must
+# have exactly (true is no int); a field typed object may hold any value,
+# which the artifact's reader checks
+NDJSON_FIELDS = {
+    "raw_records.ndjson": dict.fromkeys((f.name for f in dataclass_fields(RawRecord)), str),
+    "postings.ndjson": {"id": str, "date": object, "year": object, "description": str},
+    "skill_flags.ndjson": {"posting_id": str, **dict.fromkeys(SKILL_CATEGORIES, bool)},
+}
+TYPE_NAMES = {str: "a string", bool: "a bool"}
+
+
+def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]],
                  make: Callable[[dict], object] | None = None) -> list:
     """One value per non-blank line of the numbered ``lines`` of ``path``, or
-    what ``make`` makes of it; a line that does not parse, whose value is not
-    an object holding each of ``fields``, or whose value ``make`` rejects
-    with ValueError, raises DataError naming the file and the line."""
+    what ``make`` makes of it. A line that does not parse, a row of an
+    artifact of NDJSON_FIELDS that is not an object holding each of its
+    fields with its type, or a value ``make`` rejects with ValueError raises
+    DataError naming the file and the line."""
+    fields = NDJSON_FIELDS.get(path.name)
     rows = []
     # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
     # each line is decoded on its own, so bad UTF-8 is caught on its line too
@@ -260,6 +272,10 @@ def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]], fields: Iterabl
                     missing = [f for f in fields if f not in row]
                     if missing:
                         raise ValueError(f"missing field {missing[0]!r}")
+                    for field, kind in fields.items():
+                        if kind is not object and type(row[field]) is not kind:
+                            raise ValueError(f"{field} is {type(row[field]).__name__}, "
+                                             f"not {TYPE_NAMES[kind]}")
                 rows.append(make(row) if make else row)
             except ValueError as e:
                 raise DataError(f"{path} line {number}: {e}") from e
@@ -281,13 +297,11 @@ def line_starts(fh: BinaryIO) -> np.ndarray:
 class NdjsonLines:
     """An ndjson file read by ranges of line numbers. This process keeps only
     where each line starts (``line_starts``, 8 bytes a line); a range is read
-    with ``os.pread`` and parsed with ``parse_ndjson``'s checks, ``fields``
-    and ``make``, so its line numbers and messages are those of the whole
-    file."""
+    with ``os.pread`` and parsed with ``parse_ndjson``'s checks and ``make``,
+    so its line numbers and messages are those of the whole file."""
 
-    def __init__(self, fh: BinaryIO, path: Path, fields: Iterable[str] = (),
-                 make: Callable[[dict], object] | None = None):
-        self.fh, self.path, self.fields, self.make = fh, path, tuple(fields), make
+    def __init__(self, fh: BinaryIO, path: Path, make: Callable[[dict], object] | None = None):
+        self.fh, self.path, self.make = fh, path, make
         self.starts = line_starts(fh)
 
     def __len__(self) -> int:
@@ -301,7 +315,7 @@ class NdjsonLines:
         bounds = self.starts[numbers.start - 1:numbers.stop].tolist()
         data = os.pread(self.fh.fileno(), bounds[-1] - bounds[0], bounds[0])
         lines = (data[a - bounds[0]:b - bounds[0]] for a, b in pairwise(bounds))
-        return parse_ndjson(self.path, zip(numbers, lines), self.fields, self.make)
+        return parse_ndjson(self.path, zip(numbers, lines), self.make)
 
 
 @contextmanager
@@ -331,11 +345,10 @@ def concatenated(paths: Iterable[Path]) -> Iterator[str]:
                 yield block
 
 
-def read_ndjson(path: Path, fields: Iterable[str] = (),
-                make: Callable[[dict], object] | None = None) -> list:
+def read_ndjson(path: Path, make: Callable[[dict], object] | None = None) -> list:
     """``parse_ndjson`` over every line of ``path``, read one at a time."""
     with open(path, "rb") as fh:
-        return parse_ndjson(path, enumerate(fh, 1), fields, make)
+        return parse_ndjson(path, enumerate(fh, 1), make)
 
 
 # the object whose entries are a JSON artifact's rows; any other JSON file is one row
@@ -438,60 +451,26 @@ class Manifest:
 
 # --- shared loaders ---------------------------------------------------------
 
-# the keys every row of an ndjson artifact must hold
-POSTING_FIELDS, RAW_RECORD_FIELDS = (tuple(f.name for f in dataclass_fields(cls))
-                                     for cls in (Posting, RawRecord))
-
-
-def wrong_type(field: str, value, expected: str) -> ValueError:
-    return ValueError(f"{field} is {type(value).__name__}, not {expected}")
-
-
 def posting_from_row(d: dict) -> Posting:
-    """The Posting a postings.ndjson row holds; ValueError if its date is not
-    ISO, its year not that date's year or its description not a string."""
-    date, year, description = d["date"], d["year"], d["description"]
+    """The Posting a postings.ndjson row, checked by NDJSON_FIELDS, holds;
+    ValueError if its date is not ISO or its year not that date's year."""
+    date, year = d["date"], d["year"]
     try:
         day = dt.date.fromisoformat(date)
     except (TypeError, ValueError):
         raise ValueError(f"date {date!r} is not an ISO date") from None
     if not isinstance(year, int) or year != day.year:
         raise ValueError(f"year {year!r} is not the year of date {date!r}")
-    if not isinstance(description, str):
-        raise wrong_type("description", description, "a string")
-    return Posting(id=d["id"], date=day, year=year, description=description)
+    return Posting(id=d["id"], date=day, year=year, description=d["description"])
 
 
 def record_from_row(d: dict) -> RawRecord:
-    """The RawRecord a raw_records.ndjson row holds; ValueError if a field is
-    not a string."""
-    values = [d[field] for field in RAW_RECORD_FIELDS]
-    for field, value in zip(RAW_RECORD_FIELDS, values):
-        if not isinstance(value, str):
-            raise wrong_type(field, value, "a string")
-    return RawRecord(*values)
-
-
-def checked_flags(d: dict) -> dict:
-    """A skill_flags.ndjson row; ValueError if a category's flag is not a
-    bool or the sector is neither a string nor null."""
-    for category in SKILL_CATEGORIES:
-        if not isinstance(d[category], bool):
-            raise wrong_type(category, d[category], "a bool")
-    sector = d.get("sector")  # a row without one is stale, which labels says
-    if sector is not None and not isinstance(sector, str):
-        raise wrong_type("sector", sector, "a string or null")
-    return d
+    """The RawRecord a raw_records.ndjson row, checked by NDJSON_FIELDS, holds."""
+    return RawRecord(*(d[field] for field in NDJSON_FIELDS["raw_records.ndjson"]))
 
 
 def load_postings(out: Path) -> list[Posting]:
-    return read_ndjson(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)
-
-
-def posting_key(d: dict) -> tuple:
-    """The id and year of the Posting a postings.ndjson row holds."""
-    posting = posting_from_row(d)
-    return posting.id, posting.year
+    return read_ndjson(out / "postings.ndjson", posting_from_row)
 
 
 def interning() -> Callable:
@@ -505,14 +484,17 @@ def interning() -> Callable:
 def flag_input(out: Path) -> tuple:
     """skill_flags.ndjson as an input of ``Workers.map_lines``: each row as
     its posting id, whether it has a sector, its sector and its per-mille
-    flags, each distinct sector and per-mille tuple held once per process."""
+    flags, each distinct sector and per-mille tuple held once per process;
+    ValueError if the sector is neither a string nor null."""
     once = interning()
 
     def flag_values(d: dict) -> tuple:
-        checked_flags(d)
-        return d["posting_id"], "sector" in d, once(d.get("sector")), once(tuple(per_mille(d)))
+        sector = d.get("sector")  # a row without one is stale, which labels says
+        if sector is not None and not isinstance(sector, str):
+            raise ValueError(f"sector is {type(sector).__name__}, not a string or null")
+        return d["posting_id"], "sector" in d, once(sector), once(tuple(per_mille(d)))
 
-    return out / "skill_flags.ndjson", ("posting_id", *SKILL_CATEGORIES), flag_values
+    return out / "skill_flags.ndjson", flag_values
 
 
 def labels(ids: list, flag_rows: list) -> list[tuple[str | None, tuple[float, ...]]]:
@@ -576,17 +558,17 @@ class Workers:
         self.processes = max(self.processes, parallel.chunk_count(len(items), self.jobs, floor))
         return parallel.map_chunks(fn, items, self.jobs, floor)
 
-    def map_lines(self, inputs: Sequence[tuple[Path, Iterable[str], Callable[[dict], object]]],
+    def map_lines(self, inputs: Sequence[tuple[Path, Callable[[dict], object]]],
                   fn: Callable[..., object], split: bool = True) -> list:
         """``fn(numbers, rows, ...)`` of each piece ``numbers`` of the line
         numbers of the first of the ndjson ``inputs``, in order; each input
-        is ``(path, fields, make)``, read as ``NdjsonLines``, and ``rows``
+        is ``(path, make)``, read as ``NdjsonLines``, and ``rows``
         holds the values of the lines ``numbers`` of each input in turn. The
         last piece reads every input to its end, so a line past the end of
         the first is read too. Unless ``split``, all lines are one piece."""
         with ExitStack() as stack:
-            files = [NdjsonLines(stack.enter_context(open(path, "rb")), path, fields, make)
-                     for path, fields, make in inputs]
+            files = [NdjsonLines(stack.enter_context(open(path, "rb")), path, make)
+                     for path, make in inputs]
             every = range(1, len(files[0]) + 1)
 
             def piece(numbers: range):
@@ -596,7 +578,7 @@ class Workers:
 
             return self.map_chunks(piece, every) if split else [piece(every)]
 
-    def map_rows(self, inputs: Sequence[tuple[Path, Iterable[str], Callable[[dict], object]]],
+    def map_rows(self, inputs: Sequence[tuple[Path, Callable[[dict], object]]],
                  fn: Callable[..., tuple[Iterable[dict], object]], target: Path,
                  split: bool = True, then: Callable[[list], object] = lambda others: others):
         """``then`` of the list of ``fn``'s other results, one per piece of
@@ -667,11 +649,11 @@ def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                  "description": p.description} for p in postings), report
 
     report = CleanseReport()
-    for part in workers.map_rows([(out / "raw_records.ndjson", RAW_RECORD_FIELDS,
-                                   record_from_row)], clean, out / "postings.ndjson"):
+    for part in workers.map_rows([(out / "raw_records.ndjson", record_from_row)], clean,
+                                 out / "postings.ndjson"):
         report.add(part)
     write_json(out / "cleanse_report.json", report.as_dict())
-    return report.as_dict()
+    return {}
 
 
 def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -686,12 +668,12 @@ def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                  for p, f in zip(postings, flags)),
                 [(once((p.year,)), once(tuple(per_mille(f)))) for p, f in zip(postings, flags)])
 
-    pieces = workers.map_rows([(out / "postings.ndjson", POSTING_FIELDS, posting_from_row)],
-                              label, out / "skill_flags.ndjson")
+    pieces = workers.map_rows([(out / "postings.ndjson", posting_from_row)], label,
+                              out / "skill_flags.ndjson")
     keyed = [pair for pairs in pieces for pair in pairs]
     yearly = rate_table(keyed)
     write_csv(out / "skill_rates.csv", ["year", "postings"] + list(SKILL_CATEGORIES), yearly)
-    return {"postings": len(keyed), "years": len(yearly)}
+    return {}
 
 
 def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
@@ -721,7 +703,7 @@ def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
     # file lookups are cheap, and an http provider has its own concurrency
     keys, values = workers.map_rows(
-        [(out / "postings.ndjson", POSTING_FIELDS, posting_from_row), flag_input(out)], frame,
+        [(out / "postings.ndjson", posting_from_row), flag_input(out)], frame,
         out / "framing.ndjson", split=isinstance(provider, HashedProvider), then=joined)
 
     def framed():  # each posting's year, sector and values, made as a table reads them
@@ -734,8 +716,7 @@ def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     by_sector = rate_table(((year, sector), v) for year, sector, v in framed()
                            if sector is not None)
     write_csv(out / "framing_by_sector.csv", ["year", "sector", *columns], by_sector)
-    return {"documents": len(keys), "year_rows": len(by_year),
-            "sector_rows": len(by_sector)}
+    return {}
 
 
 def topic_entries(sizes: dict[int, int], terms: dict[int, list]) -> dict:
@@ -868,21 +849,21 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             row.append("undefined" if np.isnan(v) else float(v))
         rows.append(row)
     write_csv(out / "correlation.csv", ["category"] + list(matrix.labels), rows)
-    return {}  # report takes the extremes from correlation.csv
+    return {}
 
 
 def stage_sectors(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    def label(numbers, keys, flag_rows):
-        return [(year, flags) for (_, year), flags
-                in zip(keys, labels([posting_id for posting_id, _ in keys], flag_rows))]
+    def label(numbers, postings, flag_rows):
+        return [(p.year, flags)
+                for p, flags in zip(postings, labels([p.id for p in postings], flag_rows))]
 
     labelled = [pair for piece in workers.map_lines(
-        [(out / "postings.ndjson", POSTING_FIELDS, posting_key), flag_input(out)], label)
+        [(out / "postings.ndjson", posting_from_row), flag_input(out)], label)
         for pair in piece]
     rows = sector_rates((year for year, _ in labelled), (flags for _, flags in labelled))
     write_csv(out / "sector_rates.csv",
               ["sector", "year", "postings"] + list(SKILL_CATEGORIES), rows)
-    return {"rows": len(rows)}
+    return {}
 
 
 REPORT_TABLES = (
@@ -958,12 +939,13 @@ def stage_report(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         md += ["", f"Correlation off-diagonal range: "
                    f"{min(off_diag):.4f} .. {max(off_diag):.4f}"]
     atomic_write(out / "summary.md", [line + "\n" for line in md])
-    return {"tables": len(tables)}
+    return {}
 
 
 @dataclass(frozen=True)
 class Stage:
-    run: Callable[[RunConfig, Path, Workers], dict]  # (cfg, output dir, workers) -> counts
+    # (cfg, output dir, workers) -> counts: only numbers that no artifact holds
+    run: Callable[[RunConfig, Path, Workers], dict]
     inputs: tuple[str, ...]   # artifacts read from the output dir, checked in order
     outputs: tuple[str, ...]  # artifacts written, checksummed into the manifest
 

@@ -148,6 +148,14 @@ class TestSmoke:
         peaks = [stages[name]["peak_rss_mb"] for name in PIPELINE]
         assert peaks == sorted(peaks)
 
+    def test_manifest_counts_only_what_no_artifact_holds(self, demo_dir):
+        stages = json.loads((results_dir(demo_dir) / "run_manifest.json").read_text())["stages"]
+        assert {name: sorted(entry["counts"]) for name, entry in stages.items()} == {
+            "ingest": ["duplicates_removed", "records"], "cleanse": [], "extract": [],
+            "framing": [], "topics": ["density", "density_topics", "fit_s", "kmeans",
+                                      "lda_topics", "vocab"],
+            "forecast": ["fits"], "correlate": [], "sectors": [], "report": []}
+
     def test_manifest_peak_is_the_stage_process_s_own(self, demo_dir, tmp_path):
         # on Linux, ru_maxrss keeps the peak of the process that started this
         # one across exec: here a launcher that holds 200 MB
@@ -635,6 +643,9 @@ class TestErrors:
         ("framing", "skill_flags.ndjson", ("Leadership", 0, "Leadership is int, not a bool")),
         ("framing", "skill_flags.ndjson", ("sector", 5, "sector is int, not a string or null")),
         ("sectors", "skill_flags.ndjson", ("sector", 5, "sector is int, not a string or null")),
+        ("extract", "postings.ndjson", ("id", ["x"], "id is list, not a string")),
+        ("topics", "postings.ndjson", ("id", 5, "id is int, not a string")),
+        ("sectors", "skill_flags.ndjson", ("posting_id", 5, "posting_id is int, not a string")),
     ], ids=lambda v: f"{v[0]}={v[1]}" if isinstance(v, tuple) else None)
     def test_ndjson_row_without_a_field_is_exit_4_naming_it(self, demo_dir, tmp_path, capsys,
                                                             stage, name, field):
@@ -1008,14 +1019,16 @@ def test_text_path_artifacts_are_pinned(demo_dir):
 
 
 class TestConfigPlumbing:
-    def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
-        write_demo_corpus(tmp_path)
-        cfg = json.loads((tmp_path / "run.json").read_text())
+    def test_default_output_dir_is_out_in_the_working_directory(self, tmp_path, monkeypatch):
+        write_demo_corpus(tmp_path / "demo", n=60)
+        cfg = json.loads((tmp_path / "demo" / "run.json").read_text())
         del cfg["output_dir"]
-        (tmp_path / "run.json").write_text(json.dumps(cfg))
-        monkeypatch.setenv("SKILLSCOPE_OUT", str(tmp_path / "envout"))
-        assert main(["ingest", "--config", str(tmp_path / "run.json")]) == EXIT_OK
-        assert (tmp_path / "envout" / "raw_records.ndjson").exists()
+        (tmp_path / "demo" / "run.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SKILLSCOPE_OUT", str(tmp_path / "envout"))  # not read
+        assert main(["ingest", "--config", str(tmp_path / "demo" / "run.json")]) == EXIT_OK
+        assert (tmp_path / "out" / "raw_records.ndjson").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_out_flag_overrides(self, tmp_path):
         write_demo_corpus(tmp_path)
@@ -1055,13 +1068,12 @@ class TestConfigPlumbing:
         monkeypatch.chdir(tmp_path)
         assert main(["ingest", "--config", "cfg/run.json"]) == EXIT_OK
         assert main(["ingest", "--config", str(demo), "--out", "flag"]) == EXIT_OK
-        monkeypatch.setenv("SKILLSCOPE_OUT", "env")
         demo.write_text(json.dumps({k: v for k, v in json.loads(demo.read_text()).items()
                                     if k != "output_dir"}))
         assert main(["ingest", "--config", str(demo)]) == EXIT_OK
-        # --out and SKILLSCOPE_OUT stay relative to the working directory
+        # --out and the default ./out stay relative to the working directory
         expected = (tmp_path / "flag" / "raw_records.ndjson").read_bytes()
-        for out in (tmp_path / "cfg" / "results", tmp_path / "env"):
+        for out in (tmp_path / "cfg" / "results", tmp_path / "out"):
             assert (out / "raw_records.ndjson").read_bytes() == expected
 
     def test_validate_defaults_ok(self, capsys):
