@@ -657,15 +657,16 @@ def stage_cleanse(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
 
 def stage_extract(cfg: RunConfig, out: Path, workers: Workers) -> dict:
-    matcher = CompiledMatcher.from_taxonomy(cfg.taxonomy)
+    # built once, before the pieces fork
+    skill_matcher, sector_matcher = CompiledMatcher(cfg.taxonomy), CompiledMatcher(cfg.sectors)
     once = interning()  # each year key and per-mille tuple
 
     def label(postings):
         tokens = [tokenize(p.description) for p in postings]  # once for both matchers
-        flags = [detect_skills(p, matcher, toks) for p, toks in zip(postings, tokens)]
-        sectors = sector_totals(postings, cfg.sectors, tokens)
-        return (({"posting_id": p.id, **f, "sector": sectors[p.id]}
-                 for p, f in zip(postings, flags)),
+        flags = [detect_skills(p, skill_matcher, toks) for p, toks in zip(postings, tokens)]
+        sectors = sector_totals(postings, sector_matcher, tokens)
+        return (({"posting_id": p.id, **f, "sector": s}
+                 for p, f, s in zip(postings, flags, sectors)),
                 [(once((p.year,)), once(tuple(per_mille(f)))) for p, f in zip(postings, flags)])
 
     pieces = workers.map_rows([(out / "postings.ndjson", posting_from_row)], label,
@@ -785,18 +786,17 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         "K": cfg.kmeans["K"], "wcss": km.wcss,
         "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
                                   km_terms)})
-    noise = int((dm.labels == NOISE).sum())
     write_json(out / "density_topics.json", {
-        "min_cluster_size": mcs, "all_noise": dm.all_noise, "noise_count": noise,
+        "min_cluster_size": mcs, "all_noise": dm.all_noise,
+        "noise_count": int((dm.labels == NOISE).sum()),
         "topics": topic_entries(dm.topic_sizes, dm_terms)})
     matrix = temporal_weights(dm.labels.tolist(), years)
     write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"],
               [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]
                for year in matrix.years for topic in matrix.topics])
-    return {"lda_topics": lda_cfg.K, "density_topics": len(dm.topic_sizes),
-            "vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s},
+    return {"vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s},
             "kmeans": {"iterations_run": km.iterations_run, "wcss_trace": km.wcss_trace},
-            "density": {"eps": dm.eps, "noise_count": noise}}
+            "density": {"eps": dm.eps}}
 
 
 def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import anchor_centroid, cosine
-from .taxonomy import AnchorSet
+from .taxonomy import ANCHOR_GROUPS
 
 
 @dataclass(frozen=True)
@@ -20,12 +20,9 @@ class AnchorCentroids:
     automate: np.ndarray
 
     @classmethod
-    def from_anchors(cls, anchors: AnchorSet, provider) -> "AnchorCentroids":
-        return cls(
-            ai=anchor_centroid(anchors.ai_anchors, provider),
-            augment=anchor_centroid(anchors.augment_anchors, provider),
-            automate=anchor_centroid(anchors.automate_anchors, provider),
-        )
+    def from_anchors(cls, anchors: dict[str, list[str]], provider) -> "AnchorCentroids":
+        """The centroid of each group of ``load_anchors``, in field order."""
+        return cls(*(anchor_centroid(anchors[group], provider) for group in ANCHOR_GROUPS))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ def detect_skills(posting: Posting, matcher: CompiledMatcher,
                   tokens: list[str] | None = None) -> dict[str, bool]:
     """Whether each category matches the posting's description, in
     category order; ``tokens``, when given, is the tokenized description."""
-    labels = matcher.match_labels(posting.description, tokens)
-    return {cat: cat in labels for cat in SKILL_CATEGORIES}
+    hits = matcher.match_hits(posting.description, tokens)
+    return {cat: cat in hits for cat in SKILL_CATEGORIES}
 
 
 def per_mille(flags: Mapping[str, bool]) -> list[float]:

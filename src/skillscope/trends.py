@@ -2,6 +2,10 @@
 the inter-category Pearson matrix, sector classification and the (sector,
 year) rate table, which ``skills.rate_table`` builds.
 
+``sector_totals`` gives each posting, in order, the sector of its own text:
+the sector matcher's group with the most distinct trigger hits, a tie going
+to the group the matcher lists first, which is the lexicon's priority order.
+
 ``forecast_series`` fits an ARIMA order to a series, smoothed first by
 ``exp_smooth`` when it is given an alpha. Annual series of eight points are
 statistically fragile for (2,0,2); a short-series warning is attached.
@@ -21,8 +25,7 @@ from .arima import ArimaModel, ArimaSpec, arima_fit, arima_forecast
 from .cleanse import Posting
 from .errors import ConfigError, DataError
 from .skills import rate_table
-from .taxonomy import SKILL_CATEGORIES, CompiledMatcher, SectorLexicon
-from .text import tokenize
+from .taxonomy import SKILL_CATEGORIES, CompiledMatcher
 
 SHORT_SERIES_THRESHOLD = 12
 
@@ -136,19 +139,14 @@ def pearson_matrix(series_by_category: dict[str, RateSeries]) -> CorrelationMatr
     return CorrelationMatrix(labels=labels, entries=entries)
 
 
-def classify_sector(posting: Posting, lex: SectorLexicon,
-                    matcher: CompiledMatcher | None = None,
-                    tokens: list[str] | None = None) -> str | None:
-    """Sector with the most distinct trigger hits; ties go to the earlier
-    sector in the lexicon's priority order; no hits -> None. ``tokens``,
-    when given, is the tokenized description."""
-    matcher = matcher if matcher is not None else CompiledMatcher.from_sectors(lex)
+def classify_sector(posting: Posting, matcher: CompiledMatcher,
+                    tokens: list[str]) -> str | None:
+    """Sector with the most distinct trigger hits in ``tokens``, the
+    posting's tokenized description; ties go to the sector ``matcher`` lists
+    first; no hits -> None."""
     hits = matcher.match_hits(posting.description, tokens)
-    if not hits:
-        return None
-    rank = {name: i for i, name in enumerate(lex.priority)}
-    best = min(hits, key=lambda s: (-len(hits[s]), rank[s]))
-    return best
+    best = max(matcher.labels, key=lambda s: len(hits.get(s, ())))
+    return best if best in hits else None
 
 
 def sector_rates(years: Iterable[int],
@@ -162,12 +160,10 @@ def sector_rates(years: Iterable[int],
                       for year, (sector, values) in zip(years, flags) if sector is not None)
 
 
-def sector_totals(postings, lex: SectorLexicon, tokens=None) -> dict[str, str | None]:
-    """Sector of each posting id, ``None`` where no trigger matches.
-    ``tokens``, when given, holds each posting's tokenized description, so a
-    caller can tokenize each posting once for several matchers."""
-    matcher = CompiledMatcher.from_sectors(lex)
-    if tokens is None:
-        tokens = (tokenize(p.description) for p in postings)
-    return {p.id: classify_sector(p, lex, matcher, toks)
-            for p, toks in zip(postings, tokens, strict=True)}
+def sector_totals(postings: Sequence[Posting], matcher: CompiledMatcher,
+                  tokens: Iterable[list[str]]) -> list[str | None]:
+    """The sector of each posting, in order, ``None`` where no trigger
+    matches; ``tokens`` holds each posting's tokenized description, so a
+    caller tokenizes each posting once for several matchers. A posting's
+    sector depends on its own text alone, never on its id."""
+    return [classify_sector(p, matcher, toks) for p, toks in zip(postings, tokens, strict=True)]

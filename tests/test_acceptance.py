@@ -27,6 +27,7 @@ from skillscope.taxonomy import (
     load_sectors,
     load_taxonomy,
 )
+from skillscope.text import tokenize
 from skillscope.topics import (
     LdaConfig,
     build_dtm,
@@ -87,10 +88,8 @@ def test_02_cleanse_conservation(report):
 
 
 def test_03_skill_extraction_oracle_equivalence(report):
-    tax = load_taxonomy()
-    patterns = {cat: [ph for p in pats for ph in p.phrases()]
-                for cat, pats in tax.categories.items()}
-    matcher = CompiledMatcher.from_taxonomy(tax)
+    patterns = load_taxonomy()
+    matcher = CompiledMatcher(patterns)
     all_phrases = [ph for phs in patterns.values() for ph in phs]
     filler = ["office", "team", "apply", "today", "role", "support", "city",
               "remote", "hours", "salary", "great", "join"]
@@ -113,7 +112,7 @@ def test_04_trend_recovery(report):
     records = [RawRecord(f"g:{i}", d, t, "csv") for i, (d, t) in enumerate(rows)]
     dedup = Deduplicator()
     postings, _ = cleanse([r for r in records if dedup.first(dedup_key(r.raw_text), "g")])
-    matcher = CompiledMatcher.from_taxonomy(load_taxonomy())
+    matcher = CompiledMatcher(load_taxonomy())
     yearly = [(n, dict(zip(SKILL_CATEGORIES, rates))) for _, n, *rates in
               rate_table(((p.year,), per_mille(detect_skills(p, matcher)))
                          for p in postings)]
@@ -140,7 +139,7 @@ def test_05_framing_index_sign(report):
     rng = random.Random(55)
     correct = 0
     for i in range(500):
-        group = anchors.augment_anchors if i % 2 == 0 else anchors.automate_anchors
+        group = anchors["augment_anchors" if i % 2 == 0 else "automate_anchors"]
         words = rng.choices(filler, k=rng.randint(2, 8))
         for ph in rng.choices(group, k=rng.randint(2, 5)):
             words.append(ph)
@@ -298,7 +297,11 @@ def test_10_correlation_matrix(report):
 def test_11_sector_classification(report):
     from .conftest import posting
 
-    lex = load_sectors()
+    matcher = CompiledMatcher(load_sectors())
+
+    def sector_of(p):
+        return classify_sector(p, matcher, tokenize(p.description))
+
     snippets = {
         "IT": "developer maintaining backend services and devops pipelines",
         "Healthcare": "nurse supporting clinical staff and patient rounds",
@@ -317,11 +320,11 @@ def test_11_sector_classification(report):
             p = posting(f"{snippets[sector]} opening number {i}",
                         pid=f"{sector}-{i}")
             total += 1
-            if classify_sector(p, lex) == sector:
+            if sector_of(p) == sector:
                 correct += 1
     assert total == 90 and correct == 90
 
     # tie-break determinism by construction: one IT hit vs one Finance hit
     tie = posting("developer working on audit tooling")
-    assert classify_sector(tie, lex) == "IT"  # IT precedes Finance in priority
+    assert sector_of(tie) == "IT"  # IT precedes Finance in priority
     report["ok"] = True

@@ -37,7 +37,8 @@ from skillscope.cli import (
 )
 from skillscope.errors import DataError
 from skillscope.fixtures import write_demo_corpus
-from skillscope.taxonomy import default_path, load_sectors
+from skillscope.taxonomy import CompiledMatcher, default_path, load_sectors
+from skillscope.text import tokenize
 from skillscope.trends import sector_totals
 
 from .helpers import assert_no_children, write_three_sources
@@ -51,6 +52,12 @@ EXTRA_POSTINGS = [
     {"id": "extra:none", "date": "2022-05-01", "year": 2022,
      "description": "a generic posting about an unnamed role in town"},
 ]
+
+
+def sectors_of(postings, lexicon=None) -> list:
+    """The sector of each posting under the sector lexicon at ``lexicon``."""
+    return sector_totals(postings, CompiledMatcher(load_sectors(lexicon)),
+                         [tokenize(p.description) for p in postings])
 
 
 def cut_inside_a_record(data: bytes) -> tuple[bytes, str]:
@@ -152,8 +159,7 @@ class TestSmoke:
         stages = json.loads((results_dir(demo_dir) / "run_manifest.json").read_text())["stages"]
         assert {name: sorted(entry["counts"]) for name, entry in stages.items()} == {
             "ingest": ["duplicates_removed", "records"], "cleanse": [], "extract": [],
-            "framing": [], "topics": ["density", "density_topics", "fit_s", "kmeans",
-                                      "lda_topics", "vocab"],
+            "framing": [], "topics": ["density", "fit_s", "kmeans", "vocab"],
             "forecast": ["fits"], "correlate": [], "sectors": [], "report": []}
 
     def test_manifest_peak_is_the_stage_process_s_own(self, demo_dir, tmp_path):
@@ -250,9 +256,7 @@ class TestSmoke:
         dm = cli.density_topics(
             emb, min_cluster_size=cli.scaled_min_cluster_size(len(postings)),
             k_reduced=cfg.density["k_reduced"], seed=derive_seed(cfg.seed, "topics.density"))
-        assert density == {"eps": dm.eps, "noise_count": int((dm.labels == -1).sum())}
-        assert density["noise_count"] == json.loads(
-            (out / "density_topics.json").read_text())["noise_count"]
+        assert density == {"eps": dm.eps}
 
     def test_summary_lists_ten_tables(self, demo_dir):
         summary = json.loads((results_dir(demo_dir) / "summary.json").read_text())
@@ -812,13 +816,25 @@ class TestSectorLabels:
         out = tmp_path / "out"
         extract_with_extras(demo_dir, out)
         postings = load_postings(out)
-        labels = sector_totals(postings, load_sectors())
         rows = read_ndjson(out / "skill_flags.ndjson")
         assert [r["posting_id"] for r in rows] == [p.id for p in postings]
-        assert [r["sector"] for r in rows] == [labels[r["posting_id"]] for r in rows]
+        assert [r["sector"] for r in rows] == sectors_of(postings)
         assert rows[-2]["sector"] == "IT"
         assert rows[-1]["sector"] is None
         assert '"sector": null' in (out / "skill_flags.ndjson").read_text().splitlines()[-1]
+
+    def test_a_repeated_id_keeps_each_posting_s_own_sector(self, demo_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (results_dir(demo_dir) / "postings.ndjson").read_text().splitlines(True)
+        first_id = json.loads(lines[0])["id"]
+        lines[1] = json.dumps({**json.loads(lines[1]), "id": first_id}) + "\n"
+        (out / "postings.ndjson").write_text("".join(lines))
+        assert main(["extract", "--config", str(demo_dir / "run.json"),
+                     "--out", str(out)]) == EXIT_OK
+        rows = read_ndjson(out / "skill_flags.ndjson")[:2]
+        assert [(r["posting_id"], r["sector"]) for r in rows] == [
+            (first_id, "IT"), (first_id, "Healthcare")]
 
     def test_one_run_classifies_once(self, tmp_path, monkeypatch):
         calls, classified = Counter(), Counter()
@@ -837,7 +853,7 @@ class TestSectorLabels:
 
     def test_extract_tokenizes_each_posting_once(self, demo_dir, tmp_path, monkeypatch):
         seen = Counter()
-        for module in (cli, taxonomy, trends):
+        for module in (cli, taxonomy):
             def counted(text, _fn=module.tokenize):
                 seen[text] += 1
                 return _fn(text)
@@ -862,8 +878,8 @@ class TestSectorLabels:
         reversed_path.write_text(json.dumps(lexicon))
         postings = load_postings(first)
         # the reversed priority relabels the tie, so a stage that classified would differ
-        assert (sector_totals(postings, load_sectors(reversed_path))["extra:tie"]
-                != sector_totals(postings, load_sectors())["extra:tie"])
+        tie = -2  # extra:tie
+        assert sectors_of(postings, reversed_path)[tie] != sectors_of(postings)[tie]
         run_path = tmp_path / "run.json"
         run_path.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
                                         "sectors": str(reversed_path)}))

@@ -32,8 +32,8 @@ class TestFrameDocument:
             assert frame_document(doc, centroids).framing_index == 0.0
 
     def test_augment_vs_automate_documents(self):
-        aug_doc = PROVIDER.embed(" ".join(ANCHORS.augment_anchors))
-        auto_doc = PROVIDER.embed(" ".join(ANCHORS.automate_anchors))
+        aug_doc = PROVIDER.embed(" ".join(ANCHORS["augment_anchors"]))
+        auto_doc = PROVIDER.embed(" ".join(ANCHORS["automate_anchors"]))
         assert frame_document(aug_doc, CENTROIDS).framing_index > 0
         assert frame_document(auto_doc, CENTROIDS).framing_index < 0
 
@@ -51,10 +51,7 @@ class TestFrameDocument:
         doc = PROVIDER.embed("platform role with decision support duties")
         base = frame_document(doc, CENTROIDS)
         grown = AnchorCentroids.from_anchors(
-            type(ANCHORS)(ai_anchors=ANCHORS.ai_anchors + ["brand new anchor"],
-                          augment_anchors=ANCHORS.augment_anchors,
-                          automate_anchors=ANCHORS.automate_anchors),
-            PROVIDER)
+            {**ANCHORS, "ai_anchors": ANCHORS["ai_anchors"] + ["brand new anchor"]}, PROVIDER)
         r = frame_document(doc, grown)
         assert r.sim_ai != base.sim_ai
         assert r.sim_augment == base.sim_augment
@@ -109,8 +106,8 @@ class TestAggregateFraming:
 
     def test_planted_augment_shift_raises_mean_fi(self):
         # augment-phrase density rises after 2021; later-years mean FI larger
-        aug = " ".join(ANCHORS.augment_anchors)
-        auto = " ".join(ANCHORS.automate_anchors)
+        aug = " ".join(ANCHORS["augment_anchors"])
+        auto = " ".join(ANCHORS["automate_anchors"])
         filler = "general office posting about quarterly planning and reviews"
         results, years = [], {}
         pid = 0

@@ -535,7 +535,7 @@ class TestSplitStages:
         # a vector for each posting id and each anchor phrase
         anchors = load_anchors()
         keys = [p.id for p in cli.load_postings(out)] + [
-            *anchors.ai_anchors, *anchors.augment_anchors, *anchors.automate_anchors]
+            phrase for group in anchors.values() for phrase in group]
         hashed = HashedProvider(16)
         vectors = tmp_path / "vectors.csv"
         vectors.write_text("id,16\n" + "".join(

@@ -8,7 +8,7 @@ from skillscope.taxonomy import SKILL_CATEGORIES, CompiledMatcher, load_taxonomy
 
 from .conftest import posting
 
-MATCHER = CompiledMatcher.from_taxonomy(load_taxonomy())
+MATCHER = CompiledMatcher(load_taxonomy())
 
 
 def flags_for(text):

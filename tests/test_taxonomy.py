@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from skillscope.errors import ConfigError
 from skillscope.taxonomy import (
+    ANCHOR_GROUPS,
     SECTOR_NAMES,
     SKILL_CATEGORIES,
     CompiledMatcher,
@@ -39,26 +41,27 @@ def naive_match(text: str, patterns: dict[str, list[str]]) -> dict[str, set[str]
 class TestLoaders:
     def test_default_taxonomy_valid(self):
         tax = load_taxonomy()
-        assert tuple(tax.categories) == SKILL_CATEGORIES
-        surfaces = {p.surface for pats in tax.categories.values() for p in pats}
+        assert tuple(tax) == SKILL_CATEGORIES
+        phrases = {phrase for group in tax.values() for phrase in group}
         # documented core terms are present and unflagged
         for term in ("prompt engineering", "fine-tuning", "model monitoring",
                      "data entry", "communication", "strategic planning"):
-            assert term in surfaces
-        for pats in tax.categories.values():
-            assert len(pats) >= 10
+            assert term in phrases
+        for group in tax.values():
+            assert len(group) >= 10
 
     def test_default_anchors_valid(self):
         a = load_anchors()
-        assert {"generative ai", "llm", "gpt"} <= set(a.ai_anchors)
-        assert {"assist", "human-in-the-loop", "decision support"} <= set(a.augment_anchors)
-        assert {"automated", "replace", "automation"} <= set(a.automate_anchors)
+        assert tuple(a) == ANCHOR_GROUPS
+        assert {"generative ai", "llm", "gpt"} <= set(a["ai_anchors"])
+        assert {"assist", "human-in-the-loop", "decision support"} <= set(a["augment_anchors"])
+        assert {"automated", "replace", "automation"} <= set(a["automate_anchors"])
 
     def test_default_sectors_valid(self):
         lex = load_sectors()
-        assert tuple(lex.priority) == SECTOR_NAMES
+        assert tuple(lex) == SECTOR_NAMES  # the file's priority order
         for name in SECTOR_NAMES:
-            assert len(lex.sectors[name]) >= 8
+            assert len(lex[name]) >= 8
 
     def test_missing_category_names_it(self, tmp_path):
         doc = bundled("taxonomy")
@@ -130,12 +133,39 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="priority must be a total order"):
             load_sectors(f)
 
+    # phrases with the same tokens are one phrase to the matcher
+    @pytest.mark.parametrize("loader,keys,entry,message", [
+        (load_taxonomy, ("categories", "AI_Data"), {"surface": "Data  Entry"},
+         "'data entry' appears in both AI_Data and Routine, once as 'Data  Entry'"),
+        (load_taxonomy, ("categories", "AI_Data"), {"surface": "deep nets",
+                                                    "variants": ["Deep Nets"]},
+         "'Deep Nets' appears twice in AI_Data, once as 'deep nets'"),
+        (load_anchors, ("augment_anchors",), "Generative AI",
+         "'Generative AI' appears in both ai_anchors and augment_anchors, "
+         "once as 'generative ai'"),
+        (load_sectors, ("sectors", "Healthcare"), "Nurse",
+         "'Nurse' appears twice in Healthcare, once as 'nurse'"),
+        (load_sectors, ("sectors", "Legal"), {"phrase": "lawyer", "extended": True},
+         "'lawyer' appears twice in Legal"),
+    ])
+    def test_phrases_with_the_same_tokens_rejected(self, tmp_path, loader, keys, entry,
+                                                    message):
+        doc = bundled(loader.__name__.removeprefix("load_"))
+        group = doc
+        for key in keys:
+            group = group[key]
+        group.append(entry)
+        f = tmp_path / "lexicon.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            loader(f)
+
 
 class TestCompiledMatcher:
     def test_word_boundary_contract(self):
         m = CompiledMatcher({"Routine": ["data entry"]})
-        assert m.match_labels("handles daily data entry tasks") == {"Routine"}
-        assert m.match_labels("database entry-level position") == set()
+        assert m.match_hits("handles daily data entry tasks") == {"Routine": {"data entry"}}
+        assert m.match_hits("database entry-level position") == {}
 
     def test_special_tokens_survive(self):
         m = CompiledMatcher({"AI_Data": ["c++", "c#"]})
@@ -144,7 +174,7 @@ class TestCompiledMatcher:
 
     def test_case_insensitive(self):
         m = CompiledMatcher({"AI_Data": ["machine learning"]})
-        assert m.match_labels("MACHINE Learning expert") == {"AI_Data"}
+        assert m.match_hits("MACHINE Learning expert") == {"AI_Data": {"machine learning"}}
 
     def test_untokenizable_phrase_fails_compilation(self):
         with pytest.raises(ConfigError, match="cannot compile pattern '!!!'"):
@@ -181,9 +211,7 @@ class TestCompiledMatcher:
 
     def test_default_taxonomy_oracle_equivalence_on_demo_texts(self):
         from skillscope.fixtures import generate_rows
-        tax = load_taxonomy()
-        patterns = {cat: [ph for p in pats for ph in p.phrases()]
-                    for cat, pats in tax.categories.items()}
-        m = CompiledMatcher.from_taxonomy(tax)
+        patterns = load_taxonomy()
+        m = CompiledMatcher(patterns)
         for _, text in generate_rows(n=60, seed=3):
             assert m.match_hits(text) == naive_match(text, patterns)

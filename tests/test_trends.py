@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from skillscope.arima import ArimaSpec
 from skillscope.errors import ConfigError
+from skillscope.fixtures import SECTOR_SNIPPETS
 from skillscope.skills import detect_skills, per_mille
 from skillscope.taxonomy import SKILL_CATEGORIES, CompiledMatcher, load_sectors, load_taxonomy
+from skillscope.text import tokenize
 from skillscope.trends import (
     RateSeries,
     classify_sector,
@@ -23,7 +26,7 @@ from skillscope.trends import (
 
 from .conftest import posting
 
-SECTORS = load_sectors()
+SECTOR_MATCHER = CompiledMatcher(load_sectors())
 YEARS = tuple(range(2018, 2026))
 
 
@@ -198,39 +201,60 @@ class TestForecastSeries:
         assert not fc.short_series
 
 
-MATCHER = CompiledMatcher.from_taxonomy(load_taxonomy())
+MATCHER = CompiledMatcher(load_taxonomy())
+
+
+def sector_of(p):
+    return classify_sector(p, SECTOR_MATCHER, tokenize(p.description))
 
 
 class TestClassifySector:
     def test_healthcare_triggers(self):
         p = posting("the nurse will support patient intake and ward rounds")
-        assert classify_sector(p, SECTORS) == "Healthcare"
+        assert sector_of(p) == "Healthcare"
 
     def test_no_trigger_is_none(self):
         p = posting("a generic posting about an unnamed role in town")
-        assert classify_sector(p, SECTORS) is None
+        assert sector_of(p) is None
 
     def test_tie_breaks_by_priority(self):
         # 1 IT hit vs 1 Finance hit; IT precedes Finance in priority
         p = posting("developer needed for audit work")
-        assert classify_sector(p, SECTORS) == "IT"
+        assert sector_of(p) == "IT"
 
     def test_more_distinct_hits_beats_priority(self):
         # 2 Finance hits vs 1 IT hit
         p = posting("developer supporting audit and investment teams")
-        assert classify_sector(p, SECTORS) == "Finance"
+        assert sector_of(p) == "Finance"
 
     def test_repeated_trigger_counts_once(self):
         p = posting("nurse nurse nurse but developer and devops")
-        assert classify_sector(p, SECTORS) == "IT"
+        assert sector_of(p) == "IT"
+
+    # the demo's snippets, and texts whose top sectors tie
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(
+        [*SECTOR_SNIPPETS.values(), "developer needed for audit work",
+         "lawyer and nurse", "designer and teacher with a freight forklift", "no trigger"])),
+        max_size=12), st.lists(st.integers(0, 12), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_sector_totals_is_each_posting_s_own(self, drawn, cuts):
+        postings = [posting(text, pid=pid) for pid, text in drawn]
+        tokens = [tokenize(p.description) for p in postings]
+        whole = sector_totals(postings, SECTOR_MATCHER, tokens)
+        assert whole == [sector_totals([p], SECTOR_MATCHER, [t])[0]
+                         for p, t in zip(postings, tokens)]
+        bounds = [0, *sorted(min(c, len(postings)) for c in cuts), len(postings)]
+        assert whole == [sector for a, b in pairwise(bounds) for sector in
+                         sector_totals(postings[a:b], SECTOR_MATCHER, tokens[a:b])]
 
 
 class TestSectorRates:
     def flag_rows(self, postings):
         """The ``skill_flags.ndjson`` rows ``extract`` writes for ``postings``."""
-        sectors = sector_totals(postings, SECTORS)
-        return [{"posting_id": p.id, **detect_skills(p, MATCHER), "sector": sectors[p.id]}
-                for p in postings]
+        sectors = sector_totals(postings, SECTOR_MATCHER,
+                                [tokenize(p.description) for p in postings])
+        return [{"posting_id": p.id, **detect_skills(p, MATCHER), "sector": sector}
+                for p, sector in zip(postings, sectors)]
 
     def rates(self, postings):
         """{(sector, year): (postings, rates)} from the ascending rows."""
