@@ -33,6 +33,12 @@ from itertools import compress, pairwise
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
+# One BLAS thread per process, set before numpy loads its BLAS: the forked
+# --jobs workers are the only parallelism, and parallel's fork rule (no other
+# thread running) holds. A value already set is left as it is.
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
+
 import numpy as np
 
 from . import __version__, parallel

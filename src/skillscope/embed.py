@@ -154,7 +154,15 @@ class FileProvider:
             raise DataError(f"no embedding for id {lookup!r}") from None
 
     def embed_batch(self, texts: Sequence[str], keys: Sequence[str] | None = None):
-        keys = keys if keys is not None else texts
+        """One vector per text; DataError if a key repeats within the batch,
+        since two postings sharing an id would silently share one vector."""
+        if keys is None:  # looked up by text: the same text, the same vector
+            return [self.embed(t) for t in texts]
+        seen: set[str] = set()
+        for key in keys:
+            if key in seen:
+                raise DataError(f"posting id {key!r} repeats: each posting needs its own vector")
+            seen.add(key)
         return [self.embed(t, k) for t, k in zip(texts, keys)]
 
 

@@ -15,6 +15,9 @@ each piece's result comes back, pickled over a pipe.
 
 skillscope runs on POSIX systems, so ``os.fork`` is there. A forked child
 holds only the thread that forked it, so no other thread may be running.
+That holds: ``skillscope.cli`` defaults numpy's BLAS to one thread before
+numpy loads, so numpy starts no pool thread (a host program that imported
+numpy first keeps its own).
 
 Each process records the warnings each of its pieces raises; a worker sends
 them with its results. They are issued here, in piece order, through the

@@ -29,7 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NOISE = -1
-_CHUNK = 1 << 16   # pairs per distance batch
+# pairs per distance batch: a batch's four temporaries (both gathered ends,
+# their difference and its square) take about 1 MB at k = 8, and stay in
+# cache, where 65,536 pairs took about 17 MB
+_CHUNK = 1 << 12
 # scaled_min_cluster_size: this share of the documents, and never below the floor
 MIN_CLUSTER_SHARE = 0.002
 MIN_CLUSTER_FLOOR = 5

@@ -7,9 +7,15 @@ then updates every cell at once (synchronously) with one token left out:
 gamma ∝ (n_dk - gamma + alpha)(n_wk - gamma + beta) / (n_k - gamma + V beta).
 phi and theta come from the final expected counts with Dirichlet smoothing.
 
-gamma is stored topic-major, K rows of N cells, in three K x N arrays made
-once, so each step of a sweep runs numpy's loops over N contiguous values,
-not N times over K. Every sum adds in the order numpy and scipy add the
+gamma is stored topic-major, K rows of N cells, in two K x N arrays made
+once: a sweep reads one and writes the other. Its elementwise chain (the
+two gathers of expected counts, three subtractions, a product, a quotient
+and the normalisation) runs over blocks of ``BLOCK_CELLS`` cells in two
+K x BLOCK_CELLS scratch arrays, so each numpy loop runs over contiguous
+values while the block it reads and writes stays in L2 cache; passes over
+whole K x N arrays would stream every step through memory (cache blocking:
+Lam, Rothberg & Wolf, ASPLOS 1991). The sparse products run per topic over
+all N cells. Every sum adds in the order numpy and scipy add the
 cell-major (N x K) layout, so the bytes are that layout's:
 - a cell's K responsibilities are summed in numpy's pairwise order
   (``_cell_sums``);
@@ -34,9 +40,14 @@ import numpy as np
 from ..errors import ConfigError
 from .dtm import DocTermMatrix
 
-# cells per block of the seeded draw: no N x K copy of gamma is made, and
-# freeing a block leaves no large hole in the heap
-DRAW_CELLS = 1 << 12
+# cells per block of the seeded draw and of each sweep. The draw makes no
+# N x K copy of gamma, and freeing a block leaves no large hole in the heap.
+# A sweep block of 4,096 cells at K = 6 reads and writes 768 KiB (gamma, the
+# result and two scratch arrays), well inside a 2 MiB L2: on 20,000 demo
+# postings (1.06 million cells) the elementwise chain took 42 ms a sweep in
+# such blocks against 75 ms over whole arrays; blocks of 1,024 cells took
+# 60 ms and blocks of 8,192 to 65,536 cells were no faster (2-vCPU host)
+BLOCK_CELLS = 1 << 12
 
 
 @dataclass
@@ -133,23 +144,30 @@ def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
         return np.array([by_doc @ g for g in gamma]), np.array([by_term @ g for g in gamma])
 
     rng = np.random.default_rng(cfg.seed)
-    gamma, new, other = np.empty((K, N)), np.empty((K, N)), np.empty((K, N))
-    for start in range(0, N, DRAW_CELLS):  # the stream of one (N, K) draw
-        gamma[:, start:start + DRAW_CELLS] = rng.random((min(DRAW_CELLS, N - start), K)).T
+    gamma, new = np.empty((K, N)), np.empty((K, N))
+    for start in range(0, N, BLOCK_CELLS):  # the stream of one (N, K) draw
+        gamma[:, start:start + BLOCK_CELLS] = rng.random((min(BLOCK_CELLS, N - start), K)).T
     gamma /= _cell_sums(gamma, new)
     n_dk, n_wk = expected(gamma)
+    x_buf, y_buf = np.empty((2, K * min(N, BLOCK_CELLS)))
     trace: list[float] = []
     for sweep in range(cfg.iterations):
-        # every index is in range: "clip" lets take write into its out array
-        np.take(n_dk + alpha, doc, axis=1, out=new, mode="clip")
-        new -= gamma
-        np.take(n_wk + beta, term, axis=1, out=other, mode="clip")
-        other -= gamma
-        new *= other
-        n_k = np.ascontiguousarray(n_wk.T).sum(axis=0)
-        np.subtract((n_k + vbeta)[:, None], gamma, out=other)
-        new /= other
-        new /= _cell_sums(new, other)  # gamma and other are spent
+        doc_alpha, term_beta = n_dk + alpha, n_wk + beta
+        k_vbeta = (np.ascontiguousarray(n_wk.T).sum(axis=0) + vbeta)[:, None]
+        for start in range(0, N, BLOCK_CELLS):
+            block = slice(start, start + BLOCK_CELLS)
+            g = gamma[:, block]
+            # the scratch as contiguous arrays of g's shape, the last block's too
+            x, y = x_buf[:g.size].reshape(g.shape), y_buf[:g.size].reshape(g.shape)
+            # every index is in range: "clip" lets take write into its out array
+            np.take(doc_alpha, doc[block], axis=1, out=x, mode="clip")
+            x -= g
+            np.take(term_beta, term[block], axis=1, out=y, mode="clip")
+            y -= g
+            x *= y
+            np.subtract(k_vbeta, g, out=y)
+            x /= y
+            np.divide(x, _cell_sums(x, y), out=new[:, block])
         gamma, new = new, gamma
         n_dk, n_wk = expected(gamma)
         if sweep % 10 == 0 or sweep == cfg.iterations - 1:

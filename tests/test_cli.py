@@ -35,9 +35,10 @@ from skillscope.cli import (
     run_stage,
     write_part,
 )
+from skillscope.embed import HashedProvider
 from skillscope.errors import DataError
 from skillscope.fixtures import write_demo_corpus
-from skillscope.taxonomy import CompiledMatcher, default_path, load_sectors
+from skillscope.taxonomy import CompiledMatcher, default_path, load_anchors, load_sectors
 from skillscope.text import tokenize
 from skillscope.trends import sector_totals
 
@@ -835,6 +836,33 @@ class TestSectorLabels:
         rows = read_ndjson(out / "skill_flags.ndjson")[:2]
         assert [(r["posting_id"], r["sector"]) for r in rows] == [
             (first_id, "IT"), (first_id, "Healthcare")]
+
+    def test_a_repeated_id_stops_the_stages_that_look_vectors_up_by_id(
+            self, demo_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (results_dir(demo_dir) / "postings.ndjson").read_text().splitlines(True)
+        rows = [json.loads(line) for line in lines]
+        first_id = rows[0]["id"]
+        lines[1] = json.dumps({**rows[1], "id": first_id}) + "\n"
+        (out / "postings.ndjson").write_text("".join(lines))
+        # the hashed vector of each id's text and of each anchor phrase; the
+        # two postings' texts differ
+        hashed = HashedProvider(16, seed=1)
+        keyed = [(row["id"], row["description"]) for row in rows[:1] + rows[2:]]
+        keyed += [(phrase, phrase) for group in load_anchors(None).values() for phrase in group]
+        (tmp_path / "vectors.csv").write_text("id,16\n" + "".join(
+            ",".join([key, *map(repr, hashed.embed(text).tolist())]) + "\n"
+            for key, text in keyed))
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                   "embedding": {"kind": "file", "path": "vectors.csv"}}))
+        assert main(["extract", "--config", str(run), "--out", str(out)]) == EXIT_OK
+        for stage, outputs in (("framing", ["framing.ndjson", "framing_by_year.csv"]),
+                               ("topics", ["lda_topics.json", "topic_over_time.csv"])):
+            assert main([stage, "--config", str(run), "--out", str(out)]) == EXIT_DATA
+            assert f"posting id {first_id!r} repeats" in capsys.readouterr().err
+            assert not any((out / name).exists() for name in outputs), stage
 
     def test_one_run_classifies_once(self, tmp_path, monkeypatch):
         calls, classified = Counter(), Counter()

@@ -184,6 +184,13 @@ class TestFileProvider:
         p = FileProvider(self.make_file(tmp_path))
         assert np.allclose(p.embed("", key="p2"), [0, 1, 0])
 
+    def test_a_key_repeated_in_a_batch_is_named(self, tmp_path):
+        p = FileProvider(self.make_file(tmp_path))
+        with pytest.raises(DataError, match="^posting id 'p1' repeats"):
+            p.embed_batch(["a", "b", "c"], keys=["p1", "p2", "p1"])
+        # looked up by text, a repeated text takes its one vector
+        assert [v.tolist() for v in p.embed_batch(["p2", "p2"])] == [[0, 1, 0]] * 2
+
     def test_unknown_id(self, tmp_path):
         p = FileProvider(self.make_file(tmp_path))
         with pytest.raises(DataError, match="^no embedding for id 'nope'$"):

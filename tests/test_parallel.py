@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -282,6 +283,27 @@ def test_no_other_thread_runs_when_a_worker_is_forked(tmp_path, monkeypatch, com
     assert main(command(tmp_path) + ["--jobs", str(jobs)]) == EXIT_OK
     assert threads == [1] * forks
     assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_importing_the_cli_starts_no_blas_thread_and_keeps_a_set_count():
+    # threading sees Python threads only; /proc/self/task lists every thread,
+    # numpy's BLAS pool too. A fresh interpreter, so numpy loads after the cli.
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import os, sys, skillscope.cli; print(len(os.listdir('/proc/self/task')), "
+            "*(os.environ.get(name) for name in sys.argv[1:]))")
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def threads_and_counts(given: dict) -> list[str]:
+        done = subprocess.run([sys.executable, "-c", code, *blas], env={**env, **given},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert threads_and_counts({}) == ["1", "1", "1", "1"]
+    # a count already set is left as it is, whatever threads the BLAS then starts
+    assert threads_and_counts({"OPENBLAS_NUM_THREADS": "2"})[1:] == ["2", "1", "1"]
 
 
 def run_split_stages(config, raw_records, out, jobs: int,

@@ -27,10 +27,10 @@ from skillscope.topics import (
     top_terms,
     wcss_of,
 )
-from skillscope.topics.density import _dbscan
+from skillscope.topics.density import _CHUNK, _dbscan, _pair_sq_dists
 from skillscope.topics.dtm import stopwords
 from skillscope.topics.kmeans import _sq_dists
-from skillscope.topics.lda import DRAW_CELLS, _cell_sums
+from skillscope.topics.lda import BLOCK_CELLS, _cell_sums
 
 from .helpers import dense
 
@@ -411,10 +411,44 @@ class TestLda:
         # more cells than one block of the draw, so the start spans blocks
         docs = [" ".join(f"w{(d * 7 + i) % 500}" for i in range(40)) for d in range(120)]
         dtm = build_dtm(docs, min_df=1)
-        assert sum(len(idx) for idx in dtm.doc_indices) > DRAW_CELLS
+        assert sum(len(idx) for idx in dtm.doc_indices) > BLOCK_CELLS
         cfg = LdaConfig(K=3, iterations=1, seed=9)
         model = lda_fit(dtm, cfg)
         assert np.array_equal(model.doc_topic_counts, row_major_cvb0(dtm, cfg)[2])
+
+    @pytest.mark.parametrize("K", [1, 7, 8, 9, 129])
+    def test_bit_identical_to_row_major_sweep_over_several_blocks(self, K):
+        # more cells than one sweep block, the last block ragged, and terms
+        # repeated within a document; K covers each way _cell_sums adds
+        docs = [" ".join(f"w{(d * 7 + i * i) % 400}" for i in range(60)) for d in range(100)]
+        dtm = build_dtm(docs, min_df=1)
+        cells = sum(len(idx) for idx in dtm.doc_indices)
+        assert cells > BLOCK_CELLS and cells % BLOCK_CELLS
+        assert max(int(c.max()) for c in dtm.doc_counts) > 1
+        cfg = LdaConfig(K=K, iterations=3, seed=K)
+        model = lda_fit(dtm, cfg)
+        phi, theta, n_dk, trace = row_major_cvb0(dtm, cfg)
+        assert np.array_equal(model.phi, phi)
+        assert np.array_equal(model.theta, theta)
+        assert np.array_equal(model.doc_topic_counts, n_dk)
+        assert model.log_likelihood_trace == trace
+
+    def test_a_fit_holds_two_arrays_of_responsibilities(self):
+        docs = [" ".join(f"w{(d * 13 + i * 7) % 3000}" for i in range(100)) for d in range(1000)]
+        dtm = build_dtm(docs, min_df=1)
+        K, cells = 32, sum(len(idx) for idx in dtm.doc_indices)
+        responsibilities = K * cells * 8  # bytes of one K x N array
+        scratch = 2 * K * BLOCK_CELLS * 8
+        tracemalloc.start()
+        try:
+            lda_fit(dtm, LdaConfig(K=K, iterations=2, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # gamma, the next gamma and a sweep block's scratch, with half an
+        # array to spare for the cell arrays, the sparse products and the
+        # expected counts; a third K x N array would break the bound
+        assert peak < 2.5 * responsibilities + scratch
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -678,6 +712,25 @@ class TestDensityMatchesDense:
         for eps in (knee, math.sqrt(eps_sq)):
             assert np.array_equal(_dbscan(pts, eps, min_pts),
                                   dense_dbscan(pts, eps, min_pts)), eps
+
+    def test_more_pairs_than_one_distance_batch(self):
+        # 120 near-identical points: 7,140 pairs, and at min_cluster_size 90
+        # the knee's candidates and the pairs within eps each fill more than
+        # one batch of _pair_sq_dists
+        rng = np.random.default_rng(3)
+        emb = rng.normal(size=12) + 1e-6 * rng.normal(size=(120, 12))
+        i, j = np.triu_indices(len(emb), 1)
+        d2 = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
+        assert i.size > _CHUNK
+        assert np.array_equal(_pair_sq_dists(emb, i, j), d2[i, j])
+        labels, eps, sizes = dense_density_topics(emb, 90, 4, 1)
+        projected = random_projection(emb, 4, 1)
+        within = ((projected[i] - projected[j]) ** 2).sum(axis=1) <= eps * eps
+        assert np.count_nonzero(within) > _CHUNK
+        model = density_topics(emb, min_cluster_size=90, k_reduced=4, seed=1)
+        assert model.eps == eps
+        assert np.array_equal(model.labels, labels)
+        assert model.topic_sizes == sizes
 
     @pytest.mark.parametrize("mcs", [1, 5, 30])
     def test_all_identical_points(self, mcs):
