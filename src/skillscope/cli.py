@@ -27,6 +27,7 @@ import sys
 import tempfile
 import time
 from array import array
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from itertools import compress, pairwise
@@ -75,7 +76,6 @@ from .topics import (
     kmeans_fit,
     lda_fit,
     scaled_min_cluster_size,
-    temporal_weights,
     top_terms,
 )
 from .trends import (
@@ -259,32 +259,34 @@ TYPE_NAMES = {str: "a string", bool: "a bool"}
 
 def parse_ndjson(path: Path, lines: Iterable[tuple[int, bytes]],
                  make: Callable[[dict], object] | None = None) -> list:
-    """One value per non-blank line of the numbered ``lines`` of ``path``, or
-    what ``make`` makes of it. A line that does not parse, a row of an
-    artifact of NDJSON_FIELDS that is not an object holding each of its
-    fields with its type, or a value ``make`` rejects with ValueError raises
-    DataError naming the file and the line."""
+    """One value per line of the numbered ``lines`` of ``path``, or what
+    ``make`` makes of it. A blank line or any other that does not parse, a
+    row of an artifact of NDJSON_FIELDS that is not an object holding each
+    of its fields with its type, or a value ``make`` rejects with ValueError
+    raises DataError naming the file and the line: the pipeline writes no
+    blank line, and its stages pair two files by line number."""
     fields = NDJSON_FIELDS.get(path.name)
     rows = []
     # line by line: the JSON is ASCII-escaped, so "\n" is its only line break;
     # each line is decoded on its own, so bad UTF-8 is caught on its line too
     for number, line in lines:
-        if not line.isspace():  # a line read from a file is never empty
-            try:
-                row = json.loads(line.decode("utf-8"))
-                if fields:
-                    if not isinstance(row, dict):
-                        raise ValueError("not a JSON object")
-                    missing = [f for f in fields if f not in row]
-                    if missing:
-                        raise ValueError(f"missing field {missing[0]!r}")
-                    for field, kind in fields.items():
-                        if kind is not object and type(row[field]) is not kind:
-                            raise ValueError(f"{field} is {type(row[field]).__name__}, "
-                                             f"not {TYPE_NAMES[kind]}")
-                rows.append(make(row) if make else row)
-            except ValueError as e:
-                raise DataError(f"{path} line {number}: {e}") from e
+        try:
+            if line.isspace():  # a line read from a file is never empty
+                raise ValueError("a blank line")
+            row = json.loads(line.decode("utf-8"))
+            if fields:
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                missing = [f for f in fields if f not in row]
+                if missing:
+                    raise ValueError(f"missing field {missing[0]!r}")
+                for field, kind in fields.items():
+                    if kind is not object and type(row[field]) is not kind:
+                        raise ValueError(f"{field} is {type(row[field]).__name__}, "
+                                         f"not {TYPE_NAMES[kind]}")
+            rows.append(make(row) if make else row)
+        except ValueError as e:
+            raise DataError(f"{path} line {number}: {e}") from e
     return rows
 
 
@@ -726,10 +728,27 @@ def stage_framing(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     return {}
 
 
-def topic_entries(sizes: dict[int, int], terms: dict[int, list]) -> dict:
-    """Each topic's top (term, weight) pairs and posting count, by topic id."""
+def topic_entries(labels: np.ndarray, terms: dict[int, list], n_topics: int = 0) -> dict:
+    """Each topic's top (term, weight) pairs and size, the postings it
+    labels, by topic id: every id below ``n_topics``, and every other id
+    that labels a posting (NOISE labels none)."""
+    sizes = np.bincount(labels[labels != NOISE], minlength=n_topics).tolist()
     return {str(t): {"top_terms": [list(tw) for tw in terms.get(t, [])], "size": size}
-            for t, size in sizes.items()}
+            for t, size in enumerate(sizes) if size or t < n_topics}
+
+
+def topic_over_time(labels: Sequence[int], years: Sequence[int]) -> list[list]:
+    """topic_over_time.csv's rows: for each year with a non-noise posting and
+    each topic that labels a posting, [year, topic id, count, weight], where
+    count is the topic's postings that year and weight their share of the
+    year's non-noise postings."""
+    if len(labels) != len(years):
+        raise ValueError("one label and one year per posting required")
+    pairs = [(year, topic) for topic, year in zip(labels, years) if topic != NOISE]
+    counts, totals = Counter(pairs), Counter(year for year, _ in pairs)
+    topics = sorted({topic for _, topic in pairs})
+    return [[year, topic, counts[year, topic], counts[year, topic] / totals[year]]
+            for year in sorted(totals) for topic in topics]
 
 
 def timed(fit: Callable, *args, **kwargs) -> tuple:
@@ -770,12 +789,12 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
 
     def lda():  # only what the artifact needs comes back from a worker
         model, lda_s = timed(lda_fit, dtm, lda_cfg)
-        return model.phi, model.theta, model.log_likelihood_trace, lda_s
+        return model.phi, model.theta.argmax(axis=1), model.log_likelihood_trace, lda_s
 
     # two pieces of one branch each, so LDA fits in a worker meanwhile, once
     # the postings are enough to split; else one piece, both branches here
     side_by_side = parallel.chunk_count(len(postings), workers.jobs) > 1
-    (km, dm, km_terms, dm_terms, cluster_s), (phi, theta, trace, lda_s) = [
+    (km, dm, km_terms, dm_terms, cluster_s), (phi, lda_labels, trace, lda_s) = [
         result for part in workers.map_chunks(lambda branches: [run() for run in branches],
                                               [clusters, lda], floor=1 if side_by_side else 2)
         for result in part]
@@ -783,23 +802,19 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
     # written only once all three models are fitted, so a failed run leaves
     # no topic file newer than the others
     lda_terms = {k: top_terms(row, dtm.vocab) for k, row in enumerate(phi)}
-    lda_sizes = np.bincount(theta.argmax(axis=1), minlength=lda_cfg.K).tolist()
     write_json(out / "lda_topics.json", {
         "K": lda_cfg.K, "iterations": lda_cfg.iterations,
         "log_likelihood_trace": trace,
-        "topics": topic_entries(dict(enumerate(lda_sizes)), lda_terms)})
+        "topics": topic_entries(lda_labels, lda_terms, lda_cfg.K)})
     write_json(out / "kmeans_clusters.json", {
         "K": cfg.kmeans["K"], "wcss": km.wcss,
-        "clusters": topic_entries({c: int((km.assignments == c).sum()) for c in km_terms},
-                                  km_terms)})
+        "clusters": topic_entries(km.assignments, km_terms)})
+    density = topic_entries(dm.labels, dm_terms)
     write_json(out / "density_topics.json", {
-        "min_cluster_size": mcs, "all_noise": dm.all_noise,
-        "noise_count": int((dm.labels == NOISE).sum()),
-        "topics": topic_entries(dm.topic_sizes, dm_terms)})
-    matrix = temporal_weights(dm.labels.tolist(), years)
+        "min_cluster_size": mcs, "all_noise": not density,
+        "noise_count": int((dm.labels == NOISE).sum()), "topics": density})
     write_csv(out / "topic_over_time.csv", ["year", "topic_id", "count", "weight"],
-              [[year, topic, matrix.counts[year][topic], float(matrix.weights[year][topic])]
-               for year in matrix.years for topic in matrix.topics])
+              topic_over_time(dm.labels.tolist(), years))
     return {"vocab": dtm.n_terms, "fit_s": {"lda_fit": lda_s, **cluster_s},
             "kmeans": {"iterations_run": km.iterations_run, "wcss_trace": km.wcss_trace},
             "density": {"eps": dm.eps}}

@@ -9,7 +9,6 @@ from .density import (
     random_projection,
     scaled_min_cluster_size,
 )
-from .temporal import TemporalTopicMatrix, temporal_weights
 
 __all__ = [
     "DocTermMatrix", "build_dtm", "cluster_terms", "top_terms",
@@ -17,5 +16,4 @@ __all__ = [
     "KMeansModel", "kmeans_fit", "wcss_of",
     "NOISE", "DensityTopicModel", "density_topics", "k_distance_knee",
     "random_projection", "scaled_min_cluster_size",
-    "TemporalTopicMatrix", "temporal_weights",
 ]

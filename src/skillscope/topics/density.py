@@ -24,7 +24,7 @@ a 2-vCPU host.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ MIN_CLUSTER_FLOOR = 5
 class DensityTopicModel:
     labels: np.ndarray             # topic id per document, NOISE = -1
     eps: float
-    all_noise: bool
-    topic_sizes: dict[int, int] = field(default_factory=dict)
 
 
 def scaled_min_cluster_size(n_docs: int) -> int:
@@ -159,10 +157,4 @@ def density_topics(
     keep = order[sizes[order] >= min_cluster_size]
     new_id = np.full(sizes.size + 1, NOISE, dtype=np.int64)   # [-1] maps NOISE
     new_id[keep] = np.arange(keep.size)
-    topic_sizes = {t: int(sizes[c]) for t, c in enumerate(keep)}
-    return DensityTopicModel(
-        labels=new_id[raw],
-        eps=float(eps),
-        all_noise=not topic_sizes,
-        topic_sizes=topic_sizes,
-    )
+    return DensityTopicModel(labels=new_id[raw], eps=float(eps))

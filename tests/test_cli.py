@@ -89,8 +89,15 @@ def rate_out_of_range(data: bytes) -> tuple[bytes, str]:
             f": series ({category!r},): rate 1500.0 at {year.decode()} out of [0,1000]")
 
 
+def blank_line_6(data: bytes) -> tuple[bytes, str]:
+    """A blank line inserted as line 6: the pipeline writes none."""
+    lines = data.splitlines(keepends=True)
+    return b"".join([*lines[:5], b"\n", *lines[5:]]), " line 6: a blank line"
+
+
 # each way to damage an artifact, and what the message then says after its path
 DAMAGE = {"cut": cut_inside_a_record, "word": word_in_the_last_column,
+          "blank": blank_line_6,
           "header-only": lambda data: (data[:data.index(b"\n") + 1], ": no data rows"),
           "no-column": without_the_last_column, "rate-1500": rate_out_of_range,
           # the rates of a corpus that spans two years
@@ -118,6 +125,9 @@ CORRUPT_ARTIFACTS = [
     ("forecast", "skill_rates.csv", "rate-1500"), ("correlate", "skill_rates.csv", "rate-1500"),
     ("report", "skill_rates.csv", "rate-1500"),
     ("correlate", "skill_rates.csv", "two-years"),
+    # framing and sectors pair postings.ndjson with skill_flags.ndjson by line
+    *((stage, "postings.ndjson", "blank") for stage in ("extract", "framing", "sectors",
+                                                        "topics")),
 ]
 
 
@@ -285,6 +295,25 @@ class TestSmoke:
         assert f"`lda_topics.json`: {lda['K']} rows" in (out / "summary.md").read_text()
         manifest = json.loads((out / "run_manifest.json").read_text())["stages"]
         assert manifest["topics"]["outputs"]["kmeans_clusters.json"]["rows"] == 6
+
+    def test_the_four_topic_files_agree(self, demo_dir):
+        out = results_dir(demo_dir)
+        postings = len(load_postings(out))
+        lda, kmeans, density = (json.loads((out / name).read_text()) for name in (
+            "lda_topics.json", "kmeans_clusters.json", "density_topics.json"))
+        assert sum(topic["size"] for topic in lda["topics"].values()) == postings
+        assert sum(cluster["size"] for cluster in kmeans["clusters"].values()) == postings
+        sizes = {int(t): topic["size"] for t, topic in density["topics"].items()}
+        assert sum(sizes.values()) + density["noise_count"] == postings
+        assert density["all_noise"] == (not sizes)
+        with open(out / "topic_over_time.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        counts, weights = Counter(), Counter()
+        for row in rows:
+            counts[int(row["topic_id"])] += int(row["count"])
+            weights[int(row["year"])] += float(row["weight"])
+        assert dict(counts) == sizes
+        assert all(total == pytest.approx(1.0, abs=1e-12) for total in weights.values())
 
     def test_json_row_count_ignores_layout(self, demo_dir, tmp_path):
         for name in ("lda_topics.json", "kmeans_clusters.json", "density_topics.json",
@@ -934,14 +963,17 @@ class TestSectorLabels:
             lines = lines[1:]
         elif stale == "a blank line":
             # each row labels its posting, but the rows are read by line, so
-            # the rows after it label the lines after their postings'
-            lines.insert(len(lines) // 2, "\n")
+            # the rows after it would label the lines after their postings'
+            blank = len(lines) // 2 + 1
+            lines.insert(blank - 1, "\n")
         else:
             lines.append(lines[-1])
         (out / "skill_flags.ndjson").write_text("".join(lines))
         code = main([stage, "--config", str(demo_dir / "run.json"), "--out", str(out)])
         assert code == EXIT_DATA
-        assert "re-run extract" in capsys.readouterr().err
+        expected = (f"skill_flags.ndjson line {blank}: a blank line"
+                    if stale == "a blank line" else "re-run extract")
+        assert expected in capsys.readouterr().err
         assert not any((out / artifact).exists() for artifact in PIPELINE[stage].outputs)
 
 
@@ -1034,11 +1066,11 @@ class TestArtifactWrites:
         assert len(read_ndjson(tmp_path / "rows.ndjson")) == 20_000
         assert peak < 2 ** 20
 
-    @pytest.mark.parametrize("bad", [b'{"id": "p1"', b'{"id": "\xff"}', b"[1] [2]"])
+    @pytest.mark.parametrize("bad", [b'{"id": "p1"', b'{"id": "\xff"}', b"[1] [2]", b"", b" \t"])
     def test_ndjson_line_that_does_not_parse_is_named(self, tmp_path, bad):
         path = tmp_path / "rows.ndjson"
-        path.write_bytes(b'{"id": "p0"}\n\n' + bad + b'\n{"id": "p2"}\n')
-        with pytest.raises(DataError, match=re.escape(f"{path} line 3: ")):
+        path.write_bytes(b'{"id": "p0"}\n' + bad + b'\n{"id": "p2"}\n')
+        with pytest.raises(DataError, match=re.escape(f"{path} line 2: ")):
             read_ndjson(path)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import gammaln
 
+from skillscope.cli import topic_entries, topic_over_time
 from skillscope.errors import ConfigError, DataError
 from skillscope.text import tokenize
 from skillscope.topics import (
@@ -23,7 +24,6 @@ from skillscope.topics import (
     lda_fit,
     random_projection,
     scaled_min_cluster_size,
-    temporal_weights,
     top_terms,
     wcss_of,
 )
@@ -665,7 +665,7 @@ def dense_density_topics(emb, min_cluster_size, k_reduced, seed):
     labels = np.full(len(raw), NOISE, dtype=np.int64)
     for new_id, old_id in enumerate(keep):
         labels[raw == old_id] = new_id
-    return labels, eps, {t: sizes[c] for t, c in enumerate(keep)}
+    return labels, eps
 
 
 @st.composite
@@ -697,11 +697,10 @@ class TestDensityMatchesDense:
     @given(point_sets(), st.integers(0, 3))
     def test_density_topics_equal_labels_and_eps(self, case, seed):
         emb, mcs, k = case
-        labels, eps, sizes = dense_density_topics(emb, mcs, k, seed)
+        labels, eps = dense_density_topics(emb, mcs, k, seed)
         model = density_topics(emb, min_cluster_size=mcs, k_reduced=k, seed=seed)
         assert model.eps == eps
         assert np.array_equal(model.labels, labels)
-        assert model.topic_sizes == sizes
 
     @settings(max_examples=150, deadline=None)
     @given(grid_points(), st.integers(0, 12))
@@ -723,21 +722,19 @@ class TestDensityMatchesDense:
         d2 = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
         assert i.size > _CHUNK
         assert np.array_equal(_pair_sq_dists(emb, i, j), d2[i, j])
-        labels, eps, sizes = dense_density_topics(emb, 90, 4, 1)
+        labels, eps = dense_density_topics(emb, 90, 4, 1)
         projected = random_projection(emb, 4, 1)
         within = ((projected[i] - projected[j]) ** 2).sum(axis=1) <= eps * eps
         assert np.count_nonzero(within) > _CHUNK
         model = density_topics(emb, min_cluster_size=90, k_reduced=4, seed=1)
         assert model.eps == eps
         assert np.array_equal(model.labels, labels)
-        assert model.topic_sizes == sizes
 
     @pytest.mark.parametrize("mcs", [1, 5, 30])
     def test_all_identical_points(self, mcs):
         emb = np.full((30, 12), 0.25)
         model = density_topics(emb, min_cluster_size=mcs, k_reduced=4, seed=0)
         assert model.eps == 0.0
-        assert model.topic_sizes == {0: 30}
         assert np.array_equal(model.labels, np.zeros(30, dtype=np.int64))
 
     def test_border_point_joins_lowest_cluster(self):
@@ -753,7 +750,7 @@ class TestDensityTopics:
     def test_two_blobs_recovered(self):
         emb, truth = blobs()
         model = density_topics(emb, min_cluster_size=50, k_reduced=4, seed=1)
-        assert len(model.topic_sizes) == 2
+        assert set(model.labels.tolist()) - {NOISE} == {0, 1}
         assert co_cluster_accuracy(model.labels, truth) >= 0.95
 
     def test_topics_relabeled_by_size_desc(self):
@@ -761,15 +758,14 @@ class TestDensityTopics:
         extra = np.random.default_rng(0).normal(size=(200, 12)) - 8.0
         model = density_topics(np.vstack([emb, extra]), min_cluster_size=40,
                                k_reduced=4, seed=1)
-        sizes = [model.topic_sizes[t] for t in sorted(model.topic_sizes)]
-        assert sizes == sorted(sizes, reverse=True)
+        sizes = np.bincount(model.labels[model.labels != NOISE])
+        assert sizes.size > 1 and list(sizes) == sorted(sizes, reverse=True)
 
     def test_tiny_eps_gives_all_noise(self):
         rng = np.random.default_rng(2)
         emb = rng.uniform(size=(60, 12))
         model = density_topics(emb, min_cluster_size=10, k_reduced=4, seed=0,
                                eps=1e-9)
-        assert model.all_noise
         assert set(model.labels.tolist()) == {NOISE}
 
     def test_min_cluster_size_guard(self):
@@ -779,8 +775,8 @@ class TestDensityTopics:
     def test_every_topic_meets_min_size(self):
         emb, _ = blobs(n_per=80, sep=6.0)
         model = density_topics(emb, min_cluster_size=30, k_reduced=4, seed=3)
-        for size in model.topic_sizes.values():
-            assert size >= 30
+        sizes = np.bincount(model.labels[model.labels != NOISE])
+        assert sizes.size and sizes.min() >= 30
 
     def test_deterministic_under_seed(self):
         emb, _ = blobs(n_per=60)
@@ -809,25 +805,38 @@ class TestDensityTopics:
         assert scaled_min_cluster_size(100_000) == 200    # paper-scale analogue
 
 
-class TestTemporalWeights:
+def over_time_weights(labels, years):
+    """topic_over_time's weights as year -> topic -> weight."""
+    weights = {}
+    for year, topic, _, weight in topic_over_time(labels, years):
+        weights.setdefault(year, {})[topic] = weight
+    return weights
+
+
+class TestTopicOverTime:
     def test_thirty_seventy_split(self):
         labels = [0] * 30 + [1] * 70
         years = [2022] * 100
-        m = temporal_weights(labels, years)
-        assert m.weights[2022] == {0: pytest.approx(0.3), 1: pytest.approx(0.7)}
-        assert m.counts[2022] == {0: 30, 1: 70}
+        assert topic_over_time(labels, years) == [[2022, 0, 30, pytest.approx(0.3)],
+                                                  [2022, 1, 70, pytest.approx(0.7)]]
 
     def test_all_noise_year_omitted(self):
         labels = [0, 0, NOISE, NOISE]
         years = [2020, 2020, 2021, 2021]
-        m = temporal_weights(labels, years)
-        assert m.years == [2020]
+        assert topic_over_time(labels, years) == [[2020, 0, 2, 1.0]]
 
     def test_noise_excluded_from_denominator(self):
         labels = [0, 1, NOISE, NOISE]
         years = [2022] * 4
-        m = temporal_weights(labels, years)
-        assert m.weights[2022][0] == pytest.approx(0.5)
+        assert over_time_weights(labels, years)[2022][0] == pytest.approx(0.5)
+
+    def test_every_topic_in_every_year(self):
+        # a topic absent from a year is listed there with count 0
+        assert topic_over_time([0, 1, 1], [2020, 2021, 2021]) == [
+            [2020, 0, 1, 1.0], [2020, 1, 0, 0.0], [2021, 0, 0, 0.0], [2021, 1, 2, 1.0]]
+
+    def test_all_noise_gives_no_row(self):
+        assert topic_over_time([NOISE] * 3, [2020, 2021, 2021]) == []
 
     @given(st.lists(st.tuples(st.integers(-1, 4), st.integers(2018, 2025)),
                     min_size=1, max_size=60))
@@ -835,9 +844,8 @@ class TestTemporalWeights:
     def test_rows_sum_to_one(self, pairs):
         labels = [l for l, _ in pairs]
         years = [y for _, y in pairs]
-        m = temporal_weights(labels, years)
-        for year in m.years:
-            assert sum(m.weights[year].values()) == pytest.approx(1.0, abs=1e-9)
+        for year, row in over_time_weights(labels, years).items():
+            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_mixture_schedule(self):
         # topic-0 share drops linearly 0.9 -> 0.1 across 2018-2025
@@ -848,11 +856,35 @@ class TestTemporalWeights:
             n0 = round(400 * share)
             labels += [0] * n0 + [1] * (400 - n0)
             years += [year] * 400
-        m = temporal_weights(labels, years)
+        weights = over_time_weights(labels, years)
         for yi, year in enumerate(range(2018, 2026)):
             planted = 0.9 - 0.8 * yi / 7
-            assert abs(m.weights[year][0] - planted) <= 0.05
+            assert abs(weights[year][0] - planted) <= 0.05
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            temporal_weights([0, 1], [2020])
+            topic_over_time([0, 1], [2020])
+
+
+class TestTopicEntries:
+    TERMS = {0: [("alpha", 0.5)], 2: [("gamma", 0.25)]}
+
+    def test_sizes_count_each_label(self):
+        labels = np.array([2, 0, 2, NOISE, 2])
+        assert topic_entries(labels, self.TERMS) == {
+            "0": {"top_terms": [["alpha", 0.5]], "size": 1},
+            "2": {"top_terms": [["gamma", 0.25]], "size": 3}}
+
+    def test_all_noise_gives_no_entry(self):
+        assert topic_entries(np.full(4, NOISE), {}) == {}
+
+    def test_an_id_below_n_topics_without_a_posting_has_size_0(self):
+        # LDA lists all K topics
+        entries = topic_entries(np.array([0, 0, 2]), self.TERMS, n_topics=4)
+        assert {t: e["size"] for t, e in entries.items()} == {"0": 2, "1": 0, "2": 1, "3": 0}
+        assert entries["1"]["top_terms"] == []
+
+    def test_an_id_without_a_posting_is_left_out(self):
+        # a k-means cluster that lost its postings is not listed
+        entries = topic_entries(np.array([3, 0, 3]), {})
+        assert list(entries) == ["0", "3"]
