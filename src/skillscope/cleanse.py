@@ -156,13 +156,15 @@ def normalize_text(raw: str, cfg: CleanseConfig | None = None) -> str:
         changed = any(word in folded for word in first_words)
     else:
         changed = True
+    removed = False
     while changed:  # removal can splice text into a fresh match
         changed = False
         for pat in patterns:
             text, n = pat.subn("", text)
             if n:
-                changed = True
-    return _collapse_blanks(text).strip()
+                changed = removed = True
+    # the collapse is idempotent: only a removal can leave blanks to collapse
+    return (_collapse_blanks(text) if removed else text).strip()
 
 
 def parse_date(raw: str, date_order: str = "DMY") -> dt.date | None:

@@ -241,9 +241,13 @@ def as_text(convert: Callable[[str], object]) -> Callable[[str], str]:
     return check
 
 
+# what json.dumps(row, sort_keys=True) does, without making an encoder per row
+_encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
 def ndjson_lines(rows: Iterable[dict]) -> Iterator[str]:
     """One sorted-key JSON object per line."""
-    return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return (_encode_row(row) + "\n" for row in rows)
 
 
 # each field of an ndjson artifact's rows and the JSON type its value must

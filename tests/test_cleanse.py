@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillscope.cleanse import (
+    _CONTROL_RE,
     DEFAULT_BOILERPLATE,
     CleanseConfig,
     _ascii_fold,
     _boilerplate_res,
+    _collapse_blanks,
     cleanse,
     normalize_text,
     parse_date,
@@ -112,6 +114,34 @@ class TestNormalizeAgainstReference:
                                      "EMPLOYER\n next", "one  \n two"])
     def test_hand_cases(self, raw):
         assert normalize_text(raw) == reference_normalize(raw)
+
+
+def always_collapsed(raw, cfg=None):
+    """normalize_text with its final collapse run whether or not a pattern
+    removed text."""
+    cfg = cfg or CleanseConfig()
+    text = _collapse_blanks(_CONTROL_RE.sub(" ", raw))
+    patterns, _ = _boilerplate_res(tuple(cfg.boilerplate_patterns))
+    changed = True
+    while changed:
+        changed = False
+        for pat in patterns:
+            text, n = pat.subn("", text)
+            changed = changed or n > 0
+    return _collapse_blanks(text).strip()
+
+
+class TestFinalCollapse:
+    @given(blank_text)
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_collapsing_every_text_twice(self, raw):
+        assert normalize_text(raw) == always_collapsed(raw)
+
+    @given(blank_text)
+    @settings(max_examples=1000, deadline=None)
+    def test_collapse_is_idempotent(self, raw):
+        once = _collapse_blanks(raw)
+        assert _collapse_blanks(once) == once
 
 
 # --- the first-word test that lets a text skip the boilerplate patterns --------

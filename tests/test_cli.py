@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillscope import cli, taxonomy, trends
 from skillscope.cli import (
@@ -31,6 +33,7 @@ from skillscope.cli import (
     derive_seed,
     load_postings,
     main,
+    ndjson_lines,
     read_ndjson,
     run_stage,
     write_part,
@@ -53,6 +56,15 @@ EXTRA_POSTINGS = [
     {"id": "extra:none", "date": "2022-05-01", "year": 2022,
      "description": "a generic posting about an unnamed role in town"},
 ]
+
+
+# values json.dumps writes: text of any code point but a surrogate, integers,
+# floats (NaN and the infinities too), bools, null, and lists and objects of them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
 
 
 def sectors_of(postings, lexicon=None) -> list:
@@ -1066,6 +1078,11 @@ class TestArtifactWrites:
         assert len(read_ndjson(tmp_path / "rows.ndjson")) == 20_000
         assert peak < 2 ** 20
 
+    @given(st.lists(st.dictionaries(st.text(max_size=8), json_values, max_size=6), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_ndjson_lines_equal_json_dumps_with_sorted_keys(self, rows):
+        assert list(ndjson_lines(rows)) == [json.dumps(r, sort_keys=True) + "\n" for r in rows]
+
     @pytest.mark.parametrize("bad", [b'{"id": "p1"', b'{"id": "\xff"}', b"[1] [2]", b"", b" \t"])
     def test_ndjson_line_that_does_not_parse_is_named(self, tmp_path, bad):
         path = tmp_path / "rows.ndjson"
@@ -1092,6 +1109,132 @@ def test_text_path_artifacts_are_pinned(demo_dir):
     out = results_dir(demo_dir)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in TEXT_PATH_DIGESTS} == TEXT_PATH_DIGESTS
+
+
+# An adversarial corpus written by hand and read from two sources, a CSV file
+# and an ldjson file: case folds that grow or reach ASCII, combining marks,
+# fullwidth forms, control characters, tabs and newlines, XML entities,
+# boilerplate sentences, French, Spanish and German rows, the tokens the
+# tokenizer treats apart (fine-tuning, c++, c#), and rows each filter rejects.
+_BODY = ("We are looking for a motivated professional to join our growing team. "
+         "The successful candidate will work closely with colleagues across several "
+         "departments and deliver high quality results on schedule every single week.")
+ADVERSARIAL_CSV = [
+    ("2019-01-15", "Senior developer for backend services: python, c++ and c# daily. " + _BODY),
+    ("15/03/2020", "Fine-tuning of large language models, prompt engineering and gpt tooling. "
+                   + _BODY),
+    ("March 4, 2021", "STRASSE or stra\xdfe, \ufb01nance and \ufb00 teams, the \u0130stanbul "
+                      "office. The accountant prepares audit files. " + _BODY),
+    ("2022-06-01", "The \u212aelvin sign, a long \u017f and a dotless \u0131 in data entry "
+                   "and filing work. " + _BODY),
+    ("2023-02-02", "Tabs\there\tand\tthere, NBSP\xa0spaces, an ideographic\u3000space and a "
+                   "line\u2028separator for the nurse at the hospital. " + _BODY),
+    ("2018-07-07", "First line.\nSecond line\r\nThird\n\n\n line   with   spaces. " + _BODY),
+    ("2024-11-30", _BODY + " Equal Opportunity Employer. Benefits include a gym and lunch. "
+                   "About the Company: we build tools for the logistics team."),
+    ("2020-08-08", "EQUAL\topportunity   employer for all! The lawyer supports litigation. "
+                   + _BODY),
+    ("2021-12-12", "Cafe\u0301 re\u0301sume\u0301 na\xefve co\xf6perate with "
+                   "the teacher and the lecturer group. " + _BODY),
+    ("2022-02-22", "\uff30\uff59\uff54\uff48\uff4f\uff4e developer \uff21\uff29 "
+                   "\uff11\uff12\uff13 in machine learning. " + _BODY),
+    ("2023-03-03", "human-in-the-loop review, scikit-learn, -leading and trailing-, a--b, "
+                   "c+++, ##tag and x-+#y. " + _BODY),
+    ("2019-09-19", "A great team \U0001F680 \u4e2d\u6587 \u0436\u0414\u044f \u03b1\u03b2\u03a9 "
+                   "for the designer doing graphic design. " + _BODY),
+    ("2020-10-10", "R&amp;D team, &lt;b&gt;bold&lt;/b&gt;, &quot;quoted&quot; and "
+                   "&apos;apostrophes&apos; in sales. " + _BODY),
+    ("2021-01-01", "Zero\u200bwidth\ufeffmarks and a right\u200fto\u200eleft mark in mlops "
+                   "and model monitoring. " + _BODY),
+    ("2022-04-04", "Nous recherchons un ing\xe9nieur logiciel exp\xe9riment\xe9 pour rejoindre "
+                   "notre \xe9quipe parisienne d\xe8s que possible afin de d\xe9velopper nos "
+                   "services."),
+    ("2023-05-05", "Buscamos una persona responsable para unirse a nuestro equipo de ventas "
+                   "en Madrid con experiencia en atenci\xf3n al cliente y log\xedstica."),
+    ("2024-06-06", "Short ad, apply now."),
+    ("not-a-date", "A row whose date does not parse. " + _BODY),
+    ("2015-05-05", "A row from a year outside the range. " + _BODY),
+    ("2019-02-28", "Strategic planning, people management and mentoring for the manager "
+                   "who reports to the director. " + _BODY),
+    ("2020-03-31", "Invoice processing, photocopying and routine maintenance of records in "
+                   "the warehouse with freight and shipping. " + _BODY),
+    ("2021-04-30", "Strong communication, teamwork and problem solving, critical thinking "
+                   "and adaptability. " + _BODY),
+    ("2022-05-31", "DATA ENTRY, ORDER PROCESSING AND MANUAL CODING OF LEGACY SPREADSHEETS. "
+                   + _BODY.upper()),
+]
+ADVERSARIAL_LDJSON = [
+    ("2019-06-30", "Control\x00characters\x07and\x1bescapes\x7fand\x1cseparators\x1f in "
+                   "the backend devops toolchain. " + _BODY),
+    ("2020-07-31", "A next line\x85and a form\x0cfeed and a vertical\x0btab in banking and "
+                   "investment reporting. " + _BODY),
+    ("2021-08-31", "Senior developer for backend services: python, c++ and c# daily. " + _BODY),
+    ("2022-09-30", "Benefits include free lunch. Benefits include a gym. " + _BODY
+                   + " About the Company. Equal Opportunity Employer"),
+    ("2023-10-31", "About the About the Company Company. " + _BODY),
+    ("2024-01-31", "Wir suchen eine erfahrene Fachkraft zur Verst\xe4rkung unseres Teams in "
+                   "Berlin und M\xfcnchen f\xfcr die Softwareentwicklung."),
+    ("2018-12-31", "Nous cherchons un d\xe9veloppeur python pour le machine learning et la "
+                   "fine-tuning des mod\xe8les dans notre \xe9quipe \xe0 Lyon."),
+    ("2019-03-15", "c# c++ c+ c## -- ++ ## " * 6 + _BODY),
+    ("2020-04-15", "Model validation, model monitoring and fine-tuning with python, for "
+                   "the attorney at the law firm. " + _BODY),
+    ("2021-05-15", "\u1e9e and \xdf, \u0149, \u01f0 and \ufb03 fold to longer forms in "
+                   "ux and ui deliverables. " + _BODY),
+    ("2022-06-15", "Decision support and human oversight, working alongside the clinical "
+                   "staff to assist the patient. " + _BODY),
+    ("2023-07-15", "Fully automated pipelines replace manual work and eliminate routine "
+                   "steps in the office. " + _BODY),
+    ("2024-08-15", "   \t\n "),
+    ("2019-11-11", ""),
+    ("2020-12-12", "An account executive for business development targets. " + _BODY
+                   + "\n\nBenefits include\ttravel.\nMore text after the newline."),
+    ("06/07/2021", "The successful candidate will work with the director. " + _BODY),
+    ("2022-10-10", "Senior developer for backend services: PYTHON, C++ AND C# DAILY. " + _BODY),
+]
+
+
+def write_adversarial_corpus(root: Path) -> Path:
+    """The adversarial corpus as a CSV and an ldjson source; its run.json."""
+    run = write_demo_corpus(root, n=60)
+    with open(root / "board.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "description"])
+        writer.writerows(ADVERSARIAL_CSV)
+    (root / "feed.ldjson").write_text(
+        "".join(json.dumps({"date": d, "description": t}) + "\n" for d, t in ADVERSARIAL_LDJSON),
+        encoding="utf-8")
+    (spec,) = json.loads((root / "sources.json").read_text())
+    (root / "sources.json").write_text(json.dumps([
+        {**spec, "path_or_url": str(root / "board.csv")},
+        {**spec, "path_or_url": str(root / "feed.ldjson"), "format": "ldjson"}]))
+    return run
+
+
+# sha256 of the TEXT_PATH_DIGESTS artifacts of the adversarial corpus, taken
+# from the regex tokenizer and language filter the str.translate forms replaced
+ADVERSARIAL_DIGESTS = {
+    "raw_records.ndjson": "41b4c43cb92df7f1a1a34b17770a637979288ded2b502598563bfab052aaef7d",
+    "ingest_report.json": "07fc5576389758b7c5687f3de793c9c3287855a82e22da7fec887edcb836a0e5",
+    "postings.ndjson": "be085577932138b1684e0748c347199240260b7d85371180e5f8f58c79c4c435",
+    "cleanse_report.json": "49a26a252b417b589fddac782678a65f8559ae45c39c7d643dd52ee548a1ab61",
+    "skill_flags.ndjson": "f9f6bdf6adec276fd2e0cbdf9f356edad598d631a9f2a58317a203b7a1d85d50",
+    "skill_rates.csv": "3cea3f010b6414c843d5e6ac74f6887adfd6aece7ea3e9180dbd48627e545bec",
+    "sector_rates.csv": "eb089196d50451c586c6d4a8674d1ac6aa6bc31eccc93711409cf397ba3da081",
+}
+
+
+def test_adversarial_text_path_artifacts_are_pinned(tmp_path):
+    run = write_adversarial_corpus(tmp_path / "in")
+    out = tmp_path / "out"
+    for stage in ("ingest", "cleanse", "extract", "framing", "sectors"):
+        assert main([stage, "--config", str(run), "--out", str(out)]) == EXIT_OK
+    # 40 rows: two blank, two repeated, and each filter rejects at least one
+    assert json.loads((out / "cleanse_report.json").read_text()) == {
+        "input": 36, "retained": 29,
+        "rejected": {"bad_date": 1, "non_english": 4, "out_of_range": 1, "too_short": 1}}
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in TEXT_PATH_DIGESTS} == ADVERSARIAL_DIGESTS
 
 
 class TestConfigPlumbing:

@@ -14,6 +14,8 @@ from skillscope.language import (
     LANGUAGES,
     MIN_DETECT_CHARS,
     _canonical,
+    _table,
+    _trigram_ids,
     detect_language,
 )
 
@@ -138,6 +140,43 @@ def reference_canonical(text):
 @settings(max_examples=500, deadline=None)
 def test_canonical_matches_plain_space_collapse(text):
     assert _canonical(text) == reference_canonical(text)
+
+
+def fancy_indexed_detect(text):
+    """detect_language with the rows gathered by fancy indexing."""
+    if len(text) < MIN_DETECT_CHARS:
+        raise TextTooShortError("short")
+    canonical = _canonical(text)
+    if not canonical:
+        raise TextTooShortError("no scorable characters")
+    rows, logp = _table()
+    scores = list(zip(LANGUAGES, logp[rows[_trigram_ids(canonical)]].sum(axis=0).tolist()))
+    best = max(s for _, s in scores)
+    weights = [(lang, math.exp(s - best)) for lang, s in scores]
+    z = sum(w for _, w in weights)
+    posterior = sorted(((w / z, lang) for lang, w in weights), reverse=True)
+    return posterior[0][1], posterior[0][0] - posterior[1][0]
+
+
+# blanks of every kind, combining marks that NFC composes with a letter (e and
+# U+0301 make é, which is kept), case folds that grow or leave the alphabet
+# (sharp s, the fi ligature, dotted I, long s, the Kelvin sign, capital sharp
+# s), fullwidth letters, and letters of the alphabet's edges (ö ÷ ø ÿ œ)
+_SCORED_CHARS = (_CHARS + "  \xa0\u3000\u2028\x85\x1c\x1f" + "\u0301\u0300\u0308\u0327"
+                 + "\ufb01\u0130\u017f\u212a\u1e9e" + "\uff21\uff45" + "\xf6\xf7\xf8\xff\u0152")
+
+
+@given(st.lists(st.sampled_from(_WORDS) | st.text(st.sampled_from(_SCORED_CHARS), max_size=15),
+                max_size=60).map(" ".join))
+@settings(max_examples=500, deadline=None)
+def test_scores_equal_the_fancy_index_gather_exactly(text):
+    try:
+        want = fancy_indexed_detect(text)
+    except TextTooShortError:
+        with pytest.raises(TextTooShortError):
+            detect_language(text)
+        return
+    assert detect_language(text) == want  # the same bits, not merely close
 
 
 def test_alphabet_is_what_canonical_keeps():
