@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,15 +49,19 @@ class ArimaModel:
     intercept: float
     residual_variance: float
     fitted_values: np.ndarray     # differenced working series
-    last_observations: list[np.ndarray]  # tails of each differencing level
+    residuals: list[float]        # css_residuals of fitted_values at the fit
+    last_observations: list[float]  # last value of each level the differencing removed
     converged: bool = True
     stationary: bool = True
-    objective: float = 0.0
     iterations: int = 0           # simplex iterations of the CSS search
 
 
-def _residuals(w: list[float], phi: list[float], theta: list[float],
-               intercept: float) -> list[float]:
+def css_residuals(w: list[float], phi: list[float], theta: list[float],
+                  intercept: float) -> list[float]:
+    """One-step-ahead residuals with presample values treated as zero.
+
+    The recursion runs on Python floats, which round exactly as numpy
+    float64 scalars do at a fraction of their cost per operation."""
     ar, ma = list(enumerate(phi, 1)), list(enumerate(theta, 1))
     e: list[float] = []
     for t, wt in enumerate(w):
@@ -71,16 +76,6 @@ def _residuals(w: list[float], phi: list[float], theta: list[float],
             pred += c * e[t - lag]
         e.append(wt - pred)
     return e
-
-
-def css_residuals(w: np.ndarray, phi: np.ndarray, theta: np.ndarray,
-                  intercept: float) -> np.ndarray:
-    """One-step-ahead residuals with presample values treated as zero.
-
-    The recursion runs on Python floats, which round exactly as numpy
-    float64 scalars do at a fraction of their cost per operation."""
-    w, phi, theta = (np.asarray(v, dtype=float).tolist() for v in (w, phi, theta))
-    return np.array(_residuals(w, phi, theta, float(intercept)))
 
 
 def _sum_squares(e: list[float]) -> float:
@@ -211,26 +206,25 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
 
     def css(x: list[float]) -> float:
         c = x[p + q] if has_intercept else 0.0
-        return _sum_squares(_residuals(series, x[:p], x[p:p + q], c)[p:])
+        return _sum_squares(css_residuals(series, x[:p], x[p:p + q], c)[p:])
 
+    x: list[float] = []
     converged = True
     iterations = 0
-    if n_params == 0:
-        x = []
-        objective = css(x)
-    else:
+    if n_params:
         x0 = [0.1] * (p + q) + ([float(np.mean(w))] if has_intercept else [])
         result = _nelder_mead(css, x0, xatol=1e-8, fatol=1e-10,
                               maxiter=500 * max(1, n_params))
-        x, objective = result.x, result.fun
-        converged, iterations = result.success, result.nit
+        x, converged, iterations = result.x, result.success, result.nit
         if not converged:
             warnings.warn(f"ARIMA{(p, d, q)} CSS search did not converge; "
                           "returning best point found")
     phi, theta = np.array(x[:p], dtype=float), np.array(x[p:p + q], dtype=float)
     intercept = x[p + q] if has_intercept else 0.0
-
-    residual_variance = css(x) / max(1, len(w) - p)
+    # the variance from the residuals at x, not from the search's minimum,
+    # which is NaN when the simplex holds a NaN
+    residuals = css_residuals(series, x[:p], x[p:p + q], intercept)
+    residual_variance = _sum_squares(residuals[p:]) / max(1, len(w) - p)
 
     stationary = True
     if p > 0 and np.any(np.abs(phi) > 0):
@@ -246,10 +240,10 @@ def arima_fit(values: np.ndarray, spec: ArimaSpec) -> ArimaModel:
         intercept=float(intercept),
         residual_variance=residual_variance,
         fitted_values=w,
-        last_observations=[lvl.copy() for lvl in levels],
+        residuals=residuals,
+        last_observations=[float(lvl[-1]) for lvl in levels[:-1]],
         converged=converged,
         stationary=stationary,
-        objective=objective,
         iterations=iterations,
     )
 
@@ -272,25 +266,16 @@ def psi_weights(model: ArimaModel, horizon: int) -> np.ndarray:
     return psi
 
 
-@dataclass
-class Forecast:
-    years: list[int]
-    point: list[float]
-    lower: list[float]
-    upper: list[float]
-
-
-def arima_forecast(model: ArimaModel, horizon: int, last_year: int | None = None) -> Forecast:
+def arima_forecast(model: ArimaModel, horizon: int) -> list[tuple[float, float, float]]:
+    """``(point, lower, upper)`` of each of the next ``horizon`` steps, the
+    bounds a 95% Gaussian interval."""
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    p, d, q = model.spec.p, model.spec.d, model.spec.q
-    w = model.fitted_values
-    e = css_residuals(w, model.ar_coeffs, model.ma_coeffs, model.intercept)
+    p, q = model.spec.p, model.spec.q
+    w, e = model.fitted_values, model.residuals
     n = len(w)
     extended = list(w)
-    preds_w = []
-    for h in range(1, horizon + 1):
-        t = n + h - 1
+    for t in range(n, n + horizon):
         pred = model.intercept
         for i in range(1, p + 1):
             pred += model.ar_coeffs[i - 1] * extended[t - i]
@@ -298,27 +283,12 @@ def arima_forecast(model: ArimaModel, horizon: int, last_year: int | None = None
             if t - j < n:  # unobserved future shocks are zero
                 pred += model.ma_coeffs[j - 1] * e[t - j]
         extended.append(pred)
-        preds_w.append(pred)
 
-    # reverse the d-fold differencing using the observed tails
-    preds = list(preds_w)
-    for level in range(d - 1, -1, -1):
-        running = float(model.last_observations[level][-1])
-        integrated = []
-        for value in preds:
-            running += value
-            integrated.append(running)
-        preds = integrated
+    # reverse the d-fold differencing from the last value of each level
+    preds = extended[n:]
+    for last in reversed(model.last_observations):
+        preds = list(accumulate(preds, initial=last))[1:]
 
     psi = psi_weights(model, horizon)
-    variances = model.residual_variance * np.cumsum(psi ** 2)
-    half = 1.96 * np.sqrt(variances)
-    years = []
-    if last_year is not None:
-        years = [last_year + h for h in range(1, horizon + 1)]
-    return Forecast(
-        years=years,
-        point=[float(v) for v in preds],
-        lower=[float(v - hw) for v, hw in zip(preds, half)],
-        upper=[float(v + hw) for v, hw in zip(preds, half)],
-    )
+    half = 1.96 * np.sqrt(model.residual_variance * np.cumsum(psi ** 2))
+    return [(float(v), float(v - hw), float(v + hw)) for v, hw in zip(preds, half)]

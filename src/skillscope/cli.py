@@ -838,9 +838,7 @@ def stage_forecast(cfg: RunConfig, out: Path, workers: Workers) -> dict:
             fc = forecast_series(s, spec, horizon, alpha)
             for year, rate in s.points:
                 rows.append([cat, spec_name, year, float(rate), float(rate), float(rate), 0])
-            for year, point, lower, upper in fc.forecasts:
-                rows.append([cat, spec_name, year, float(point), float(lower),
-                             float(upper), 1])
+            rows += ([cat, spec_name, *step, 1] for step in fc.forecasts)
             diagnostics.append({"category": cat, "spec": spec_name,
                                 "converged": fc.model.converged,
                                 "stationary": fc.model.stationary,
@@ -866,14 +864,9 @@ def stage_correlate(cfg: RunConfig, out: Path, workers: Workers) -> dict:
         matrix = pearson_matrix(series)
     except ConfigError as e:
         raise DataError(f"{out / 'skill_rates.csv'}: {e}") from e
-    rows = []
-    for i, label in enumerate(matrix.labels):
-        row = [label]
-        for j in range(len(matrix.labels)):
-            v = matrix.entries[i, j]
-            row.append("undefined" if np.isnan(v) else float(v))
-        rows.append(row)
-    write_csv(out / "correlation.csv", ["category"] + list(matrix.labels), rows)
+    write_csv(out / "correlation.csv", ["category", *SKILL_CATEGORIES],
+              [[label, *("undefined" if np.isnan(v) else float(v) for v in row)]
+               for label, row in zip(SKILL_CATEGORIES, matrix)])
     return {}
 
 

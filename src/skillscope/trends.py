@@ -8,7 +8,9 @@ to the group the matcher lists first, which is the lexicon's priority order.
 
 ``forecast_series`` fits an ARIMA order to a series, smoothed first by
 ``exp_smooth`` when it is given an alpha. Annual series of eight points are
-statistically fragile for (2,0,2); a short-series warning is attached.
+statistically fragile for (2,0,2); a short-series warning is attached. A
+series with a forecast point outside [0, 1000], a rate no group can have,
+warns once, naming its first such year.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ class ForecastSeries:
     short_series: bool
 
 
-@dataclass
-class CorrelationMatrix:
-    labels: tuple[str, ...]
-    entries: np.ndarray  # NaN marks undefined (zero-variance) pairs
-
-
 def check_alpha(alpha: float, name: str = "alpha") -> None:
     """ConfigError naming ``name`` unless the smoothing alpha is in (0, 1]."""
     if not (0 < alpha <= 1):
@@ -101,8 +97,14 @@ def forecast_series(series: RateSeries, spec: ArimaSpec, horizon: int = 2,
             f"ARIMA({spec.p},{spec.d},{spec.q}) estimates will be fragile"
         )
     model = arima_fit(values, spec)
-    fc = arima_forecast(model, horizon, last_year=series.years[-1])
-    return ForecastSeries(list(zip(fc.years, fc.point, fc.lower, fc.upper)), model, short)
+    forecasts = [(year, *step) for year, step in
+                 enumerate(arima_forecast(model, horizon), series.years[-1] + 1)]
+    for year, point, _, _ in forecasts:
+        if not 0.0 <= point <= 1000.0:
+            warnings.warn(f"series {series.label}: ARIMA({spec.p},{spec.d},{spec.q}) "
+                          f"forecasts {point} per 1,000 for {year}, outside [0, 1000]")
+            break
+    return ForecastSeries(forecasts, model, short)
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
@@ -119,9 +121,11 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def pearson_matrix(series_by_category: dict[str, RateSeries]) -> CorrelationMatrix:
-    labels = tuple(SKILL_CATEGORIES)
-    missing = [c for c in labels if c not in series_by_category]
+def pearson_matrix(series_by_category: dict[str, RateSeries]) -> np.ndarray:
+    """Pearson r of each pair of categories, rows and columns in
+    ``SKILL_CATEGORIES`` order; NaN marks an undefined (zero-variance) pair,
+    the diagonal of a series that never changes too."""
+    missing = [c for c in SKILL_CATEGORIES if c not in series_by_category]
     if missing:
         raise ConfigError(f"missing series for categories {missing}")
     year_sets = {tuple(s.years) for s in series_by_category.values()}
@@ -129,14 +133,16 @@ def pearson_matrix(series_by_category: dict[str, RateSeries]) -> CorrelationMatr
         raise ConfigError("all five series must share the same year set")
     if len(next(iter(year_sets))) < 3:
         raise ConfigError("need at least 3 shared time points")
-    n = len(labels)
-    entries = np.eye(n)
+    values = [series_by_category[c].values for c in SKILL_CATEGORIES]
+    n = len(values)
+    entries = np.empty((n, n))
     for i in range(n):
-        for j in range(i + 1, n):
-            r = pearson_r(series_by_category[labels[i]].values,
-                          series_by_category[labels[j]].values)
+        for j in range(i, n):
+            r = pearson_r(values[i], values[j])
+            if i == j and not math.isnan(r):
+                r = 1.0  # exactly, not r's rounding
             entries[i, j] = entries[j, i] = r
-    return CorrelationMatrix(labels=labels, entries=entries)
+    return entries
 
 
 def classify_sector(posting: Posting, matcher: CompiledMatcher,

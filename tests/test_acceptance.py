@@ -243,7 +243,7 @@ def test_09_arima_parameter_recovery(report):
 
     walk = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
     fc = arima_forecast(arima_fit(walk, ArimaSpec(0, 1, 0)), 4)
-    assert fc.point == [6.0] * 4  # flat at the last observation, exactly
+    assert [point for point, _, _ in fc] == [6.0] * 4  # flat at the last observation, exactly
     report["ok"] = True
 
 
@@ -268,28 +268,28 @@ def test_10_correlation_matrix(report):
         "Leadership": mk("Leadership", rng.normal(size=8)),
     }
     m = pearson_matrix(per_cat)
-    assert np.allclose(m.entries, m.entries.T, atol=1e-12)
-    assert np.allclose(np.diag(m.entries), 1.0, atol=1e-12)
+    assert np.allclose(m, m.T, atol=1e-12)
+    assert np.allclose(np.diag(m), 1.0, atol=1e-12)
 
     # brute-force covariance oracle for every pair
     vals = {c: np.array([r for _, r in per_cat[c].points]) for c in per_cat}
-    for i, a in enumerate(m.labels):
-        for j, b in enumerate(m.labels):
+    for i, a in enumerate(SKILL_CATEGORIES):
+        for j, b in enumerate(SKILL_CATEGORIES):
             va, vb = vals[a], vals[b]
             cov = float(((va - va.mean()) * (vb - vb.mean())).mean())
             oracle = cov / (va.std() * vb.std())
-            assert m.entries[i, j] == pytest.approx(oracle, abs=1e-9)
+            assert m[i, j] == pytest.approx(oracle, abs=1e-9)
 
-    i, j = m.labels.index("AI_Data"), m.labels.index("Routine")
-    assert m.entries[i, j] == pytest.approx(0.49, abs=1e-9)
-    assert m.entries[i, m.labels.index("Soft_Meta")] == pytest.approx(1.0, abs=1e-9)
+    i, j = SKILL_CATEGORIES.index("AI_Data"), SKILL_CATEGORIES.index("Routine")
+    assert m[i, j] == pytest.approx(0.49, abs=1e-9)
+    assert m[i, SKILL_CATEGORIES.index("Soft_Meta")] == pytest.approx(1.0, abs=1e-9)
 
     # affine invariance of any single series
     per_cat["Leadership"] = RateSeries(
         label=("Leadership",),
         points=tuple((y, 0.5 * r + 10.0) for y, r in per_cat["Leadership"].points))
     m2 = pearson_matrix(per_cat)
-    assert np.allclose(m.entries, m2.entries, atol=1e-12)
+    assert np.allclose(m, m2, atol=1e-12)
     report["ok"] = True
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from skillscope.arima import (
     ArimaModel,
     ArimaSpec,
     _nelder_mead,
-    _residuals,
     _sum_squares,
     arima_fit,
     arima_forecast,
@@ -34,15 +35,13 @@ class TestSpec:
 class TestCssResiduals:
     def test_hand_recursion_ar1(self):
         # e_t = w_t - c - phi*w_{t-1}; presample term zero
-        w = np.array([1.0, 2.0, 0.5])
-        e = css_residuals(w, np.array([0.5]), np.array([]), intercept=0.1)
+        e = css_residuals([1.0, 2.0, 0.5], [0.5], [], intercept=0.1)
         assert e[0] == pytest.approx(1.0 - 0.1)
         assert e[1] == pytest.approx(2.0 - 0.1 - 0.5 * 1.0)
         assert e[2] == pytest.approx(0.5 - 0.1 - 0.5 * 2.0)
 
     def test_hand_recursion_ma1(self):
-        w = np.array([1.0, 1.0, 1.0])
-        e = css_residuals(w, np.array([]), np.array([0.5]), intercept=0.0)
+        e = css_residuals([1.0, 1.0, 1.0], [], [0.5], intercept=0.0)
         assert e[0] == 1.0
         assert e[1] == pytest.approx(1.0 - 0.5 * e[0])
         assert e[2] == pytest.approx(1.0 - 0.5 * e[1])
@@ -54,7 +53,8 @@ class TestCssResiduals:
            st.just(0.0) | st.floats(-1e3, 1e3).map(np.float64))
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_numpy_scalar_recursion(self, w, phi, theta, intercept):
-        assert css_residuals(w, phi, theta, intercept).tobytes() == \
+        e = css_residuals(w.tolist(), phi.tolist(), theta.tolist(), float(intercept))
+        assert np.array(e).tobytes() == \
             reference_css_residuals(w, phi, theta, intercept).tobytes()
 
 
@@ -88,7 +88,7 @@ def css_objective(w: list[float], p: int, q: int, has_intercept: bool):
     def css(x) -> float:
         x = [float(v) for v in x]
         c = x[p + q] if has_intercept else 0.0
-        return _sum_squares(_residuals(w, x[:p], x[p:p + q], c)[p:])
+        return _sum_squares(css_residuals(w, x[:p], x[p:p + q], c)[p:])
     return css
 
 
@@ -164,20 +164,21 @@ class TestArimaFit:
         x = np.full(20, 7.0)
         model = arima_fit(x, ArimaSpec(1, 1, 1))
         assert model.residual_variance == pytest.approx(0.0, abs=1e-12)
-        fc = arima_forecast(model, 3)
-        assert np.allclose(fc.point, 7.0, atol=1e-8)
+        assert np.allclose(points(arima_forecast(model, 3)), 7.0, atol=1e-8)
 
     def test_too_short(self):
         with pytest.raises(DataError, match="need >= 5 points after differencing, got 4"):
             arima_fit(np.arange(4.0), ArimaSpec(2, 0, 2))
 
-    def test_objective_matches_independent_recomputation(self):
+    def test_residuals_and_variance_match_independent_recomputation(self):
         x = simulate_ar1(0.4, 80, seed=3)
         spec = ArimaSpec(1, 0, 1)
         model = arima_fit(x, spec)
-        e = css_residuals(model.fitted_values, model.ar_coeffs,
-                          model.ma_coeffs, model.intercept)
-        assert model.objective == pytest.approx(float((e[spec.p:] ** 2).sum()), abs=1e-8)
+        e = reference_css_residuals(model.fitted_values, model.ar_coeffs,
+                                    model.ma_coeffs, model.intercept)
+        assert np.array(model.residuals).tobytes() == e.tobytes()
+        assert model.residual_variance * (len(x) - spec.p) == \
+            pytest.approx(float((e[spec.p:] ** 2).sum()), abs=1e-8)
 
     def test_deterministic(self):
         x = simulate_ar1(0.5, 60, seed=4)
@@ -188,38 +189,40 @@ class TestArimaFit:
         assert a.intercept == b.intercept
 
 
-def ar1_model(phi, last, d=0):
+def ar1_model(phi, last):
     """Hand-built model for forecast recursion tests."""
-    levels = [np.array([last])]
     return ArimaModel(
-        spec=ArimaSpec(1, d, 0),
+        spec=ArimaSpec(1, 0, 0),
         ar_coeffs=np.array([phi]),
         ma_coeffs=np.array([]),
         intercept=0.0,
         residual_variance=1.0,
         fitted_values=np.array([last]),
-        last_observations=levels,
+        residuals=[last],
+        last_observations=[],
     )
+
+
+def points(forecast):
+    return [point for point, _, _ in forecast]
 
 
 class TestForecast:
     def test_random_walk_flat_at_last_observation(self):
         x = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         model = arima_fit(x, ArimaSpec(0, 1, 0))
-        fc = arima_forecast(model, 4, last_year=2025)
-        assert fc.point == [6.0, 6.0, 6.0, 6.0]  # exact
-        assert fc.years == [2026, 2027, 2028, 2029]
+        assert points(arima_forecast(model, 4)) == [6.0, 6.0, 6.0, 6.0]  # exact
 
     def test_ar1_hand_recursion(self):
         # x̂_{t+h} = phi^h * x_t with intercept 0
         fc = arima_forecast(ar1_model(0.5, last=8.0), 3)
-        assert fc.point == pytest.approx([4.0, 2.0, 1.0])
+        assert points(fc) == pytest.approx([4.0, 2.0, 1.0])
 
     def test_interval_widths_non_decreasing(self):
         x = simulate_ar1(0.6, 100, seed=5)
         model = arima_fit(x, ArimaSpec(1, 0, 0))
         fc = arima_forecast(model, 6)
-        widths = [u - l for u, l in zip(fc.upper, fc.lower)]
+        widths = [u - l for _, l, u in fc]
         for a, b in zip(widths, widths[1:]):
             assert b >= a - 1e-12
 
@@ -244,5 +247,58 @@ class TestForecast:
         # but random-walk forecasts stay flat at the last observation
         x = np.arange(0.0, 40.0, 2.0)
         model = arima_fit(x, ArimaSpec(0, 1, 0))
-        fc = arima_forecast(model, 2)
-        assert fc.point == [38.0, 38.0]
+        assert points(arima_forecast(model, 2)) == [38.0, 38.0]
+
+
+def reference_forecast(model, values, horizon):
+    """``(point, lower, upper)`` of each step as the forecast was computed
+    before the fit kept its residuals: the residuals recomputed from the
+    fitted coefficients, the variance from them, and the differencing undone
+    from each whole level of ``values``."""
+    p, d, q = model.spec.p, model.spec.d, model.spec.q
+    levels = [np.asarray(values, dtype=float)]
+    for _ in range(d):
+        levels.append(np.diff(levels[-1]))
+    w = levels[-1]
+    e = reference_css_residuals(w, model.ar_coeffs, model.ma_coeffs, model.intercept)
+    variance = float((e[p:] ** 2).sum()) / max(1, len(w) - p)
+    n = len(w)
+    extended = list(w)
+    preds_w = []
+    for h in range(1, horizon + 1):
+        t = n + h - 1
+        pred = model.intercept
+        for i in range(1, p + 1):
+            pred += model.ar_coeffs[i - 1] * extended[t - i]
+        for j in range(1, q + 1):
+            if t - j < n:
+                pred += model.ma_coeffs[j - 1] * e[t - j]
+        extended.append(pred)
+        preds_w.append(pred)
+    preds = list(preds_w)
+    for level in range(d - 1, -1, -1):
+        running = float(levels[level][-1])
+        integrated = []
+        for value in preds:
+            running += value
+            integrated.append(running)
+        preds = integrated
+    psi = psi_weights(model, horizon)
+    half = 1.96 * np.sqrt(variance * np.cumsum(psi ** 2))
+    return [(float(v), float(v - hw), float(v + hw)) for v, hw in zip(preds, half)]
+
+
+class TestFitKeepsItsResiduals:
+    @given(st.lists(st.floats(0.0, 1000.0), min_size=8, max_size=24),
+           st.sampled_from([(0, 1, 0), (1, 1, 1), (2, 0, 2), (2, 1, 0)]),
+           st.integers(1, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_residuals_and_forecast_bit_equal_to_recomputation(self, values, order, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fits' own warnings
+            model = arima_fit(np.array(values), ArimaSpec(*order))
+        expected = reference_css_residuals(model.fitted_values, model.ar_coeffs,
+                                           model.ma_coeffs, model.intercept)
+        assert np.array(model.residuals).tobytes() == expected.tobytes()
+        assert np.array(arima_forecast(model, horizon)).tobytes() == \
+            np.array(reference_forecast(model, values, horizon)).tobytes()

@@ -445,9 +445,11 @@ class TestSplitStages:
             shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno)
                            for w in caught]
         assert shown[1] == shown[2] == shown[3]
-        # the not-converged, non-stationary and short-series warnings, also
-        # those of the last category's fits, which a worker makes
-        for text in ("did not converge", "not stationary", "('Leadership',) has only"):
+        # the not-converged, non-stationary, short-series and impossible
+        # forecast warnings, also those of the last category's fits, which a
+        # worker makes
+        for text in ("did not converge", "not stationary", "('Leadership',) has only",
+                     "('Routine',): ARIMA(2,0,2) forecasts -61.88"):
             assert any(text in message for _, message, _, _ in shown[1])
         assert stage_processes(out)["forecast"] == (3, 3)
         assert_no_children()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skillscope.arima import ArimaSpec
+from skillscope.arima import ArimaSpec, arima_forecast
 from skillscope.errors import ConfigError
 from skillscope.fixtures import SECTOR_SNIPPETS
 from skillscope.skills import detect_skills, per_mille
@@ -136,12 +136,12 @@ class TestPearson:
             "Leadership": series(to_rate(rng.normal(size=8)), ("Leadership",)),
         }
         m = pearson_matrix(per_cat)
-        assert np.allclose(m.entries, m.entries.T, atol=1e-12)
-        assert np.allclose(np.diag(m.entries), 1.0, atol=1e-12)
-        i, j = m.labels.index("AI_Data"), m.labels.index("Routine")
-        assert m.entries[i, j] == pytest.approx(0.49, abs=1e-9)
-        k = m.labels.index("Soft_Meta")
-        assert m.entries[i, k] == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(m, m.T, atol=1e-12)
+        assert np.allclose(np.diag(m), 1.0, atol=1e-12)
+        i, j = SKILL_CATEGORIES.index("AI_Data"), SKILL_CATEGORIES.index("Routine")
+        assert m[i, j] == pytest.approx(0.49, abs=1e-9)
+        k = SKILL_CATEGORIES.index("Soft_Meta")
+        assert m[i, k] == pytest.approx(1.0, abs=1e-9)
 
     def test_matrix_requires_aligned_years(self):
         per_cat = {c: series([1.0, 2.0, 3.0]) for c in SKILL_CATEGORIES}
@@ -154,11 +154,11 @@ class TestPearson:
         per_cat = {c: series([float(i) for i in range(5)]) for c in SKILL_CATEGORIES}
         per_cat["Leadership"] = series([7.0] * 5)
         m = pearson_matrix(per_cat)
-        i = m.labels.index("Leadership")
+        i = SKILL_CATEGORIES.index("Leadership")
         for j in range(5):
-            if j != i:
-                assert math.isnan(m.entries[i, j])
-        assert m.entries[i, i] == 1.0
+            assert math.isnan(m[i, j]) and math.isnan(m[j, i])
+        # a series that varies keeps exactly 1.0 on the diagonal
+        assert [m[j, j] for j in range(5) if j != i] == [1.0] * 4
 
 
 class TestForecastSeries:
@@ -166,11 +166,13 @@ class TestForecastSeries:
         s = series([100, 300, 100, 300, 100, 300, 100, 300])
         fc = forecast_series(s, ArimaSpec(1, 1, 1), horizon=2, smoothing_alpha=0.5)
         smoothed = exp_smooth(list(s.values), 0.5)
-        assert fc.model.last_observations[0].tolist() == smoothed
-        assert np.allclose(np.diff(smoothed), fc.model.last_observations[1])
+        # the differences and the last value fix the whole series
+        assert fc.model.fitted_values.tolist() == np.diff(smoothed).tolist()
+        assert fc.model.last_observations == [smoothed[-1]]
         # unsmoothed, the same order fits the raw values
         raw = forecast_series(s, ArimaSpec(1, 1, 1), horizon=2)
-        assert raw.model.last_observations[0].tolist() == list(s.values)
+        assert raw.model.fitted_values.tolist() == np.diff(s.values).tolist()
+        assert raw.model.last_observations == [s.values[-1]]
 
     def test_smoothing_alpha_outside_zero_to_one_rejected(self):
         s = series([100, 150, 130, 180, 170, 210, 200, 260])
@@ -186,7 +188,28 @@ class TestForecastSeries:
     def test_forecast_years_continue_history(self):
         s = series([100, 150, 130, 180, 170, 210, 200, 260])
         fc = forecast_series(s, ArimaSpec(1, 1, 1), horizon=3, smoothing_alpha=0.5)
-        assert [y for y, *_ in fc.forecasts] == [2026, 2027, 2028]
+        assert fc.forecasts == [(year, *step) for year, step in
+                                zip([2026, 2027, 2028], arima_forecast(fc.model, 3))]
+
+    @pytest.mark.parametrize("values, first", [
+        ([300, 400, 500, 600, 700, 800, 880, 940], 2027),  # above 1,000 from 2027
+        ([900, 780, 660, 540, 420, 300, 180, 60], 2026),   # below 0 from 2026
+        ([500, 520, 540, 560, 580, 600, 620, 640], None),  # inside [0, 1000]
+    ])
+    def test_a_forecast_outside_0_to_1000_warns_once_naming_its_first_year(
+            self, values, first):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fc = forecast_series(series(values), ArimaSpec(1, 1, 1), horizon=3)
+        shown = [str(w.message) for w in caught if "outside" in str(w.message)]
+        outside = [(y, point) for y, point, _, _ in fc.forecasts if not 0 <= point <= 1000]
+        if first is None:
+            assert shown == [] and outside == []
+            return
+        assert [year for year, _ in outside] == list(range(first, 2029))
+        point = outside[0][1]
+        assert shown == [f"series ('AI_Data',): ARIMA(1,1,1) forecasts {point} per 1,000 "
+                         f"for {first}, outside [0, 1000]"]
 
     def test_monthly_granularity_dense_series(self):
         # 48 "months" indexed as consecutive integers; no short-series warning
