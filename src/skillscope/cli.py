@@ -526,8 +526,8 @@ def embedding_provider(cfg: RunConfig):
     return provider_from_spec(spec)
 
 
-def embed_postings(provider, postings: list[Posting]) -> list[np.ndarray]:
-    """One vector per posting, in postings order."""
+def embed_postings(provider, postings: list[Posting]) -> np.ndarray:
+    """One row per posting, in postings order."""
     return provider.embed_batch([p.description for p in postings],
                                 keys=[p.id for p in postings])
 
@@ -783,7 +783,7 @@ def stage_topics(cfg: RunConfig, out: Path, workers: Workers) -> dict:
                     max_df_fraction=lda_cfg.vocab_max_df_fraction)
 
     def clusters():
-        emb = np.array(embed_postings(provider, postings))
+        emb = embed_postings(provider, postings)
         km, km_s = timed(kmeans_fit, emb, cfg.kmeans["K"],
                          seed=derive_seed(cfg.seed, "topics.kmeans"))
         dm, dm_s = timed(density_topics, emb, min_cluster_size=mcs, k_reduced=k_reduced,

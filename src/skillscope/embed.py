@@ -1,10 +1,10 @@
 """Embedding providers behind one interface.
 
-Vectors are numpy float64 arrays, L2-normalized by every provider. The
-hashed provider (default) is a deterministic signed-hash bag of token
-unigrams and bigrams, good enough for offline tests and desk-scale runs;
-the file and http providers plug in externally computed embeddings
-(e.g. from a sentence-transformer service).
+Vectors are L2-normalized float64 arrays; ``embed_batch`` gives them as the
+rows of one C-contiguous matrix, in text order. The hashed provider (default)
+is a deterministic signed-hash bag of token unigrams and bigrams, good enough
+for offline tests and desk-scale runs; the file and http providers plug in
+externally computed embeddings (e.g. from a sentence-transformer service).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import net
-from .config import REQUIRED, check_fields
+from .config import REQUIRED, check_fields, conforms
 from .errors import ConfigError, DataError
 from .text import tokenize
 
@@ -34,6 +34,11 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     if norm == 0.0 or not np.isfinite(norm):
         raise DataError("embedding has zero or non-finite norm")
     return vec / norm
+
+
+def _rows(vectors: list, dimension: int) -> np.ndarray:
+    """The vectors as the rows of one (len(vectors), dimension) matrix."""
+    return np.array(vectors, dtype=float).reshape(len(vectors), dimension)
 
 
 # Norms outside this range lose bits to underflow or overflow in the squares
@@ -92,10 +97,10 @@ class HashedProvider:
         idx = int.from_bytes(h[:8], "little") % self.dimension
         return idx if h[8] & 1 else ~idx
 
-    def _vectors(self, texts: Iterable[str]) -> list[np.ndarray]:
+    def _vectors(self, texts: Sequence[str]) -> np.ndarray:
         memo = self._memo
-        out = []
-        for text in texts:
+        out = np.empty((len(texts), self.dimension))
+        for row, text in zip(out, texts):
             tokens = tokenize(text)
             # integer counts, converted once: per-posting numpy temporaries
             # fragmented the heap and raised a later stage's peak RSS
@@ -110,7 +115,7 @@ class HashedProvider:
                     counts[slot] += 1
                 else:
                     counts[~slot] -= 1
-            out.append(_normalize(np.array(counts, dtype=float)))
+            row[:] = _normalize(np.array(counts, dtype=float))
         return out
 
     def embed(self, text: str, key: str | None = None) -> np.ndarray:
@@ -132,6 +137,7 @@ class FileProvider:
             raise ConfigError(f"{path}: header must be 'id,<dim>', <dim> a positive integer")
         self.dimension = int(header[1])
         self._table: dict[str, np.ndarray] = {}
+        line_of: dict[str, int] = {}
         for ln, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -140,11 +146,14 @@ class FileProvider:
                 raise DataError(
                     f"{path}:{ln}: expected {self.dimension} values, got {len(parts) - 1}"
                 )
+            key = parts[0]
+            if key in line_of:
+                raise DataError(f"{path}:{ln}: id {key!r} was given on line {line_of[key]}")
+            line_of[key] = ln
             try:
-                vector = np.array([float(x) for x in parts[1:]])
-            except ValueError as e:
+                self._table[key] = _normalize(np.array([float(x) for x in parts[1:]]))
+            except (ValueError, DataError) as e:
                 raise DataError(f"{path}:{ln}: {e}") from e
-            self._table[parts[0]] = _normalize(vector)
 
     def embed(self, text: str, key: str | None = None) -> np.ndarray:
         lookup = key if key is not None else text
@@ -154,16 +163,15 @@ class FileProvider:
             raise DataError(f"no embedding for id {lookup!r}") from None
 
     def embed_batch(self, texts: Sequence[str], keys: Sequence[str] | None = None):
-        """One vector per text; DataError if a key repeats within the batch,
+        """One row per text; DataError if a key repeats within the batch,
         since two postings sharing an id would silently share one vector."""
-        if keys is None:  # looked up by text: the same text, the same vector
-            return [self.embed(t) for t in texts]
         seen: set[str] = set()
-        for key in keys:
+        for key in keys or ():
             if key in seen:
                 raise DataError(f"posting id {key!r} repeats: each posting needs its own vector")
             seen.add(key)
-        return [self.embed(t, k) for t, k in zip(texts, keys)]
+        # with no keys each text is looked up: the same text, the same vector
+        return _rows([self.embed(t, k) for t, k in zip(texts, keys or texts)], self.dimension)
 
 
 class HttpProvider:
@@ -185,7 +193,8 @@ class HttpProvider:
     def _send(self, body: dict) -> tuple[int, object]:
         return net.send_json("POST", self.url, 60, json=body, headers=self._headers)
 
-    def _embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def _embed_chunk(self, texts: Sequence[str], first: int = 0) -> list[np.ndarray]:
+        """The vectors of ``texts``, the ``first``-th text of a batch onwards."""
         (status, body), _ = net.call(
             lambda: self._post({"texts": list(texts)}),
             lambda reason: DataError(
@@ -196,8 +205,10 @@ class HttpProvider:
         if len(vectors) != len(texts):
             raise DataError(f"service returned {len(vectors)} vectors for {len(texts)} texts")
         out = []
-        for v in vectors:
-            arr = np.asarray(v, dtype=float)
+        for i, v in enumerate(vectors, start=first):
+            if not conforms(v, list[float]):
+                raise DataError(f"the vector for text {i} is not a list of finite numbers")
+            arr = np.array(v, dtype=float)
             if arr.shape != (self.dimension,):
                 raise DataError(
                     f"expected dimension {self.dimension}, got {arr.shape}")
@@ -208,12 +219,13 @@ class HttpProvider:
         return self._embed_chunk([text])[0]
 
     def embed_batch(self, texts: Sequence[str], keys: Sequence[str] | None = None):
-        chunks = [texts[i:i + self.BATCH] for i in range(0, len(texts), self.BATCH)]
-        if len(chunks) <= 1:
-            return self._embed_chunk(texts) if texts else []
+        starts = range(0, len(texts), self.BATCH)
+        if len(starts) <= 1:
+            return _rows(self._embed_chunk(texts) if texts else [], self.dimension)
         with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-            results = list(pool.map(self._embed_chunk, chunks))
-        return [v for chunk in results for v in chunk]
+            results = list(pool.map(self._embed_chunk,
+                                    [texts[i:i + self.BATCH] for i in starts], starts))
+        return _rows([v for chunk in results for v in chunk], self.dimension)
 
 
 # each kind's provider and spec keys: (JSON type, REQUIRED or None for the

@@ -6,6 +6,7 @@ broken lexicographically.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -27,48 +28,46 @@ def stopwords() -> frozenset[str]:
 @dataclass
 class DocTermMatrix:
     vocab: list[str]
-    # parallel arrays per document: term indices and their counts
-    doc_indices: list[np.ndarray]
-    doc_counts: list[np.ndarray]
+    # CSR cells, int64: document d's are indptr[d]:indptr[d + 1], term indices ascending
+    indptr: np.ndarray
+    indices: np.ndarray
+    doc_counts: np.ndarray
 
     @property
     def n_docs(self) -> int:
-        return len(self.doc_indices)
+        return len(self.indptr) - 1
 
     @property
     def n_terms(self) -> int:
         return len(self.vocab)
-
-    def doc_frequency(self) -> np.ndarray:
-        df = np.zeros(self.n_terms, dtype=np.int64)
-        for idx in self.doc_indices:
-            df[idx] += 1
-        return df
 
 
 def build_dtm(texts: Sequence[str], min_df: int = 1,
               max_df_fraction: float = 1.0) -> DocTermMatrix:
     """Each document's non-stopword terms and counts over the terms found in
     at least ``min_df`` documents and in at most ``max_df_fraction`` of them.
-    A term gets an integer id when first seen, and each document is held as
-    two arrays (ids, counts), not as a dict of strings, until the vocabulary
-    is known; each document's indices ascend."""
+    A term gets an integer id when first seen, and all documents' ids and
+    counts fill flat buffers until the vocabulary is known; then one gather,
+    one mask and one sort give every document's cells, indices ascending."""
     if not texts:
         raise DataError("empty corpus")
     stop = stopwords()
     ids: dict[str, int] = {}  # each term's id, in order of first sight
-    seen: list = []  # each document's (first-sight ids, counts)
+    # every document's first-sight ids and their counts, and its number of them
+    seen_ids, seen_counts, seen_cells = array("q"), array("q"), array("q")
     for text in texts:
         counts: dict[int, int] = {}
         for tok in tokenize(text):
             if tok not in stop:
                 i = ids.setdefault(tok, len(ids))
                 counts[i] = counts.get(i, 0) + 1
-        seen.append((np.fromiter(counts, np.int64, len(counts)),
-                     np.fromiter(counts.values(), np.int64, len(counts))))
+        seen_ids.extend(counts)
+        seen_counts.extend(counts.values())
+        seen_cells.append(len(counts))
 
     n = len(texts)
-    df = np.bincount(np.concatenate([idx for idx, _ in seen]), minlength=len(ids))
+    first_ids = np.frombuffer(seen_ids, np.int64)
+    df = np.bincount(first_ids, minlength=len(ids))
     kept = np.flatnonzero((df >= min_df) & (df / n <= max_df_fraction)).tolist()
     if not kept:
         raise DataError("frequency thresholds eliminated every term")
@@ -77,17 +76,14 @@ def build_dtm(texts: Sequence[str], min_df: int = 1,
     rank = np.full(len(terms), -1, dtype=np.int64)  # each id's vocabulary index, -1 if dropped
     rank[order] = np.arange(len(order))
 
-    doc_indices, doc_counts = [], []
-    for d, (idx, cnt) in enumerate(seen):
-        index = rank[idx]
-        keep = index >= 0
-        index, cnt = index[keep], cnt[keep]
-        by_index = np.argsort(index)  # the indices are distinct, so any sort gives these
-        doc_indices.append(index[by_index])
-        doc_counts.append(cnt[by_index])
-        seen[d] = None  # each document's first-sight arrays go as its final ones come
-    return DocTermMatrix(vocab=[terms[i] for i in order], doc_indices=doc_indices,
-                         doc_counts=doc_counts)
+    index = rank[first_ids]
+    keep = index >= 0
+    index = index[keep]
+    doc = np.repeat(np.arange(n), np.frombuffer(seen_cells, np.int64))[keep]
+    by_cell = np.lexsort((index, doc))  # a document's indices are distinct
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(doc, minlength=n))])
+    return DocTermMatrix([terms[i] for i in order], indptr, index[by_cell],
+                         np.frombuffer(seen_counts, np.int64)[keep][by_cell])
 
 
 def top_terms(weights: np.ndarray, vocab: Sequence[str],
@@ -112,9 +108,9 @@ def cluster_terms(assignments: Sequence[int], dtm: DocTermMatrix,
     assignments = np.asarray(assignments)
     if len(assignments) != dtm.n_docs:
         raise ValueError("assignments must cover every document of dtm")
-    term = np.concatenate(dtm.doc_indices)
-    weight = np.concatenate(dtm.doc_counts) * np.log(dtm.n_docs / dtm.doc_frequency())[term]
-    cell_cluster = np.repeat(assignments, [len(idx) for idx in dtm.doc_indices])
+    term = dtm.indices
+    weight = dtm.doc_counts * np.log(dtm.n_docs / np.bincount(term, minlength=dtm.n_terms))[term]
+    cell_cluster = np.repeat(assignments, np.diff(dtm.indptr))
     out: dict[int, list[tuple[str, float]]] = {}
     for cluster in sorted(set(assignments.tolist()) - {NOISE}):
         cells = cell_cluster == cluster

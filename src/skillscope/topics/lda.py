@@ -129,15 +129,14 @@ def lda_fit(dtm: DocTermMatrix, cfg: LdaConfig) -> LdaModel:
     vbeta = V * beta
 
     # one triple per non-zero cell: doc[i], term[i], count[i]
-    lengths = [len(idx) for idx in dtm.doc_indices]
-    doc = np.repeat(np.arange(D), lengths)
-    term = np.concatenate(dtm.doc_indices)
-    count = np.concatenate(dtm.doc_counts).astype(float)
+    doc = np.repeat(np.arange(D), np.diff(dtm.indptr))
+    term = dtm.indices
+    count = dtm.doc_counts.astype(float)
     N = len(count)
     # count-weighted incidence: (D x N) @ gamma[k] = n_dk[k], (V x N) @ gamma[k] = n_wk[k].
     # Both read gamma[k] in order; the one-cell columns of by_term add each
     # term's cells in cell order, as its rows would, without random reads.
-    by_doc = sparse.csr_matrix((count, (doc, np.arange(N))), shape=(D, N))
+    by_doc = sparse.csr_matrix((count, np.arange(N), dtm.indptr), shape=(D, N))
     by_term = sparse.csc_matrix((count, term, np.arange(N + 1)), shape=(V, N))
 
     def expected(gamma):  # K x D and K x V

@@ -56,8 +56,9 @@ def labeled_cleanse_batch():
 def dense(dtm):
     """The D×V count matrix of a DocTermMatrix (int64), for reference checks."""
     out = np.zeros((dtm.n_docs, dtm.n_terms), dtype=np.int64)
-    for d, (idx, cnt) in enumerate(zip(dtm.doc_indices, dtm.doc_counts)):
-        out[d, idx] = cnt
+    for d in range(dtm.n_docs):
+        cells = slice(dtm.indptr[d], dtm.indptr[d + 1])
+        out[d, dtm.indices[cells]] = dtm.doc_counts[cells]
     return out
 
 

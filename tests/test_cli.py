@@ -273,7 +273,7 @@ class TestSmoke:
         # the values of a fit made here on the same embeddings and seeds
         cfg = RunConfig.load(demo_dir / "run.json")
         postings = load_postings(out)
-        emb = np.array(cli.embed_postings(cli.embedding_provider(cfg), postings))
+        emb = cli.embed_postings(cli.embedding_provider(cfg), postings)
         km = cli.kmeans_fit(emb, cfg.kmeans["K"], seed=derive_seed(cfg.seed, "topics.kmeans"))
         assert (kmeans["iterations_run"], trace) == (km.iterations_run, km.wcss_trace)
         dm = cli.density_topics(
@@ -904,6 +904,25 @@ class TestSectorLabels:
             assert main([stage, "--config", str(run), "--out", str(out)]) == EXIT_DATA
             assert f"posting id {first_id!r} repeats" in capsys.readouterr().err
             assert not any((out / name).exists() for name in outputs), stage
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("{first},0,1\n", "id {first!r} was given on line 2"),
+        ("other,0,0\n", "embedding has zero or non-finite norm"),
+    ], ids=["repeated-id", "zero-row"])
+    def test_a_bad_row_of_the_vectors_file_is_exit_4_naming_its_line(
+            self, demo_dir, tmp_path, capsys, bad_row, message):
+        out = tmp_path / "out"
+        copy_artifacts(results_dir(demo_dir), out,
+                       {*PIPELINE["framing"].inputs, "run_manifest.json"})
+        first = json.loads((out / "postings.ndjson").read_text().splitlines()[0])["id"]
+        vectors = tmp_path / "vectors.csv"
+        vectors.write_text(f"id,2\n{first},1,0\n" + bad_row.format(first=first))
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                   "embedding": {"kind": "file", "path": "vectors.csv"}}))
+        assert main(["framing", "--config", str(run), "--out", str(out)]) == EXIT_DATA
+        assert f"{vectors}:3: {message.format(first=first)}\n" in capsys.readouterr().err
+        assert not (out / "framing.ndjson").exists()
 
     def test_one_run_classifies_once(self, tmp_path, monkeypatch):
         calls, classified = Counter(), Counter()

@@ -168,8 +168,9 @@ class TestHashedProvider:
         p = HashedProvider(dimension=100, seed=11)
         got = p.embed_batch(texts)
         assert len(got) == len(texts)
-        for text, vec in zip(texts, got):
-            assert vec.tobytes() == self.reference(text, 100, 11).tobytes()
+        for text, vec in zip(texts, got):  # each row of the batch matrix is embed(text)
+            assert vec.tobytes() == self.reference(text, 100, 11).tobytes() \
+                == p.embed(text).tobytes()
         for text in texts[:5]:
             assert p.embed(text).tobytes() == p.embed_batch([text])[0].tobytes()
 
@@ -222,6 +223,21 @@ class TestFileProvider:
         with pytest.raises(DataError, match=f"{re.escape(str(f))}:2: expected 3 values, got 2"):
             FileProvider(f)
 
+    def test_a_repeated_id_names_both_lines(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("id,2\na,1,0\nb,1,1\n\na,0,1\n")
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(f))}:5: id 'a' was given on line 2$"):
+            FileProvider(f)
+
+    @pytest.mark.parametrize("row", ["p2,0,0,0", "p2,nan,1,0", "p2,1,inf,0"])
+    def test_a_row_without_a_finite_norm_names_file_and_line(self, tmp_path, row):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"id,3\np1,1,0,0\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}:3: embedding has zero "
+                                            "or non-finite norm$"):
+            FileProvider(f)
+
 
 def fake_post_factory(dimension, fail_times=0, status=500):
     calls = {"n": 0}
@@ -266,6 +282,51 @@ class TestHttpProvider:
         p = HttpProvider("http://svc", 4, post=post)
         with pytest.raises(DataError, match=r"expected dimension 4, got \(2,\)"):
             p.embed("hello")
+
+    @pytest.mark.parametrize("vector", [
+        ["1.5", 1.0], [True, 1.0], ["ab", 1.0], [{"x": 1}, 1.0], [None, 1.0],
+        [[1.0], 1.0], [float("nan"), 1.0], [float("inf"), 1.0], "ab", {"x": 1.0}, 2.0, None])
+    def test_a_reply_vector_must_hold_finite_numbers(self, vector):
+        # one text in the third chunk of a batch; its position in the batch is named
+        def post(body):
+            return 200, {"vectors": [vector if t == "bad" else [1.0, 0]
+                                     for t in body["texts"]]}
+        p = HttpProvider("http://svc", 2, post=post)
+        texts = ["ok"] * 150
+        texts[140] = "bad"
+        with pytest.raises(DataError,
+                           match="^the vector for text 140 is not a list of finite numbers$"):
+            p.embed_batch(texts)
+        with pytest.raises(DataError, match="^the vector for text 0 is not "):
+            p.embed("bad")
+        # integers are numbers, as in every JSON config
+        assert p.embed_batch(["ok", "ok"]).tolist() == [[1.0, 0.0]] * 2
+
+
+def one_matrix_providers(tmp_path, dimension=3):
+    """A hashed, a file and an http provider of one dimension."""
+    f = tmp_path / "emb.csv"
+    f.write_text(f"id,{dimension}\n" + "".join(
+        f"t{i}," + ",".join(str(float(j == i % dimension) + j) for j in range(dimension)) + "\n"
+        for i in range(200)))
+    post, _ = fake_post_factory(dimension)
+    return [HashedProvider(dimension=dimension, seed=4), FileProvider(f),
+            HttpProvider("http://svc", dimension, post=post)]
+
+
+class TestEmbedBatchIsOneMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 65, 150])
+    def test_one_c_contiguous_float64_row_per_text(self, tmp_path, n):
+        texts = [f"t{i}" for i in range(n)]
+        for provider in one_matrix_providers(tmp_path):
+            for keys in (None, texts):
+                batch = provider.embed_batch(texts, keys=keys)
+                assert isinstance(batch, np.ndarray), type(provider)
+                assert batch.dtype == np.float64 and batch.shape == (n, 3)
+                assert batch.flags.c_contiguous
+                assert len(batch) == n
+                for text, row in zip(texts, batch):
+                    assert row.tobytes() == provider.embed(text, text).tobytes()
 
 
 class TestAnchorCentroid:

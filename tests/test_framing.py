@@ -63,6 +63,19 @@ class TestFrameDocument:
             r = frame_document(PROVIDER.embed(text), CENTROIDS)
             assert (r.framing_index > 0) == (r.sim_augment > r.sim_automate)
 
+    @pytest.mark.parametrize("dimension", [7, 64, 255, 256])
+    def test_rows_of_a_batch_frame_as_their_own_vectors(self, dimension):
+        # with an odd dimension the rows of the batch matrix start at every
+        # 8-byte offset; each row's cosines keep the bytes of a vector of its own
+        provider = HashedProvider(dimension, seed=3)
+        centroids = AnchorCentroids.from_anchors(ANCHORS, provider)
+        texts = [f"{phrase} role number {i}" for i, phrase in
+                 enumerate(p for group in ANCHORS.values() for p in group)]
+        batch = provider.embed_batch(texts)
+        for text, row in zip(texts, batch):
+            assert frame_document(row, centroids) \
+                == frame_document(provider.embed(text).copy(), centroids)
+
 
 def result(pid, fi, ai=0.1):
     return FramingResult(posting_id=pid, sim_ai=ai, sim_augment=fi / 2,

@@ -410,7 +410,8 @@ class TestSplitStages:
             if fails == "kmeans_fit":
                 raise DataError("k-means failed here")
             dtm, cfg = args
-            return lda_fit(replace(dtm, vocab=[], doc_indices=[], doc_counts=[]), cfg)
+            return lda_fit(replace(dtm, vocab=[], indptr=dtm.indptr[:1], indices=dtm.indices[:0],
+                                   doc_counts=dtm.doc_counts[:0]), cfg)
 
         monkeypatch.setattr(parallel, "MIN_CHUNK", 1)
         config, raw = ingested(tmp_path, 200)

@@ -41,8 +41,9 @@ DTM_WORDS = ["alpha", "beta", "gamma", "delta", "Beta", "the", "and", "of", "x2"
 
 
 def dict_dtm(texts, min_df=1, max_df_fraction=1.0):
-    """build_dtm as first written, one {term: count} dict per document: the
-    reference the id-array builder must equal, array for array."""
+    """build_dtm as first written, one {term: count} dict per document, its
+    cells laid out in CSR form: the reference the flat builder must equal,
+    array for array."""
     if not texts:
         raise DataError("empty corpus")
     stop = stopwords()
@@ -61,12 +62,21 @@ def dict_dtm(texts, min_df=1, max_df_fraction=1.0):
         raise DataError("frequency thresholds eliminated every term")
     vocab = sorted(kept, key=lambda t: (-df[t], t))
     term_id = {t: i for i, t in enumerate(vocab)}
-    doc_indices, doc_counts = [], []
+    indptr, indices, doc_counts = [0], [], []
     for counts in doc_term_counts:
         pairs = sorted((term_id[t], c) for t, c in counts.items() if t in term_id)
-        doc_indices.append(np.array([i for i, _ in pairs], dtype=np.int64))
-        doc_counts.append(np.array([c for _, c in pairs], dtype=np.int64))
-    return DocTermMatrix(vocab=vocab, doc_indices=doc_indices, doc_counts=doc_counts)
+        indices += [i for i, _ in pairs]
+        doc_counts += [c for _, c in pairs]
+        indptr.append(len(indices))
+    return DocTermMatrix(vocab=vocab, indptr=np.array(indptr, dtype=np.int64),
+                         indices=np.array(indices, dtype=np.int64),
+                         doc_counts=np.array(doc_counts, dtype=np.int64))
+
+
+dtm_corpora = dict(
+    texts=st.lists(st.lists(st.sampled_from(DTM_WORDS), max_size=12).map(" ".join),
+                   min_size=1, max_size=10),
+    min_df=st.integers(1, 4), max_df_fraction=st.floats(0.05, 1.0))
 
 
 class TestBuildDtm:
@@ -96,13 +106,12 @@ class TestBuildDtm:
 
     def test_doc_tokens_multiplicity(self):
         dtm = build_dtm(["alpha beta beta"])
-        counts = {dtm.vocab[i]: int(c) for i, c in zip(dtm.doc_indices[0], dtm.doc_counts[0])}
+        assert dtm.indptr.tolist() == [0, 2]
+        counts = {dtm.vocab[i]: int(c) for i, c in zip(dtm.indices, dtm.doc_counts)}
         assert counts == {"alpha": 1, "beta": 2}
 
     @settings(max_examples=200, deadline=None)
-    @given(texts=st.lists(st.lists(st.sampled_from(DTM_WORDS), max_size=12).map(" ".join),
-                          min_size=1, max_size=10),
-           min_df=st.integers(1, 4), max_df_fraction=st.floats(0.05, 1.0))
+    @given(**dtm_corpora)
     def test_equals_the_dict_builder(self, texts, min_df, max_df_fraction):
         try:
             expected = dict_dtm(texts, min_df, max_df_fraction)
@@ -112,11 +121,29 @@ class TestBuildDtm:
             return
         dtm = build_dtm(texts, min_df, max_df_fraction)
         assert dtm.vocab == expected.vocab
-        assert len(dtm.doc_indices) == len(dtm.doc_counts) == len(texts)
-        for got, want in zip(dtm.doc_indices + dtm.doc_counts,
-                             expected.doc_indices + expected.doc_counts):
+        assert dtm.n_docs == len(texts)
+        for name in ("indptr", "indices", "doc_counts"):
+            got, want = getattr(dtm, name), getattr(expected, name)
             assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(**dtm_corpora)
+    def test_csr_invariants(self, texts, min_df, max_df_fraction):
+        try:
+            dtm = build_dtm(texts, min_df, max_df_fraction)
+        except DataError:
+            return
+        indptr, indices, counts = dtm.indptr, dtm.indices, dtm.doc_counts
+        assert indptr.dtype == indices.dtype == counts.dtype == np.int64
+        assert indptr.shape == (len(texts) + 1,) and indptr[0] == 0
+        assert (np.diff(indptr) >= 0).all()
+        assert indptr[-1] == len(indices) == len(counts)
+        for d in range(dtm.n_docs):
+            cells = indices[indptr[d]:indptr[d + 1]]
+            assert (np.diff(cells) > 0).all()
+        assert ((0 <= indices) & (indices < dtm.n_terms)).all()
+        assert (counts >= 1).all()
 
 
 def dense_tfidf(dtm):
@@ -219,7 +246,9 @@ class TestTfidf:
             doc_indices.append(idx.astype(np.int64))
             doc_counts.append(rng.integers(1, 4, idx.size).astype(np.int64))
         dtm = DocTermMatrix(vocab=[f"term{i:04d}" for i in range(n_terms)],
-                            doc_indices=doc_indices, doc_counts=doc_counts)
+                            indptr=np.cumsum([0] + [len(idx) for idx in doc_indices]),
+                            indices=np.concatenate(doc_indices),
+                            doc_counts=np.concatenate(doc_counts))
         kmeans_like = rng.integers(0, 6, n_docs)
         density_like = rng.integers(-1, 3, n_docs)
         tracemalloc.start()
@@ -253,9 +282,10 @@ def lda_purity(model, labels):
 
 
 def cvb0_reference(dtm, cfg):
-    """Plain-loop CVB0 over the cells in DTM order, from lda_fit's seeded start."""
-    cells = [(d, int(w), int(c)) for d, (idx, cnt)
-             in enumerate(zip(dtm.doc_indices, dtm.doc_counts)) for w, c in zip(idx, cnt)]
+    """Plain-loop CVB0 over the cells in DTM order (by document, then term),
+    from lda_fit's seeded start."""
+    cells = [(d, w, c) for d, row in enumerate(dense(dtm).tolist())
+             for w, c in enumerate(row) if c]
     K, V = cfg.K, dtm.n_terms
     gamma = [[g / sum(row) for g in row]
              for row in np.random.default_rng(cfg.seed).random((len(cells), K)).tolist()]
@@ -283,14 +313,15 @@ def cvb0_reference(dtm, cfg):
 
 def row_major_cvb0(dtm, cfg):
     """The vectorised CVB0 sweep with gamma cell-major (N x K), from one
-    (N, K) seeded draw: (phi, theta, n_dk, trace), the bytes lda_fit must give."""
+    (N, K) seeded draw over the non-zero cells of the dense counts in row-major
+    order: (phi, theta, n_dk, trace), the bytes lda_fit must give."""
     K, V, D = cfg.K, dtm.n_terms, dtm.n_docs
     alpha, beta = float(cfg.alpha), float(cfg.beta)
     vbeta = V * beta
-    lengths = [len(idx) for idx in dtm.doc_indices]
-    doc = np.repeat(np.arange(D), lengths)
-    term = np.concatenate(dtm.doc_indices)
-    count = np.concatenate(dtm.doc_counts).astype(float)
+    counts = dense(dtm)
+    lengths = np.count_nonzero(counts, axis=1)
+    doc, term = np.nonzero(counts)
+    count = counts[doc, term].astype(float)
     cells = np.arange(len(count))
     by_doc = sparse.csr_matrix((count, (doc, cells)), shape=(D, len(count)))
     by_term = sparse.csr_matrix((count, (term, cells)), shape=(V, len(count)))
@@ -334,7 +365,7 @@ class TestLda:
         docs, _ = two_topic_corpus(n_docs=10)
         dtm = build_dtm(docs)
         model = lda_fit(dtm, LdaConfig(K=3, iterations=10, seed=1))
-        doc_lengths = np.array([c.sum() for c in dtm.doc_counts], dtype=float)
+        doc_lengths = dense(dtm).sum(axis=1).astype(float)
         assert model.doc_topic_counts.shape == (dtm.n_docs, 3)
         assert np.allclose(model.doc_topic_counts.sum(axis=1), doc_lengths, rtol=0, atol=1e-9)
         assert model.doc_topic_counts.sum() == pytest.approx(doc_lengths.sum(), abs=1e-9)
@@ -411,7 +442,7 @@ class TestLda:
         # more cells than one block of the draw, so the start spans blocks
         docs = [" ".join(f"w{(d * 7 + i) % 500}" for i in range(40)) for d in range(120)]
         dtm = build_dtm(docs, min_df=1)
-        assert sum(len(idx) for idx in dtm.doc_indices) > BLOCK_CELLS
+        assert len(dtm.indices) > BLOCK_CELLS
         cfg = LdaConfig(K=3, iterations=1, seed=9)
         model = lda_fit(dtm, cfg)
         assert np.array_equal(model.doc_topic_counts, row_major_cvb0(dtm, cfg)[2])
@@ -422,9 +453,9 @@ class TestLda:
         # repeated within a document; K covers each way _cell_sums adds
         docs = [" ".join(f"w{(d * 7 + i * i) % 400}" for i in range(60)) for d in range(100)]
         dtm = build_dtm(docs, min_df=1)
-        cells = sum(len(idx) for idx in dtm.doc_indices)
+        cells = np.count_nonzero(dense(dtm))
         assert cells > BLOCK_CELLS and cells % BLOCK_CELLS
-        assert max(int(c.max()) for c in dtm.doc_counts) > 1
+        assert dense(dtm).max() > 1
         cfg = LdaConfig(K=K, iterations=3, seed=K)
         model = lda_fit(dtm, cfg)
         phi, theta, n_dk, trace = row_major_cvb0(dtm, cfg)
@@ -436,7 +467,7 @@ class TestLda:
     def test_a_fit_holds_two_arrays_of_responsibilities(self):
         docs = [" ".join(f"w{(d * 13 + i * 7) % 3000}" for i in range(100)) for d in range(1000)]
         dtm = build_dtm(docs, min_df=1)
-        K, cells = 32, sum(len(idx) for idx in dtm.doc_indices)
+        K, cells = 32, len(dtm.indices)
         responsibilities = K * cells * 8  # bytes of one K x N array
         scratch = 2 * K * BLOCK_CELLS * 8
         tracemalloc.start()
